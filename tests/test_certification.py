@@ -1,0 +1,136 @@
+"""The certified region, against a dense oracle and across windows.
+
+The oracle below is the dense page-by-page validity rule: start from every
+degree of the widened box and, on each page, drop a degree when a
+differential that could reach it or leave it connects it to a degree that
+is not certified, or leaves the box.  It keeps the whole set of certified
+degrees on every page and shares no bookkeeping with the engine; it only
+reads the engine's pages and its list of differentials it could not
+compute.
+"""
+
+import pytest
+
+from effss.engine import SliceSS, Window, page_shift
+from effss.grading import TriDegree
+from effss.objects import get_object
+
+
+def _may_fire(ss, valid, r, d):
+    """Could d_r be nonzero out of d, as far as the set ``valid`` knows?"""
+    if not ss.box.contains(d) or d not in valid:
+        return True
+    g = ss.pages[r].get(d)
+    if g is None or not g.orders:
+        return False
+    if r == 1:
+        return bool(ss.obj.schedule.get(1))
+    if not ss.obj.has_pattern:
+        return False
+    cw = d.coweight
+    if cw == 0 or (cw & -cw).bit_length() != r:
+        return False
+    return "cokernel" in g.parts
+
+
+def dense_valid(ss):
+    """Certified degrees of every computed page, as full sets."""
+    valid = {1: set(ss.box.degrees())}
+    for r in range(1, max(ss.pages)):
+        shift = page_shift(r)
+        unknown = ss.unknown_out[r]
+        prev = valid[r]
+        nv = set()
+        for d in prev:
+            if _may_fire(ss, prev, r, d):
+                if d + shift not in prev or d in unknown:
+                    continue
+            src = d - shift
+            if src.f >= 0 and _may_fire(ss, prev, r, src):
+                if src not in prev or src in unknown:
+                    continue
+            nv.add(d)
+        valid[r + 1] = nv
+    return valid
+
+
+def _run(name, window, **kw):
+    return SliceSS(get_object(name, window=window), window, **kw).run()
+
+
+ORACLE_RUNS = {
+    "ko_C": ("ko_C", Window((0, 24), (0, 12), (-8, 16)), {}),
+    "ko": ("ko", Window((0, 12), (0, 12), (-8, 16)), {}),
+    "L_C-thin": ("L_C", Window((-2, 40), (0, 2), (-4, 20)), {"f_margin": 4}),
+    "L-tall": ("L", Window((-4, 4), (0, 20), (-8, 16)), {}),
+    "L-s_margin": ("L", Window((0, 6), (0, 12), (-8, 16)), {"s_margin": 2}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_RUNS))
+def test_certified_region_matches_dense_oracle(key):
+    name, window, kw = ORACLE_RUNS[key]
+    ss = _run(name, window, **kw)
+    oracle = dense_valid(ss)
+    assert sorted(oracle) == sorted(ss.pages)
+    for r, want in oracle.items():
+        assert set(ss.valid[r]) == want, (key, r)
+        assert len(ss.valid[r]) == len(want), (key, r)
+    # the margins erode on every run, so the two sides are never both the
+    # trivially full box
+    assert len(oracle[max(oracle)]) < len(oracle[1])
+
+
+# A small window and a strictly larger one per object.
+INVARIANCE = {
+    "ko_C": (Window((0, 8), (0, 6), (-4, 8)), Window((-2, 12), (0, 8), (-6, 10))),
+    "ko": (Window((0, 8), (0, 6), (-4, 8)), Window((-2, 12), (0, 8), (-6, 10))),
+    "L_C": (Window((0, 6), (0, 4), (-2, 6)), Window((-2, 8), (0, 6), (-4, 8))),
+    "L": (Window((0, 4), (0, 4), (-2, 4)), Window((-2, 6), (0, 6), (-4, 6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE))
+def test_window_invariance(name):
+    small_w, big_w = INVARIANCE[name]
+    small = _run(name, small_w)
+    big = _run(name, big_w)
+    assert small.r_max == big.r_max
+    outside = [d for d in big.box.degrees() if not small.box.contains(d)]
+    assert outside
+    for r in sorted(small.pages):
+        both = 0
+        for d in small.valid[r]:
+            # shrinking the window never certifies more
+            assert d in big.valid[r], (name, r, d)
+            g, h = small.group(r, d), big.group(r, d)
+            assert g.orders == h.orders, (name, r, d)
+            assert g.parts == h.parts, (name, r, d)
+            assert [small.pres.render(g.lift(i)) for i in range(len(g))] == [
+                big.pres.render(h.lift(i)) for i in range(len(h))
+            ], (name, r, d)
+            both += len(g)
+        assert both
+        for d in outside:
+            assert d not in small.valid[r], (name, r, d)
+        assert not small.certified(TriDegree(small.box.s[1] + 1, 0, 0), r)
+
+
+def test_uncomputed_differential_uncertifies_both_ends():
+    # No shipped window has an uncomputable differential with a certified
+    # target (only an ambiguous pattern target outside the user window
+    # gives one), so plant one: both ends must drop out, as in the oracle.
+    window = Window((0, 6), (0, 4), (-2, 6))
+    ss = SliceSS(get_object("L_C", window=window), window).run(2)
+    shift = page_shift(2)
+    assert ss.differential_known(2, TriDegree(0, 0, 0))
+    d = next(
+        d for d in sorted(ss.pages[2])
+        if _may_fire(ss, ss.valid[2], 2, d) and d + shift in ss.valid[2]
+    )
+    ss.unknown_out[2].add(d)
+    ss.run()
+    assert d not in ss.valid[3] and d + shift not in ss.valid[3]
+    oracle = dense_valid(ss)
+    for r, want in oracle.items():
+        assert set(ss.valid[r]) == want, r
