@@ -12,10 +12,13 @@ preserve the weight.
 
 Page turning is integer homology, done blockwise over the image/non-image
 splitting so that every summand of every page stays on one side of it.  A
-window is widened internally and a validity region is tracked page by page:
-a degree stays certified only while every differential that could reach it
-or leave it connects two certified degrees.  Results are only reported on the
-certified part, so boundary effects are visible instead of silent.
+window is widened internally to a box and a certified region is tracked page
+by page: a degree stays certified only while every differential that could
+reach it or leave it connects two certified degrees.  The region is stored
+as the box minus an explicit set of uncertified degrees per page, and
+``SliceSS.valid[r]`` is a view of it supporting ``in``, ``len`` and
+iteration.  Results are only reported on the certified part, so boundary
+effects are visible instead of silent.
 """
 
 from __future__ import annotations
@@ -79,6 +82,24 @@ class Window:
             for f in range(self.f[0], self.f[1] + 1):
                 for w in range(self.w[0], self.w[1] + 1):
                     yield TriDegree(s, f, w)
+
+
+@dataclass(frozen=True)
+class Certified:
+    """The certified degrees of one page: a box minus the uncertified ones."""
+
+    box: Window
+    uncertified: FrozenSet[TriDegree] = frozenset()  # a subset of the box
+
+    def __contains__(self, d: TriDegree) -> bool:
+        return d not in self.uncertified and self.box.contains(d)
+
+    def __len__(self) -> int:
+        (s0, s1), (f0, f1), (w0, w1) = self.box.s, self.box.f, self.box.w
+        return (s1 - s0 + 1) * (f1 - f0 + 1) * (w1 - w0 + 1) - len(self.uncertified)
+
+    def __iter__(self) -> Iterator[TriDegree]:
+        return (d for d in self.box.degrees() if d not in self.uncertified)
 
 
 @dataclass
@@ -298,7 +319,7 @@ class SliceSS:
         for d, monos in self._bases.items():
             first[d] = PageGroup.basis(obj, d, monos)
         self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: first}
-        self.valid: Dict[int, Set[TriDegree]] = {1: set(self.box.degrees())}
+        self.valid: Dict[int, Certified] = {1: Certified(self.box)}
         self.diffs: Dict[int, Dict[TriDegree, Mat]] = {}
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
         self._ran_to = 1
@@ -313,16 +334,8 @@ class SliceSS:
             self._turn(self._ran_to)
         return self
 
-    def _in_box(self, d: TriDegree) -> bool:
-        return self.box.contains(d)
-
-    def _may_fire(self, r: int, d: TriDegree) -> bool:
-        """Could d_r be nonzero out of this degree, as far as we know?"""
-        if not self._in_box(d) or d not in self.valid[r]:
-            return True  # no knowledge, stay conservative
-        g = self.pages[r].get(d)
-        if g is None or not g.orders:
-            return False
+    def _may_fire(self, r: int, d: TriDegree, g: PageGroup) -> bool:
+        """Could d_r be nonzero out of the certified non-empty group g at d?"""
         if r == 1:
             return bool(self.obj.schedule.get(1))
         if not self.obj.has_pattern:
@@ -330,21 +343,16 @@ class SliceSS:
         cw = d.coweight
         if cw == 0 or two_adic_valuation(cw) != r - 1:
             return False
-        return any(p == "cokernel" for p in g.parts)
+        return "cokernel" in g.parts
 
     def _ensure_diffs(self, r: int) -> Dict[TriDegree, Mat]:
         if r not in self.diffs:
             if r > self._ran_to:
                 raise EngineError("page %d has not been reached yet" % r)
-            mats, unknown = self._differentials(r)
+            mats, unknown = self._d1_matrices() if r == 1 else self._pattern_matrices(r)
             self.diffs[r] = mats
             self.unknown_out[r] = unknown
         return self.diffs[r]
-
-    def _differentials(self, r: int) -> Tuple[Dict[TriDegree, Mat], Set[TriDegree]]:
-        if r == 1:
-            return self._d1_matrices()
-        return self._pattern_matrices(r)
 
     def _d1_matrices(self) -> Tuple[Dict[TriDegree, Mat], Set[TriDegree]]:
         images = self.obj.schedule.get(1, {})
@@ -355,7 +363,7 @@ class SliceSS:
         for d, G in self.pages[1].items():
             vals = [derive(pres, m, images) for m in G.monomials]
             tgt = d + shift
-            if not self._in_box(tgt):
+            if not self.box.contains(tgt):
                 if any(vals):
                     unknown.add(d)
                 else:
@@ -382,14 +390,10 @@ class SliceSS:
             return mats, unknown
         page = self.pages[r]
         for d, G in page.items():
-            cw = d.coweight
-            if cw == 0 or two_adic_valuation(cw) != r - 1:
-                continue
-            fire = [i for i, p in enumerate(G.parts) if p == "cokernel"]
-            if not fire:
+            if not self._may_fire(r, d, G):
                 continue
             tgt = d + shift
-            if not self._in_box(tgt) or tgt not in self.valid[r]:
+            if tgt not in self.valid[r]:
                 unknown.add(d)
                 continue
             T = page.get(tgt)
@@ -405,8 +409,7 @@ class SliceSS:
                     )
                 unknown.add(d)
                 continue
-            fire_set = set(fire)
-            cols = [[1 if i in fire_set else 0] for i in range(len(G.orders))]
+            cols = [[1 if p == "cokernel" else 0] for p in G.parts]
             mats[d] = Mat.from_cols(cols, 1)
         return mats, unknown
 
@@ -414,25 +417,35 @@ class SliceSS:
         mats = self._ensure_diffs(r)
         unknown = self.unknown_out[r]
         shift = page_shift(r)
-        prev_valid = self.valid[r]
-
-        nv: Set[TriDegree] = set()
-        for d in prev_valid:
-            if self._may_fire(r, d):
-                tgt = d + shift
-                if tgt not in prev_valid or d in unknown:
-                    continue
-            src = d - shift
-            if src.f >= 0 and self._may_fire(r, src):
-                if src not in prev_valid or src in unknown:
-                    continue
-            nv.add(d)
-        self.valid[r + 1] = nv
-
+        valid = self.valid[r]
         page = self.pages[r]
+
+        # Only three kinds of degree can lose certification: a non-empty
+        # group whose differential may leave the certified region (its
+        # target too, when the differential could not be computed), the
+        # target of an uncertified degree, and the top stem column, whose
+        # sources lie outside the box.
+        lost: Set[TriDegree] = set()
+        for d, G in page.items():
+            if G.orders and self._may_fire(r, d, G):
+                if d in unknown:
+                    lost.add(d)
+                    lost.add(d + shift)
+                elif d + shift not in valid:
+                    lost.add(d)
+        lost.update(u + shift for u in valid.uncertified)
+        box = self.box
+        lost.update(
+            TriDegree(box.s[1], f, w)
+            for f in range(2 * r + 1, box.f[1] + 1)
+            for w in range(box.w[0], box.w[1] + 1)
+        )
+        lost = {d for d in lost if d in valid}
+        self.valid[r + 1] = Certified(box, valid.uncertified | lost)
+
         newpage: Dict[TriDegree, PageGroup] = {}
         for d, G in page.items():
-            if d not in nv or not G.orders:
+            if d in lost or not G.orders:
                 continue
             Mout = mats.get(d)
             Min = mats.get(d - shift)
@@ -565,8 +578,8 @@ class SliceSS:
         return d in self.valid[r or self._ran_to]
 
     def certified_user_degrees(self, r: Optional[int] = None) -> List[TriDegree]:
-        r = r or self._ran_to
-        return sorted(d for d in self.valid[r] if self.window.contains(d))
+        valid = self.valid[r or self._ran_to]
+        return [d for d in self.window.degrees() if d in valid]
 
     def differential_known(self, r: int, d: TriDegree) -> bool:
         """False when d_r out of this degree cannot be certified in the box.
@@ -590,21 +603,6 @@ class SliceSS:
             if c:
                 el_iadd(acc, T.lift(k), c)
         return self.pres.reduce(acc)
-
-    def check_stability(self) -> None:
-        """No differential may fire in the user part of the certified region
-        on or after the stable page."""
-        self.run()
-        for r in range(self.obj.stable_page, self.r_max):
-            mats = self._ensure_diffs(r)
-            for d, M in mats.items():
-                if not self.window.contains(d) or d not in self.valid[r]:
-                    continue
-                if not M.is_zero():
-                    raise EngineError(
-                        "expected stability from page %d but d%d at %s is nonzero"
-                        % (self.obj.stable_page, r, d)
-                    )
 
     def summands(self, r: int, user_only: bool = True) -> Iterator[Tuple[TriDegree, int, int, Element, str]]:
         """Yield (degree, index, order, lift, part), degree-sorted."""

@@ -136,16 +136,6 @@ def mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return tuple(quot)
 
 
-def mono_exp(m: Monomial, gen: int) -> int:
-    """Exponent of one generator in a monomial (0 when absent)."""
-    for g, e in m:
-        if g == gen:
-            return e
-        if g > gen:
-            break
-    return 0
-
-
 def el_iadd(acc: Element, other: Element, scale: int = 1) -> Element:
     """Accumulate ``scale * other`` into ``acc`` in place and return it."""
     for m, c in other.items():

@@ -2,12 +2,15 @@
 
 Everything goes through cli(argv) in-process so the tests see real exit
 codes and real stdout without paying for an interpreter per case; one
-test at the bottom exercises the installed console script.
+test at the bottom exercises the installed console script, another
+``python -m effss``.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -168,4 +171,14 @@ def test_console_script_runs():
     proc = subprocess.run(["effss", "dump-presentation", "--object", "ko_C"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["name"] == "ko_C"
+
+
+def test_python_dash_m_runs():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "effss", "dump-presentation", "--object", "ko_C"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["name"] == "ko_C"
