@@ -433,11 +433,12 @@ class SliceSS:
                     lost.add(d + shift)
                 elif d + shift not in valid:
                     lost.add(d)
-        lost.update(u + shift for u in valid.uncertified)
         box = self.box
+        top = box.f[1] - shift.f  # a target above this leaves the box
+        lost.update(u + shift for u in valid.uncertified if u.f <= top)
         lost.update(
             TriDegree(box.s[1], f, w)
-            for f in range(2 * r + 1, box.f[1] + 1)
+            for f in range(shift.f, box.f[1] + 1)
             for w in range(box.w[0], box.w[1] + 1)
         )
         lost = {d for d in lost if d in valid}
