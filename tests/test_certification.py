@@ -9,6 +9,8 @@ reads the engine's pages and its list of differentials it could not
 compute.
 """
 
+from functools import lru_cache
+
 import pytest
 
 from effss.engine import SliceSS, Window, page_shift
@@ -67,10 +69,15 @@ ORACLE_RUNS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _oracle_run(key):
+    name, window, kw = ORACLE_RUNS[key]
+    return _run(name, window, **kw)
+
+
 @pytest.mark.parametrize("key", sorted(ORACLE_RUNS))
 def test_certified_region_matches_dense_oracle(key):
-    name, window, kw = ORACLE_RUNS[key]
-    ss = _run(name, window, **kw)
+    ss = _oracle_run(key)
     oracle = dense_valid(ss)
     assert sorted(oracle) == sorted(ss.pages)
     for r, want in oracle.items():
@@ -79,6 +86,22 @@ def test_certified_region_matches_dense_oracle(key):
     # the margins erode on every run, so the two sides are never both the
     # trivially full box
     assert len(oracle[max(oracle)]) < len(oracle[1])
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE_RUNS))
+def test_lifts_project_to_unit_vectors(key):
+    # On every certified summand of every page, projecting the lift of
+    # summand i gives the unit vector e_i modulo the summand orders.
+    ss = _oracle_run(key)
+    seen = 0
+    for r in sorted(ss.pages):
+        for d, i, _o, lift, _part in ss.summands(r, user_only=False):
+            G = ss.group(r, d)
+            got = [c % o if o else c
+                   for c, o in zip(G.project_element(ss.pres, lift), G.orders)]
+            assert got == [int(k == i) for k in range(len(G))], (key, r, d, i)
+            seen += 1
+    assert seen
 
 
 # A small window and a strictly larger one per object.

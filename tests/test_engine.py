@@ -2,6 +2,8 @@
 
 import pytest
 
+from effss.assemble import infinity_coords
+from effss.charts import _project
 from effss.engine import (
     EngineError,
     NotCertifiedError,
@@ -134,6 +136,19 @@ def test_projection_round_trip(koc):
     assert g.project_element(koc.pres, g.lift(0)) == [1]
     tau_v2 = {koc.pres.monomial({"v2": 1}): 4}
     assert g.project_element(koc.pres, tau_v2) == [2]
+
+
+def test_group_dead_since_an_earlier_page(koc):
+    # tau^3*h1^3 is hit by d1, so its degree is empty from page 2 on and
+    # no longer stored on page 3, yet stays certified
+    d = TriDegree(3, 3, 0)
+    e = koc.pages[1][d].lift(0)
+    assert koc.pages[2][d].orders == []
+    assert d not in koc.pages[3] and koc.certified(d, 3)
+    G, coords = infinity_coords(koc, e)
+    assert G.orders == [] and coords == []
+    G, coords = _project(koc, 3, e, d)
+    assert G.orders == [] and coords == []
 
 
 def test_not_certified_raises(koc):
