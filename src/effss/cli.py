@@ -35,6 +35,7 @@ class UsageError(EffssError):
 
 
 def _parse_range(text: str, what: str, inf_ok: bool = False) -> Tuple[int, Optional[int]]:
+    """Parse lo..hi (or a single n); refuse an empty range."""
     parts = text.split("..")
     try:
         if len(parts) == 1:
@@ -46,7 +47,10 @@ def _parse_range(text: str, what: str, inf_ok: bool = False) -> Tuple[int, Optio
             lo = int(parts[0])
             if inf_ok and parts[1] == "inf":
                 return lo, None
-            return lo, int(parts[1])
+            hi = int(parts[1])
+            if lo > hi:
+                raise UsageError("empty %s range %s" % (what, text))
+            return lo, hi
     except ValueError:
         pass
     raise UsageError("bad %s range %r (expected lo..hi)" % (what, text))
@@ -65,9 +69,6 @@ def _window(args, s: Tuple[int, int], f: Tuple[int, int], w: Tuple[int, int]) ->
         f = _parse_range(args.filtrations, "filtration")  # type: ignore[assignment]
     if args.weights:
         w = _parse_range(args.weights, "weight")  # type: ignore[assignment]
-    for name, pair in (("stem", s), ("filtration", f), ("weight", w)):
-        if pair[1] is None or pair[0] > pair[1]:
-            raise UsageError("empty %s range %s..%s" % (name, pair[0], pair[1]))
     return Window(s=s, f=f, w=w)
 
 
@@ -97,11 +98,11 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_compute(args) -> int:
     lo, hi = _parse_range(args.pages, "page", inf_ok=True)
+    if lo < 1:
+        raise UsageError("pages start at 1")
     window = _window(args, (-2, 26), (0, 12), (-8, 16))
     ss = _run_object(args.object, window)
     hi_page = ss.r_max if hi is None else min(hi, ss.r_max)
-    if lo < 1:
-        raise UsageError("pages start at 1")
 
     lines: List[str] = []
     lines.append("# object %s, window s %d..%d f %d..%d w %d..%d"
@@ -134,8 +135,6 @@ def _cmd_compute(args) -> int:
 
 def _cmd_chart(args) -> int:
     stems = _parse_range(args.stems, "stem") if args.stems else (0, 24)
-    if stems[1] is None or stems[0] > stems[1]:
-        raise UsageError("empty stem range %r" % (args.stems,))
     page = None
     if args.page != "inf":
         try:
@@ -156,8 +155,6 @@ def _cmd_chart(args) -> int:
     # two stems of margin so edge glyphs get their product lines
     f = _parse_range(args.filtrations, "filtration") if args.filtrations else (0, 14)
     w = _parse_range(args.weights, "weight") if args.weights else (-8, 20)
-    if f[1] is None or w[1] is None:
-        raise UsageError("filtration and weight ranges need both ends")
     window = Window(s=(stems[0] - 2, stems[1] + 2), f=f, w=w)
     ss = _run_object(args.object, window)
     data = chart_data(ss, spec)

@@ -44,12 +44,20 @@ def test_parse_range_rejects_garbage():
         _parse_range("1..2..3", "stem")
 
 
-def test_malformed_flags_exit_2(capsys):
+def test_malformed_flags_exit_2(capsys, monkeypatch):
+    def no_build(*args, **kw):
+        raise AssertionError("an object was built before the flags were checked")
+
+    monkeypatch.setattr("effss.cli.get_object", no_build)
     for argv in (
         ["compute", "--object", "bogus"],
         ["compute", "--object", "ko_C", "--pages", "nonsense"],
         ["compute", "--object", "ko_C", "--stems", "5..1"],
+        ["compute", "--object", "L_C", "--stems", "0..40", "--pages", "0..2"],
+        ["compute", "--object", "ko_C", "--pages", "5..2"],
         ["chart", "--object", "ko_C", "--page", "soon"],
+        ["chart", "--object", "ko_C", "--filtrations", "5..2"],
+        ["chart", "--object", "ko_C", "--weights=9..-3"],
         ["query", "--object", "ko_C", "--stem", "3"],  # missing --weight
         ["verify", "--suite", "no-such-suite"],
         ["frobnicate"],
