@@ -256,11 +256,6 @@ def infinity_coords(ss: SliceSS, e: Element, degree: Optional[TriDegree] = None)
         if degree is None:
             raise AssembleError("cannot place the zero element on the page")
     G = ss.group(ss.r_max, degree)
-    if not G.orders and G.prev is None and G.monomials is None:
-        # groups that die during a turn are dropped from later pages, so
-        # a certified degree with a detached empty group means the whole
-        # column entry is zero and every class projects to nothing
-        return G, []
     try:
         return G, G.project_element(pres, red)
     except LinearAlgebraError as exc:

@@ -179,8 +179,6 @@ def _project(ss: SliceSS, r: int, e: Element, d: TriDegree):
     except NotCertifiedError:
         return None, None
     red = ss.pres.reduce(e)
-    if not G.orders and G.prev is None and G.monomials is None:
-        return G, []
     if not red:
         return G, [0] * len(G.orders)
     try:

@@ -12,6 +12,8 @@ preserve the weight.
 
 Page turning is integer homology, done blockwise over the image/non-image
 splitting so that every summand of every page stays on one side of it.  A
+group is either a page 1 basis or such a homology group; a group that no
+differential touches is carried to the next page as the same object.  A
 window is widened internally to a box and a certified region is tracked page
 by page: a degree stays certified only while every differential that could
 reach it or leave it connects two certified degrees.  The region is stored
@@ -36,7 +38,6 @@ from .grading import (
 )
 from .intlinalg import (
     F2Homology,
-    Homology,
     LinearAlgebraError,
     Mat,
     homology,
@@ -171,15 +172,15 @@ def derive(pres: RingPresentation, m: Monomial, images: Dict[int, Element]) -> E
 class PageGroup:
     """The group at one tri-degree of one page, with lifts back to page 1.
 
-    Three flavors share the class: page 1 groups carry their basis
-    monomials, pass-through groups alias the previous page when no
-    differential touched the degree, and homology groups carry the
-    blockwise subquotient data.
+    Two kinds of group share the class: page 1 groups carry their basis
+    monomials, and homology groups carry the previous page's group and
+    the blockwise subquotient data.  A group that no differential touched
+    is carried to the next page as the same object.  A degree whose group
+    died on an earlier page reads as an empty group with neither.
     """
 
     __slots__ = (
         "degree",
-        "r",
         "orders",
         "parts",
         "prev",
@@ -189,9 +190,8 @@ class PageGroup:
         "_mono_index",
     )
 
-    def __init__(self, degree, r, orders, parts, prev=None, monomials=None, blocks=None, lifts=None):
+    def __init__(self, degree, orders, parts, prev=None, monomials=None, blocks=None, lifts=None):
         self.degree = degree
-        self.r = r
         self.orders: List[int] = orders
         self.parts: List[str] = parts
         self.prev: Optional[PageGroup] = prev
@@ -204,11 +204,7 @@ class PageGroup:
     def basis(cls, obj: ObjectSpec, degree: TriDegree, monomials: List[Monomial]) -> "PageGroup":
         orders = [obj.pres.order_of(m) for m in monomials]
         parts = [obj.part_of(m) for m in monomials]
-        return cls(degree, 1, orders, parts, monomials=monomials)
-
-    @classmethod
-    def passthrough(cls, g: "PageGroup") -> "PageGroup":
-        return cls(g.degree, g.r + 1, g.orders, g.parts, prev=g, lifts=g._lifts, monomials=g.monomials)
+        return cls(degree, orders, parts, monomials=monomials)
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -239,23 +235,21 @@ class PageGroup:
 
     def project_element(self, pres: RingPresentation, e: Element) -> List[int]:
         """Coefficients of a page 1 element over this page's summands."""
-        if self.monomials is not None and self.prev is None:
+        if self.prev is None:
+            if self.monomials is None:  # died on an earlier page
+                return []
             return self.coords(pres, pres.reduce(e))
         vec = self.prev.project_element(pres, e)
-        if self.blocks is None:  # pass-through
-            return vec
         out: List[int] = []
         for _part, idx, H in self.blocks:
             out.extend(H.project([vec[i] for i in idx]))
         return out
 
 
-def _empty_group(degree: TriDegree, r: int) -> PageGroup:
-    return PageGroup(degree, r, [], [], lifts=[])
-
-
-def _f2_out_cols(M: Mat, col_idx: Sequence[int], tgt_orders: Sequence[int]) -> List[int]:
-    """Translate outgoing matrix columns into bit masks over the target.
+def _f2_out_cols(
+    rows: Sequence[Sequence[int]], col_idx: Sequence[int], tgt_orders: Sequence[int]
+) -> List[int]:
+    """Translate outgoing matrix columns col_idx into bit masks over the target.
 
     A map from an order 2 class into Z/o factors through the order 2
     subgroup, so each entry must be 0 or o/2 modulo o; into a free class it
@@ -265,7 +259,7 @@ def _f2_out_cols(M: Mat, col_idx: Sequence[int], tgt_orders: Sequence[int]) -> L
     for j in col_idx:
         mask = 0
         for i, o in enumerate(tgt_orders):
-            e = M.rows[i][j]
+            e = rows[i][j]
             if o == 0:
                 if e:
                     raise LinearAlgebraError(
@@ -451,7 +445,7 @@ class SliceSS:
             Mout = mats.get(d)
             Min = mats.get(d - shift)
             if (Mout is None or Mout.is_zero()) and (Min is None or Min.is_zero()):
-                newpage[d] = PageGroup.passthrough(G)
+                newpage[d] = G
                 continue
             srcG = page.get(d - shift)
             tgtG = page.get(d + shift)
@@ -468,25 +462,18 @@ class SliceSS:
         tgtG: Optional[PageGroup],
     ) -> PageGroup:
         n = len(G.orders)
-        if Min is None:
-            Min = Mat.zeros(n, 0)
-            src_orders: List[int] = []
-        else:
-            src_orders = srcG.orders if srcG is not None else []
-        if Mout is None:
-            Mout = Mat.zeros(0, n)
-            tgt_orders: List[int] = []
-        else:
-            tgt_orders = tgtG.orders if tgtG is not None else []
+        in_cols = Min.cols() if Min is not None else []
+        src_orders = srcG.orders if in_cols else []
+        out_rows = Mout.rows if Mout is not None else []
+        tgt_orders = tgtG.orders if out_rows else []
 
         part_idx: Dict[str, List[int]] = {}
         for i, p in enumerate(G.parts):
             part_idx.setdefault(p, []).append(i)
 
         # incoming columns must live in a single part each
-        in_cols: Dict[str, List[Tuple[List[int], int]]] = {p: [] for p in part_idx}
-        for j in range(Min.n):
-            col = Min.col(j)
+        in_by_part: Dict[str, List[Tuple[List[int], int]]] = {p: [] for p in part_idx}
+        for col, o in zip(in_cols, src_orders):
             touched = {G.parts[i] for i in range(n) if col[i]}
             if not touched:
                 continue
@@ -494,18 +481,13 @@ class SliceSS:
                 raise EngineError(
                     "incoming differential at %s mixes the image splitting" % (G.degree,)
                 )
-            p = touched.pop()
-            in_cols[p].append((col, src_orders[j]))
+            in_by_part[touched.pop()].append((col, o))
 
         # outgoing blocks may not share target rows
-        rows_used: Dict[str, Set[int]] = {}
-        for p, idx in part_idx.items():
-            used = set()
-            for j in idx:
-                for i in range(Mout.m):
-                    if Mout.rows[i][j]:
-                        used.add(i)
-            rows_used[p] = used
+        rows_used = {
+            p: {i for i, row in enumerate(out_rows) if any(row[j] for j in idx)}
+            for p, idx in part_idx.items()
+        }
         parts_present = [p for p in PART_ORDER if p in part_idx]
         for a in range(len(parts_present)):
             for b in range(a + 1, len(parts_present)):
@@ -523,7 +505,7 @@ class SliceSS:
         for p in parts_present:
             idx = part_idx[p]
             sub_orders = [G.orders[i] for i in idx]
-            cols_p = in_cols[p]
+            cols_p = in_by_part[p]
             if all(o == 2 for o in sub_orders):
                 masks = []
                 for col, _o in cols_p:
@@ -532,11 +514,10 @@ class SliceSS:
                         if col[i] & 1:
                             mask |= 1 << k
                     masks.append(mask)
-                sub_out = Mat([[Mout.rows[i][j] for j in idx] for i in range(Mout.m)], Mout.m, len(idx))
-                H = F2Homology(len(idx), masks, _f2_out_cols(sub_out, range(len(idx)), tgt_orders))
+                H = F2Homology(len(idx), masks, _f2_out_cols(out_rows, idx, tgt_orders))
             else:
                 d_in = Mat.from_cols([[col[i] for i in idx] for col, _o in cols_p], len(idx))
-                d_out = Mat([[Mout.rows[i][j] for j in idx] for i in range(Mout.m)], Mout.m, len(idx))
+                d_out = Mat([[row[j] for j in idx] for row in out_rows], len(out_rows), len(idx))
                 H = homology(
                     d_in,
                     d_out,
@@ -555,9 +536,7 @@ class SliceSS:
                         el_iadd(acc, G.lift(idx[j]), c)
                 lifts.append(pres.reduce(acc))
 
-        return PageGroup(
-            G.degree, G.r + 1, orders, parts, prev=G, blocks=blocks, lifts=lifts
-        )
+        return PageGroup(G.degree, orders, parts, prev=G, blocks=blocks, lifts=lifts)
 
     # -- reading results --------------------------------------------------
 
@@ -569,7 +548,7 @@ class SliceSS:
                 "degree %s is not certified on page %d for this window" % (d, r)
             )
         g = self.pages[r].get(d)
-        return g if g is not None else _empty_group(d, r)
+        return g if g is not None else PageGroup(d, [], [], lifts=[])
 
     def infinity(self, d: TriDegree) -> PageGroup:
         self.run()

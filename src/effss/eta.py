@@ -435,6 +435,12 @@ def compare(ss, eta_obj: Optional[EtaObject] = None, pages: Optional[int] = None
 
 
 def format_report(report: Dict) -> str:
+    """A readable summary of a ``compare`` report, one line per mismatch.
+
+    Tests are its only callers.  They check that it names the page of a
+    mismatch and says so when there is none; ``verify`` reports the first
+    mismatch itself.
+    """
     lines = [
         "compare %s against %s: %d classes over pages 1..%d (%d with an "
         "uncertified differential skipped)"

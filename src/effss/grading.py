@@ -381,7 +381,12 @@ class RingPresentation:
         return self.reduce(raw)
 
     def is_normal(self, m: Monomial) -> bool:
-        """True when m is a basis monomial (caps, slots, no rule applies)."""
+        """True when m is a basis monomial (caps, slots, no rule applies).
+
+        Tests are its only callers.  It tests one monomial directly, so it
+        checks the box enumeration and ``multiply`` without sharing their
+        search for normal monomials.
+        """
         used_slots: set = set()
         for g, e in m:
             spec = self.generators[g]
@@ -510,6 +515,12 @@ class RingPresentation:
         return out
 
     def basis_at(self, degree: TriDegree) -> List[Monomial]:
+        """The basis monomials of one degree.
+
+        Tests are its only callers.  They compare single degrees against
+        hand-written bases, and a reloaded presentation against the
+        original.
+        """
         box = self.basis_window(
             (degree.s, degree.s), (degree.f, degree.f), (degree.w, degree.w)
         )

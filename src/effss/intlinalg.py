@@ -219,32 +219,6 @@ def diagonal(D: Mat) -> List[int]:
     return [D.rows[i][i] for i in range(min(D.m, D.n))]
 
 
-def det(M: Mat) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if M.m != M.n:
-        raise LinearAlgebraError("determinant of a non-square matrix")
-    n = M.m
-    if n == 0:
-        return 1
-    A = [row[:] for row in M.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 def unimodular_inverse(U: Mat) -> Mat:
     """Exact inverse of a unimodular matrix."""
     D, A, B = smith_normal_form(U)
@@ -265,19 +239,28 @@ def kernel_basis(M: Mat) -> Mat:
 
 
 def solve(M: Mat, b: Sequence[int]) -> Optional[List[int]]:
-    """One integer solution of M x = b, or None when there is none."""
+    """One integer solution of M x = b, or None when there is none.
+
+    Tests are its only callers; they use it to check that kernel and
+    lattice bases span the vectors they should.
+    """
     if len(b) != M.m:
         raise LinearAlgebraError("rhs length mismatch")
-    D, U, V = smith_normal_form(M)
+    return _snf_solve(smith_normal_form(M), b)
+
+
+def _snf_solve(snf: Tuple[Mat, Mat, Mat], b: Sequence[int]) -> Optional[List[int]]:
+    """Solve M x = b given the Smith form (D, U, V) of M."""
+    D, U, V = snf
     y = U.vec(list(b))
     dia = diagonal(D)
-    z = [0] * M.n
-    for i in range(M.m):
+    z = [0] * D.n
+    for i in range(D.m):
         d = dia[i] if i < len(dia) else 0
         if d:
             if y[i] % d:
                 return None
-            if i < M.n:
+            if i < D.n:
                 z[i] = y[i] // d
         elif y[i]:
             return None
@@ -322,18 +305,18 @@ class Homology:
     orders   invariant factors of the summands, 0 meaning a free summand,
              entries 1 already dropped.
     gens     one ambient coordinate vector per summand.
+    K_snf    Smith form of the cycle lattice basis K, or None when there
+             are no cycles.
     """
 
-    def __init__(self, ambient_rank, orders, gens, K, Uy, kept, dys, signs=None):
+    def __init__(self, ambient_rank, orders, gens, K_snf, Uy, kept, signs):
         self.ambient_rank = ambient_rank
         self.orders: List[int] = orders
         self.gens: List[List[int]] = gens
-        self._K = K
-        self._K_snf = smith_normal_form(K) if K is not None else None
+        self._K_snf = K_snf
         self._Uy = Uy
         self._kept = kept
-        self._dys = dys
-        self._signs = signs if signs is not None else [1] * len(kept)
+        self._signs = signs
 
     @property
     def is_zero(self) -> bool:
@@ -341,28 +324,15 @@ class Homology:
 
     def cycle_coordinates(self, x: Sequence[int]) -> Optional[List[int]]:
         """Coordinates of x in the cycle lattice, or None when x is no cycle."""
-        if self._K is None:
+        if self._K_snf is None:
             return None
-        D, U, V = self._K_snf
-        y = U.vec(list(x))
-        dia = diagonal(D)
-        z = [0] * self._K.n
-        for i in range(self._K.m):
-            d = dia[i] if i < len(dia) else 0
-            if d:
-                if y[i] % d:
-                    return None
-                if i < self._K.n:
-                    z[i] = y[i] // d
-            elif y[i]:
-                return None
-        return V.vec(z)
+        return _snf_solve(self._K_snf, x)
 
     def project(self, x: Sequence[int]) -> List[int]:
         """Express a cycle x as coefficients over the homology generators."""
         if len(x) != self.ambient_rank:
             raise LinearAlgebraError("projection input has wrong length")
-        if self._K is None:
+        if self._K_snf is None:
             if any(x):
                 raise LinearAlgebraError("nonzero vector in a zero group")
             return []
@@ -371,13 +341,13 @@ class Homology:
             raise LinearAlgebraError("vector is not a cycle")
         h = self._Uy.vec(z)
         out = []
-        for i, d, sg in zip(self._kept, self._dys, self._signs):
+        for i, d, sg in zip(self._kept, self.orders, self._signs):
             v = sg * h[i]
             out.append(v % d if d else v)
         return out
 
     def is_cycle(self, x: Sequence[int]) -> bool:
-        if self._K is None:
+        if self._K_snf is None:
             return not any(x)
         return self.cycle_coordinates(x) is not None
 
@@ -535,16 +505,16 @@ def homology(
         return Homology(n, [], [], None, None, [], [])
 
     # boundaries and ambient torsion, written in cycle coordinates
-    hom = Homology(n, [], [], K, None, [], [])  # temporary, for the solver
+    K_snf = smith_normal_form(K)
     ycols = []
     for j in range(d_in.n):
-        z = hom.cycle_coordinates(d_in.col(j))
+        z = _snf_solve(K_snf, d_in.col(j))
         if z is None:
             raise LinearAlgebraError("image of incoming differential is not a cycle")
         ycols.append(z)
     for i, o in enumerate(orders):
         if o:
-            z = hom.cycle_coordinates([o if r == i else 0 for r in range(n)])
+            z = _snf_solve(K_snf, [o if r == i else 0 for r in range(n)])
             if z is None:
                 raise LinearAlgebraError("torsion relation is not a cycle")
             ycols.append(z)
@@ -582,4 +552,4 @@ def homology(
         gens.append(g)
         signs.append(sign)
 
-    return Homology(n, dys[:], gens, K, Uy, kept, dys, signs)
+    return Homology(n, dys, gens, K_snf, Uy, kept, signs)

@@ -145,6 +145,7 @@ def test_group_dead_since_an_earlier_page(koc):
     e = koc.pages[1][d].lift(0)
     assert koc.pages[2][d].orders == []
     assert d not in koc.pages[3] and koc.certified(d, 3)
+    assert koc.group(3, d).project_element(koc.pres, e) == []
     G, coords = infinity_coords(koc, e)
     assert G.orders == [] and coords == []
     G, coords = _project(koc, 3, e, d)

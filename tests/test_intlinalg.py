@@ -8,7 +8,6 @@ from effss.intlinalg import (
     F2Homology,
     LinearAlgebraError,
     Mat,
-    det,
     diagonal,
     homology,
     kernel_basis,
@@ -18,6 +17,32 @@ from effss.intlinalg import (
     two_adic_valuation,
     unimodular_inverse,
 )
+
+
+def det(M: Mat) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    if M.m != M.n:
+        raise LinearAlgebraError("determinant of a non-square matrix")
+    n = M.m
+    if n == 0:
+        return 1
+    A = [row[:] for row in M.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
 
 
 def test_two_adic_valuation():
