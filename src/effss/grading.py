@@ -383,9 +383,9 @@ class RingPresentation:
     def is_normal(self, m: Monomial) -> bool:
         """True when m is a basis monomial (caps, slots, no rule applies).
 
-        Tests are its only callers.  It tests one monomial directly, so it
-        checks the box enumeration and ``multiply`` without sharing their
-        search for normal monomials.
+        Tests are its only callers.  They use it to check that the box
+        enumeration and ``multiply`` return only normal monomials; it tests
+        the given monomial without the enumeration's search.
         """
         used_slots: set = set()
         for g, e in m:
