@@ -205,6 +205,100 @@ def test_hook_matches_generic_search(L):
     assert sum(len(v) for v in a.values()) > 500
 
 
+def closed_form_basis(obj, s_range, f_range, w_range):
+    """Closed-form fiber enumeration, the oracle for the generic search.
+
+    The carrier (or its absence) is the outer loop, the letters allowed
+    next to it are short nested loops, and the tau power is a closed-form
+    range.  It reads the letter-absorption layout directly, not the caps
+    and slots that the generic search walks.
+    """
+    layout = obj.meta["layout"]
+    pres = layout.pres
+    gens = pres.generators
+    tail = layout.f_tail
+    tail_w = -gens[tail].degree.w
+    for bl in layout.priority:
+        d = gens[layout.letter_map[bl]].degree
+        assert d.f == 1 and abs(d.s) <= 1, "the stem prune needs letter-like letters"
+
+    fletters = tuple(layout.letter_map[b] for b in layout.priority)
+    branches = [(None, fletters)]
+    for (bl, k), fi in sorted(layout.fam.items(), key=lambda kv: kv[1]):
+        p = layout.priority.index(bl)
+        allowed = [layout.letter_map[b] for b in layout.priority[p:]]
+        if gens[layout.letter_map[bl]].cap is not None:
+            allowed.remove(layout.letter_map[bl])
+        branches.append((fi, tuple(allowed)))
+    for k in sorted(layout.ifam):
+        branches.append((layout.ifam[k], fletters))
+
+    s0, s1 = s_range
+    f0, f1 = f_range
+    w0, w1 = w_range
+    out = {}
+
+    def leaf(parts, s, f, w):
+        if not (s0 <= s <= s1 and f0 <= f <= f1):
+            return
+        lo = max(0, -(-(w - w1) // tail_w))
+        hi = (w - w0) // tail_w
+        for e in range(lo, hi + 1):
+            m = tuple(sorted(parts + [(tail, e)])) if e else tuple(sorted(parts))
+            out.setdefault(TriDegree(s, f, w - e * tail_w), []).append(m)
+
+    def rec(idx, allowed, parts, s, f, w):
+        if idx == len(allowed):
+            leaf(parts, s, f, w)
+            return
+        gi = allowed[idx]
+        d = gens[gi].degree
+        emax = f1 - f
+        cap = gens[gi].cap
+        if cap is not None and emax > cap:
+            emax = cap
+        for e in range(emax + 1):
+            ns, nf = s + e * d.s, f + e * d.f
+            rem = f1 - nf  # letters left shift the stem by at most 1 each
+            if ns - rem > s1 or ns + rem < s0:
+                continue
+            rec(idx + 1, allowed, parts + [(gi, e)] if e else parts, ns, nf, w + e * d.w)
+
+    for ci, allowed in branches:
+        if ci is None:
+            rec(0, allowed, [], 0, 0, 0)
+        elif gens[ci].degree.f <= f1:
+            d = gens[ci].degree
+            rec(0, allowed, [(ci, 1)], d.s, d.f, d.w)
+
+    for degree in out:
+        out[degree].sort(key=pres.mono_key)
+    return out
+
+
+@pytest.fixture(scope="module")
+def L_tall():
+    return build_fiber_object(load_data("L"), Window(s=(-2, 8), f=(0, 14), w=(-4, 6)), r_max=2)
+
+
+@pytest.fixture(scope="module")
+def LC_thin():
+    return build_fiber_object(load_data("L_C"), Window(s=(-8, 58), f=(0, 0), w=(-4, 30)), r_max=2)
+
+
+def test_basis_window_matches_closed_form(L, L_tall, LC_thin):
+    cases = [
+        (L, ((-3, 9), (0, 5), (-4, 6)), 500),
+        (LC_thin, ((-10, 60), (0, 6), (-4, 30)), 3000),
+        (L_tall, ((-4, 10), (0, 20), (-4, 6)), 5000),
+    ]
+    for obj, box, at_least in cases:
+        want = closed_form_basis(obj, *box)
+        assert obj.pres.basis_window(*box) == want
+        assert presentation_from_dict(obj.pres.to_dict()).basis_window(*box) == want
+        assert sum(len(v) for v in want.values()) > at_least
+
+
 def test_hook_refuses_uncovered_window(L):
     with pytest.raises(PresentationError):
         L.pres.basis_window((0, 500), (0, 4), (-4, 6))
