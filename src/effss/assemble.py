@@ -199,11 +199,7 @@ def tau4_mult(ss: SliceSS, e: Element, steps: int = 1) -> Element:
     if steps == 0:
         return dict(e)
     pres = ss.pres
-    tail = next(
-        i
-        for i in range(len(pres.generators))
-        if pres.generators[i].degree.s == 0 and pres.generators[i].degree.f == 0
-    )
+    tail = pres.tail
     per_step = -4 // pres.generators[tail].degree.w
     return pres.multiply(e, {((tail, per_step * steps),): 1})
 

@@ -112,10 +112,9 @@ def _is_c_motivic(ss: SliceSS) -> bool:
 
 
 def _tail_index(ss: SliceSS) -> int:
-    for i, g in enumerate(ss.pres.generators):
-        if g.degree.s == 0 and g.degree.f == 0:
-            return i
-    raise ChartError("object %s has no weight-periodicity generator" % ss.obj.name)
+    if ss.pres.tail is None:
+        raise ChartError("object %s has no weight-periodicity generator" % ss.obj.name)
+    return ss.pres.tail
 
 
 def _period(ss: SliceSS, spec: ChartSpec) -> int:

@@ -101,7 +101,11 @@ def _cmd_compute(args) -> int:
     if lo < 1:
         raise UsageError("pages start at 1")
     window = _window(args, (-2, 26), (0, 12), (-8, 16))
-    ss = _run_object(args.object, window)
+    ss = SliceSS(get_object(args.object, window=window), window)
+    if lo > ss.r_max:
+        raise UsageError("%s runs to page %d; the page range %s starts above it"
+                         % (args.object, ss.r_max, args.pages))
+    ss.run()
     hi_page = ss.r_max if hi is None else min(hi, ss.r_max)
 
     lines: List[str] = []

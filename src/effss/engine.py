@@ -85,6 +85,18 @@ class Window:
                     yield TriDegree(s, f, w)
 
 
+def widened_box(window: Window, r_max: int, s_margin=None, f_margin=None) -> Window:
+    """The box a run over ``window`` up to page ``r_max`` computes on.
+
+    By default the margins are r_max stems on each side and 2 r_max + 2
+    filtrations above.  Fiber objects materialize their generators for
+    this same box.
+    """
+    sm = r_max if s_margin is None else s_margin
+    fm = 2 * r_max + 2 if f_margin is None else f_margin
+    return Window(s=(window.s[0] - sm, window.s[1] + sm), f=(0, window.f[1] + fm), w=window.w)
+
+
 @dataclass(frozen=True)
 class Certified:
     """The certified degrees of one page: a box minus the uncertified ones."""
@@ -297,13 +309,7 @@ class SliceSS:
         self.window = window
         self.r_max = r_max or obj.default_r_max or obj.stable_page + 1
         self.check = check
-        sm = self.r_max if s_margin is None else s_margin
-        fm = 2 * self.r_max + 2 if f_margin is None else f_margin
-        self.box = Window(
-            s=(window.s[0] - sm, window.s[1] + sm),
-            f=(0, window.f[1] + fm),
-            w=window.w,
-        )
+        self.box = widened_box(window, self.r_max, s_margin, f_margin)
 
         for r, images in obj.schedule.items():
             validate_schedule(self.pres, images, r)
@@ -314,7 +320,7 @@ class SliceSS:
             first[d] = PageGroup.basis(obj, d, monos)
         self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: first}
         self.valid: Dict[int, Certified] = {1: Certified(self.box)}
-        self.diffs: Dict[int, Dict[TriDegree, Mat]] = {}
+        self.diffs: Dict[int, Dict[TriDegree, Mat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
         self._ran_to = 1
 
@@ -356,22 +362,15 @@ class SliceSS:
         pres = self.pres
         for d, G in self.pages[1].items():
             vals = [derive(pres, m, images) for m in G.monomials]
+            if not any(vals):
+                continue
             tgt = d + shift
             if not self.box.contains(tgt):
-                if any(vals):
-                    unknown.add(d)
-                else:
-                    mats[d] = Mat.zeros(0, len(vals))
+                unknown.add(d)
                 continue
             T = self.pages[1].get(tgt)
             if T is None:
-                for v in vals:
-                    if v:
-                        raise EngineError(
-                            "nonzero d1 value lands in an empty degree %s" % (tgt,)
-                        )
-                mats[d] = Mat.zeros(0, len(vals))
-                continue
+                raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
             cols = [T.coords(pres, v) for v in vals]
             mats[d] = Mat.from_cols(cols, len(T.orders))
         return mats, unknown
@@ -392,7 +391,6 @@ class SliceSS:
                 continue
             T = page.get(tgt)
             if T is None or not T.orders:
-                mats[d] = Mat.zeros(0, len(G.orders))
                 continue
             if len(T.orders) != 1 or T.orders[0] != 2:
                 # the pattern has no single candidate here
@@ -444,7 +442,7 @@ class SliceSS:
                 continue
             Mout = mats.get(d)
             Min = mats.get(d - shift)
-            if (Mout is None or Mout.is_zero()) and (Min is None or Min.is_zero()):
+            if Mout is None and Min is None:
                 newpage[d] = G
                 continue
             srcG = page.get(d - shift)
@@ -572,9 +570,9 @@ class SliceSS:
         return d not in self.unknown_out[r]
 
     def differential_value(self, r: int, d: TriDegree, i: int) -> Element:
-        """d_r of summand i at degree d, as an element of page 1."""
+        """d_r of summand i at degree d, as an element of page 1 ({} if zero)."""
         M = self._ensure_diffs(r).get(d)
-        if M is None or M.m == 0:
+        if M is None:
             return {}
         T = self.pages[r].get(d + page_shift(r))
         acc: Element = {}

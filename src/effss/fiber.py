@@ -18,11 +18,16 @@ it from the base presentation for whatever window is requested:
 
 * one carrier generator per (letter, v-power) pair and one per
   iota * v-power, encoding the normal form "at most one v-carrier per
-  monomial";
+  monomial" as a shared exclusion slot, so the generic basis search takes
+  the carriers as one "none or one of these" level;
 * rewrite rules found by multiplying carrier pairs back in the base ring
   and renormalizing, so the product structure is inherited, not typed in;
 * the d1 table, by running the base Leibniz rule on each carrier's
   underlying monomial and pushing the value through the splitting.
+
+The presentation records the box it was materialized for (the window
+widened as the engine widens it), and basis enumeration refuses boxes
+outside it.
 
 The letter absorbed into a carrier is the highest-priority letter present,
 priority being reverse declaration order of the base letters.  Any fixed
@@ -35,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .engine import ObjectSpec, Window, derive
+from .engine import ObjectSpec, Window, derive, widened_box
 from .eta import eta_el_mul, eta_el_pow
 from .grading import (
     Element,
@@ -209,8 +214,8 @@ def build_fiber_object(
     """Materialize a fiber object from its manifest.
 
     ``window`` decides how many v-power families are generated; the
-    presentation covers the window widened by the same margins the engine
-    uses, so a run over that window never falls off the generator list.
+    presentation covers ``engine.widened_box`` of the window, so a run over
+    that window never falls off the generator list.
     """
     base = spec_from_dict(load_data(str(data["base"])))
     bpres = base.pres
@@ -218,12 +223,7 @@ def build_fiber_object(
         window = window_from_dict(data["defaultWindow"])
     if r_max is None:
         r_max = int(data.get("defaultRMax", 2))
-    sm, fm = r_max, 2 * r_max + 2  # kept in step with the engine's widening
-    cover = Window(
-        s=(window.s[0] - sm, window.s[1] + sm),
-        f=(0, window.f[1] + fm),
-        w=window.w,
-    )
+    cover = widened_box(window, r_max)
 
     psi3 = base.meta.get("psi3")
     if psi3 is None:
@@ -238,14 +238,9 @@ def build_fiber_object(
         raise PresentationError("psi^3 scale must be odd for a 2-local cokernel")
     vdeg = bpres.generators[b_v].degree
 
-    tails = [
-        i
-        for i, g in enumerate(bpres.generators)
-        if g.degree.s == 0 and g.degree.f == 0
-    ]
-    if len(tails) != 1:
-        raise PresentationError("base needs exactly one pure-weight generator")
-    b_tail = tails[0]
+    b_tail = bpres.tail
+    if b_tail is None:
+        raise PresentationError("base needs a pure-weight generator")
     letters = tuple(
         i for i in range(len(bpres.generators)) if i not in (b_tail, b_v)
     )
@@ -398,6 +393,7 @@ def build_fiber_object(
             rules.append(RewriteRule(lhs=lhs, rhs=rhs))
 
     pres = RingPresentation(name, gens, rules=rules)
+    pres.cover = cover
     layout.pres = pres
 
     base_d1 = base.schedule.get(1, {})
@@ -419,7 +415,6 @@ def build_fiber_object(
         "base": base.name,
         "construction": data.get("construction"),
         "layout": layout,
-        "cover": cover,
     }
 
     base_eta = base.meta.get("etaImage")
@@ -440,8 +435,6 @@ def build_fiber_object(
                 table[fi] = eta_el_mul(frozenset({(0, 0, 0, 1)}), eta_el_pow(vloc, k))
         meta["etaImage"] = table
 
-    _install_hook(layout, cover)
-
     return ObjectSpec(
         name=name,
         pres=pres,
@@ -453,105 +446,6 @@ def build_fiber_object(
         default_r_max=r_max,
         meta=meta,
     )
-
-
-def _install_hook(layout: FiberLayout, cover: Window) -> None:
-    """Closed-form basis enumeration for a materialized fiber.
-
-    The generic search would walk the whole generator list at every node;
-    with a few hundred mutually exclusive carriers that is pointless.  Here
-    the carrier (or its absence) is the outer loop, the letters allowed
-    next to it are short nested loops, and the tau power is a closed-form
-    range, exactly like the generic leaf.
-
-    Falls back silently (hook not installed) if a base letter ever stops
-    looking like a letter; the generic search stays correct either way.
-    """
-    pres = layout.pres
-    gens = pres.generators
-    tail = layout.f_tail
-    tail_w = -gens[tail].degree.w
-    for bl in layout.priority:
-        d = gens[layout.letter_map[bl]].degree
-        if d.f != 1 or abs(d.s) > 1:
-            return
-
-    fletters = tuple(layout.letter_map[b] for b in layout.priority)
-
-    branches: List[Tuple[Optional[int], Tuple[int, ...]]] = [(None, fletters)]
-    for (bl, k), fi in sorted(layout.fam.items(), key=lambda kv: kv[1]):
-        p = layout.priority.index(bl)
-        allowed = [layout.letter_map[b] for b in layout.priority[p:]]
-        if gens[layout.letter_map[bl]].cap is not None:
-            allowed.remove(layout.letter_map[bl])
-        branches.append((fi, tuple(allowed)))
-    for k in sorted(layout.ifam):
-        branches.append((layout.ifam[k], fletters))
-
-    def hook(s_range, f_range, w_range):
-        s0, s1 = s_range
-        f0, f1 = f_range
-        w0, w1 = w_range
-        if (
-            s0 < cover.s[0]
-            or s1 > cover.s[1]
-            or f1 > cover.f[1]
-            or w0 < cover.w[0]
-            or w1 > cover.w[1]
-        ):
-            raise PresentationError(
-                "%s was materialized for a smaller window; rebuild the object "
-                "with the window you want to enumerate" % pres.name
-            )
-        out: Dict[TriDegree, List[Monomial]] = {}
-
-        def leaf(parts: List[Tuple[int, int]], s: int, f: int, w: int) -> None:
-            if not (s0 <= s <= s1 and f0 <= f <= f1):
-                return
-            lo = -(-(w - w1) // tail_w)
-            hi = (w - w0) // tail_w
-            if lo < 0:
-                lo = 0
-            for e in range(lo, hi + 1):
-                m = tuple(sorted(parts + [(tail, e)])) if e else tuple(sorted(parts))
-                out.setdefault(TriDegree(s, f, w - e * tail_w), []).append(m)
-
-        def rec(idx, allowed, parts, s, f, w):
-            if idx == len(allowed):
-                leaf(parts, s, f, w)
-                return
-            gi = allowed[idx]
-            d = gens[gi].degree
-            emax = f1 - f
-            cap = gens[gi].cap
-            if cap is not None and emax > cap:
-                emax = cap
-            for e in range(emax + 1):
-                ns, nf = s + e * d.s, f + e * d.f
-                rem = f1 - nf  # letters left shift the stem by at most 1 each
-                if ns - rem > s1 or ns + rem < s0:
-                    continue
-                rec(
-                    idx + 1,
-                    allowed,
-                    parts + [(gi, e)] if e else parts,
-                    ns,
-                    nf,
-                    w + e * d.w,
-                )
-
-        for ci, allowed in branches:
-            if ci is None:
-                rec(0, allowed, [], 0, 0, 0)
-            elif gens[ci].degree.f <= f1:
-                d = gens[ci].degree
-                rec(0, allowed, [(ci, 1)], d.s, d.f, d.w)
-
-        for degree in out:
-            out[degree].sort(key=pres.mono_key)
-        return out
-
-    pres.basis_hook = hook
 
 
 def splitting_report(

@@ -15,7 +15,9 @@ module holds the shared machinery for that picture:
   torsion, an optional exponent cap and optional exclusion slots) together
   with monomial rewrite rules.  Products are computed by rewriting to normal
   form; the rule lists used here are confluent and terminating, which the test
-  suite checks on random products.
+  suite checks on random products.  Caps and slots alone define the normal
+  forms: the constructor refuses a rule whose lhs passes them, so basis
+  enumeration is one search over caps and slots with no rule lookups.
 
 Coefficients are reduced modulo the additive order of the monomial they sit
 on.  The order of a monomial is the gcd of the torsions of the generators
@@ -26,6 +28,7 @@ presentation-wide torsion if one is set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -183,9 +186,12 @@ class RewriteRule:
 class RingPresentation:
     """A tri-graded algebra given by generators and monomial rewrite rules.
 
-    The normal-form monomials (those passing caps, slots, and not divisible
-    by any rule lhs) form an additive basis.  ``multiply`` and ``reduce``
-    rewrite arbitrary products onto that basis with exact coefficients.
+    Invariant, checked once per rule at construction: caps and slots alone
+    define the normal forms.  Every rule lhs breaks a cap or a slot, and
+    since both are closed under division, so does every monomial a rule
+    applies to.  The normal-form monomials (those passing caps and slots)
+    form an additive basis; ``multiply`` and ``reduce`` rewrite arbitrary
+    products onto it with exact coefficients.
     """
 
     def __init__(
@@ -222,15 +228,13 @@ class RingPresentation:
         for r in self.rules:
             if not r.lhs:
                 raise PresentationError("rule with empty lhs")
+            if self.is_normal(r.lhs):
+                raise PresentationError(
+                    "rule lhs %s passes every cap and slot; caps and slots "
+                    "must exclude what the rules rewrite" % self.render_monomial(r.lhs)
+                )
             key = tuple(g for g, _ in r.lhs)
             self._rules_by_key.setdefault(key, []).append(r)
-
-        # Enumeration hints, validated rather than assumed.  With
-        # s >= -lam and s <= 2*lam on every generator the window search
-        # can prune on partial stems.
-        self._s_lower_ok = all(g.degree.s >= -lam(g.degree) for g in self.generators)
-        self._s_upper_ok = all(g.degree.s <= 2 * lam(g.degree) for g in self.generators)
-        self._f_monotone = all(g.degree.f >= 0 for g in self.generators)
 
         tails = [
             i
@@ -246,16 +250,50 @@ class RingPresentation:
         if self._tail is not None and self.generators[self._tail].degree.w >= 0:
             raise PresentationError("pure-weight generator must lower the weight")
 
-        self._dfs_order: List[int] = [
-            i for i in range(len(self.generators)) if i != self._tail
-        ]
+        # Search levels for basis_window.  A maximal run of consecutive
+        # generators sharing a slot admits at most one of its members, so
+        # it is one level; those runs go outermost.  The rest follow in
+        # reverse declaration order, which puts rho, the one letter that
+        # lowers the stem, innermost and halves the search on L and ko.
+        runs: List[List[int]] = []
+        shared: set = set()
+        for i, g in enumerate(self.generators):
+            if i == self._tail:
+                continue
+            if runs and shared & set(g.slots):
+                runs[-1].append(i)
+                shared &= set(g.slots)
+            else:
+                runs.append([i])
+                shared = set(g.slots)
+        self._levels: List[Tuple[int, ...]] = sorted(
+            (tuple(run) for run in reversed(runs)), key=len, reverse=True
+        )
+
+        # Stem pruning, validated rather than assumed.  With f >= 0 on every
+        # generator, _reach[pos] bounds |stem change| per unit of filtration
+        # over the levels from pos on (None when a level can change the
+        # stem at no filtration cost).
+        self._f_monotone = all(g.degree.f >= 0 for g in self.generators)
+        reach: Optional[int] = 0
+        self._reach: List[Optional[int]] = [reach]
+        for level in reversed(self._levels):
+            for d in (self.generators[i].degree for i in level):
+                ok = reach is not None and self._f_monotone and d.f > 0
+                reach = max(reach, -(-abs(d.s) // d.f)) if ok else None
+            self._reach.append(reach)
+        self._reach.reverse()
 
         self._reduce_memo: Dict[Monomial, Element] = {}
 
-        #: optional replacement enumerator with the same contract as
-        #: basis_window; the fiber construction installs a closed-form one
-        #: because its generator list is long and mostly mutually exclusive
-        self.basis_hook = None
+        #: the box a materialized generator list covers; basis_window
+        #: refuses boxes outside it.  None when the list is complete.
+        self.cover = None
+
+    @property
+    def tail(self) -> Optional[int]:
+        """Index of the pure-weight (tau power) generator, if there is one."""
+        return self._tail
 
     # -- bookkeeping --------------------------------------------------
 
@@ -381,11 +419,11 @@ class RingPresentation:
         return self.reduce(raw)
 
     def is_normal(self, m: Monomial) -> bool:
-        """True when m is a basis monomial (caps, slots, no rule applies).
+        """True when m is a basis monomial: it passes every cap and slot.
 
-        Tests are its only callers.  They use it to check that the box
-        enumeration and ``multiply`` return only normal monomials; it tests
-        the given monomial without the enumeration's search.
+        By the class invariant no rule applies to such a monomial.  The
+        constructor uses it to check each rule lhs; tests use it to check
+        that ``multiply`` returns only normal monomials.
         """
         used_slots: set = set()
         for g, e in m:
@@ -396,7 +434,7 @@ class RingPresentation:
                 if sl in used_slots:
                     return False
                 used_slots.add(sl)
-        return self._find_rule(m) is None
+        return True
 
     # -- basis enumeration ----------------------------------------------
 
@@ -408,45 +446,47 @@ class RingPresentation:
     ) -> Dict[TriDegree, List[Monomial]]:
         """All normal monomials with degree in the closed box, by degree.
 
-        Runs a depth-first search over exponent vectors.  Total exponents
-        are bounded because 2f + s - w is at least 1 on every generator,
-        and the pure-weight generator (the tau power) is peeled off into a
-        closed-form range at the leaves instead of being searched.
+        Runs a depth-first search over exponent vectors, one level per
+        generator, except that a run of consecutive generators sharing a
+        slot is one "none or one of these" level, searched outermost.
+        Normal forms are exactly the monomials passing caps and slots
+        (checked once per rule at construction), so nothing emitted needs
+        a rule lookup.  Total exponents are bounded because 2f + s - w is
+        at least 1 on every generator; when filtrations never decrease,
+        partial stems are pruned by the stem reach per unit of filtration
+        left.  The pure-weight generator (the tau power) is peeled off
+        into a closed-form range at the leaves.
         """
         s0, s1 = s_range
         f0, f1 = f_range
         w0, w1 = w_range
         if s0 > s1 or f0 > f1 or w0 > w1:
             return {}
-        if self.basis_hook is not None:
-            return self.basis_hook(s_range, f_range, w_range)
+        c = self.cover
+        if c is not None and not (
+            c.s[0] <= s0 and s1 <= c.s[1] and f1 <= c.f[1] and c.w[0] <= w0 and w1 <= c.w[1]
+        ):
+            raise PresentationError(
+                "%s was materialized for a smaller window; rebuild the object "
+                "with the window you want to enumerate" % self.name
+            )
         lam_max = 2 * f1 + s1 - w0
 
         gens = self.generators
-        order = self._dfs_order
+        levels = self._levels
+        reach = self._reach
         tail = self._tail
         tail_w = -gens[tail].degree.w if tail is not None else 0
         tail_cap = gens[tail].cap if tail is not None else None
         out: Dict[TriDegree, List[Monomial]] = {}
 
-        def emit(parts: List[Tuple[int, int]], s: int, f: int, w: int) -> None:
-            m = tuple(sorted(parts))
-            if self._find_rule(m) is not None:
-                # Caps and slots are enforced during the search; a rule
-                # hitting a capped monomial here would mean the declared
-                # normal form disagrees with the rules.
-                raise PresentationError(
-                    "enumerated monomial %s is reducible; presentation "
-                    "normal-form data is inconsistent" % (m,)
-                )
-            out.setdefault(TriDegree(s, f, w), []).append(m)
-
         def leaf(parts: List[Tuple[int, int]], s: int, f: int, w: int) -> None:
             if not (s0 <= s <= s1 and f0 <= f <= f1):
                 return
+            m = tuple(sorted(parts))
             if tail is None:
                 if w0 <= w <= w1:
-                    emit(parts, s, f, w)
+                    out.setdefault(TriDegree(s, f, w), []).append(m)
                 return
             # solve w - e * tail_w in [w0, w1] for e >= 0
             lo = -(-(w - w1) // tail_w)  # ceil
@@ -455,11 +495,10 @@ class RingPresentation:
                 lo = 0
             if tail_cap is not None and hi > tail_cap:
                 hi = tail_cap
+            cut = bisect_left(m, (tail, 0))
             for e in range(lo, hi + 1):
-                if e:
-                    emit(parts + [(tail, e)], s, f, w - e * tail_w)
-                else:
-                    emit(parts, s, f, w)
+                mm = m[:cut] + ((tail, e),) + m[cut:] if e else m
+                out.setdefault(TriDegree(s, f, w - e * tail_w), []).append(mm)
 
         def rec(
             pos: int,
@@ -473,45 +512,45 @@ class RingPresentation:
             lam_rem = lam_max - lam_used
             if lam_rem < 0:
                 return
-            if self._f_monotone and f > f1:
-                return
-            if self._s_lower_ok and s - lam_rem > s1:
-                return
-            if self._s_upper_ok and s + 2 * lam_rem < s0:
-                return
-            if pos == len(order):
+            if self._f_monotone:
+                if f > f1:
+                    return
+                r = reach[pos]
+                if r is not None and (s - r * (f1 - f) > s1 or s + r * (f1 - f) < s0):
+                    return
+            if pos == len(levels):
                 leaf(parts, s, f, w)
                 return
-            gi = order[pos]
-            spec = gens[gi]
-            d = spec.degree
-            gl = lam(d)
-            emax = lam_rem // gl
-            if spec.cap is not None and emax > spec.cap:
-                emax = spec.cap
-            if self._f_monotone and d.f > 0:
-                e_by_f = (f1 - f) // d.f
-                if emax > e_by_f:
-                    emax = e_by_f
-            blocked = bool(slots and set(spec.slots) & slots)
             rec(pos + 1, parts, s, f, w, lam_used, slots)
-            if blocked:
-                return
-            new_slots = slots | frozenset(spec.slots) if spec.slots else slots
-            for e in range(1, emax + 1):
-                rec(
-                    pos + 1,
-                    parts + [(gi, e)],
-                    s + e * d.s,
-                    f + e * d.f,
-                    w + e * d.w,
-                    lam_used + e * gl,
-                    new_slots,
-                )
+            for gi in levels[pos]:
+                spec = gens[gi]
+                if slots and not slots.isdisjoint(spec.slots):
+                    continue
+                d = spec.degree
+                gl = lam(d)
+                emax = lam_rem // gl
+                if spec.cap is not None and emax > spec.cap:
+                    emax = spec.cap
+                if self._f_monotone and d.f > 0:
+                    e_by_f = (f1 - f) // d.f
+                    if emax > e_by_f:
+                        emax = e_by_f
+                new_slots = slots | frozenset(spec.slots) if spec.slots else slots
+                for e in range(1, emax + 1):
+                    rec(
+                        pos + 1,
+                        parts + [(gi, e)],
+                        s + e * d.s,
+                        f + e * d.f,
+                        w + e * d.w,
+                        lam_used + e * gl,
+                        new_slots,
+                    )
 
         rec(0, [], 0, 0, 0, 0, frozenset())
-        for degree in out:
-            out[degree].sort(key=self.mono_key)
+        for monos in out.values():
+            if len(monos) > 1:
+                monos.sort(key=self.mono_key)
         return out
 
     def basis_at(self, degree: TriDegree) -> List[Monomial]:

@@ -320,6 +320,7 @@ class Homology:
 
     @property
     def is_zero(self) -> bool:
+        """True when the group is 0; tests are its only callers."""
         return not self.orders
 
     def cycle_coordinates(self, x: Sequence[int]) -> Optional[List[int]]:
@@ -347,6 +348,7 @@ class Homology:
         return out
 
     def is_cycle(self, x: Sequence[int]) -> bool:
+        """True when d_out kills x; tests are its only callers."""
         if self._K_snf is None:
             return not any(x)
         return self.cycle_coordinates(x) is not None
@@ -418,10 +420,6 @@ class F2Homology:
             [1 if g & (1 << i) else 0 for i in range(n)] for g in gens_masks
         ]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.orders
-
     def _to_mask(self, x: Sequence[int]) -> int:
         if len(x) != self.ambient_rank:
             raise LinearAlgebraError("projection input has wrong length")
@@ -441,6 +439,7 @@ class F2Homology:
         return acc
 
     def is_cycle(self, x: Sequence[int]) -> bool:
+        """True when the outgoing map kills x; tests are its only callers."""
         return self._cycle_defect(self._to_mask(x)) == 0
 
     def project(self, x: Sequence[int]) -> List[int]:

@@ -397,9 +397,7 @@ def check_L_d1_pattern() -> str:
     fired: Dict[int, int] = {}
     by_cw: Dict[int, int] = {}
     for r in range(2, ss.r_max):
-        for d, M in ss.diffs.get(r, {}).items():
-            if M.is_zero():
-                continue
+        for d in ss.diffs.get(r, {}):
             if two_adic_valuation(d.coweight) != r - 1:
                 raise CheckFailure("pattern fired off-schedule at %s on page %d"
                                    % (d, r))

@@ -92,6 +92,24 @@ def test_compute_inf_reaches_the_last_page(capsys):
     assert "2*v2" in out
 
 
+def test_compute_refuses_pages_above_the_last(capsys, monkeypatch):
+    # ko_C runs to page 3: a range starting above it is refused before
+    # the run, a range ending above it is clipped
+    code, out, _ = run_cli(capsys, "compute", "--object", "ko_C",
+                           "--pages", "1..9", "--stems", "0..4")
+    assert code == 0
+    assert "page 3\n" in out and "page 4" not in out
+
+    def no_run(*args, **kw):
+        raise AssertionError("the run started before the page range was checked")
+
+    monkeypatch.setattr("effss.cli.SliceSS.run", no_run)
+    code, out, err = run_cli(capsys, "compute", "--object", "ko_C",
+                             "--pages", "5..9", "--stems", "0..4")
+    assert code == 2 and out == ""
+    assert "usage error" in err and "page 3" in err
+
+
 def test_compute_writes_file_when_asked(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "compute", "--object", "ko_C",
                            "--pages", "1..1", *SMALL,

@@ -173,6 +173,15 @@ def test_ko_stability(ko):
     check_stability(ko)
 
 
+def test_only_nonzero_differentials_are_stored(ko, koc):
+    for ss in (ko, koc):
+        stored = [M for mats in ss.diffs.values() for M in mats.values()]
+        assert stored and not any(M.is_zero() for M in stored)
+    # a degree whose d1 vanishes reads as zero without a stored matrix
+    d = TriDegree(-1, 1, -1)  # rho
+    assert d not in ko.diffs[1] and ko.differential_value(1, d, 0) == {}
+
+
 def test_dump_lines_format(koc):
     lines = list(koc.dump_lines(1))
     assert any(

@@ -197,7 +197,6 @@ def test_d1_schedule_frozen_LC(LC):
 
 def test_hook_matches_generic_search(L):
     generic = presentation_from_dict(L.pres.to_dict())
-    assert generic.basis_hook is None
     box = ((-3, 9), (0, 5), (-4, 6))
     a = L.pres.basis_window(*box)
     b = generic.basis_window(*box)

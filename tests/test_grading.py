@@ -194,6 +194,16 @@ def test_slot_exclusion():
     assert pres.is_normal(pres.monomial({"u": 1, "a": 1}))
 
 
+def test_rule_on_normal_lhs_refused():
+    # u is uncapped and slot-free, so u^2 passes every cap and slot: a
+    # rule rewriting it would make the enumerated basis disagree with
+    # the rules
+    gens = [GeneratorSpec("u", TriDegree(1, 1, 1), torsion=2)]
+    pres = RingPresentation("mini", gens)
+    with pytest.raises(PresentationError):
+        RingPresentation("mini", gens, rules=[RewriteRule(pres.monomial({"u": 2}), ())])
+
+
 def test_lambda_positivity_enforced():
     with pytest.raises(PresentationError):
         RingPresentation(
