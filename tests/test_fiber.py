@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effss.engine import SliceSS, Window
 from effss.fiber import (
@@ -296,6 +298,47 @@ def test_basis_window_matches_closed_form(L, L_tall, LC_thin):
         assert obj.pres.basis_window(*box) == want
         assert presentation_from_dict(obj.pres.to_dict()).basis_window(*box) == want
         assert sum(len(v) for v in want.values()) > at_least
+
+
+def v_power(layout, m):
+    """The v-power a fiber monomial carries in the base ring."""
+    return layout.debase(m)[0].get(layout.b_v, 0)
+
+
+@pytest.fixture(scope="module")
+def wide_monomials(L_tall, LC_thin):
+    """Normal monomials of boxes larger than SMALL, per object.
+
+    Pairs come from the whole box, so carriers up to the top of the box
+    meet.  Triples come from the monomials whose v-power is at most a
+    third of what the generated rules cover, so every intermediate
+    product stays inside the materialized window.
+    """
+    out = []
+    for obj, box in ((L_tall, ((-4, 10), (0, 20), (-4, 6))), (LC_thin, ((-10, 60), (0, 6), (-4, 30)))):
+        layout = obj.meta["layout"]
+        monos = [m for ms in obj.pres.basis_window(*box).values() for m in ms]
+        k_low = (layout.family_max - 4) // 3
+        low = [m for m in monos if v_power(layout, m) <= k_low]
+        out.append((obj, monos, low))
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pair_rules_agree_with_base_route_on_wide_boxes(wide_monomials, data):
+    obj, monos, low = data.draw(st.sampled_from(wide_monomials))
+    p = obj.pres
+    layout = obj.meta["layout"]
+    a, b = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
+    ab = p.multiply({a: 1}, {b: 1})
+    assert ab == layout.product_via_base(a, b)
+    assert all(p.is_normal(m) for m in ab)
+
+    x, y, z = ({data.draw(st.sampled_from(low)): 1} for _ in range(3))
+    left = p.multiply(p.multiply(x, y), z)
+    assert left == p.multiply(x, p.multiply(y, z))
+    assert all(p.is_normal(m) for m in left)
 
 
 def test_hook_refuses_uncovered_window(L):
