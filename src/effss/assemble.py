@@ -41,7 +41,6 @@ from .grading import (
     PresentationError,
     RingPresentation,
     TriDegree,
-    el_iadd,
     el_scale,
 )
 from .intlinalg import (
@@ -631,7 +630,6 @@ def assemble(
     s: int,
     w: int,
     ledger: Optional[Sequence[HiddenExtension]] = None,
-    check_identity: bool = True,
 ) -> HomotopyGroup:
     """Assemble the homotopy group at one (stem, weight) from the column.
 
@@ -644,7 +642,9 @@ def assemble(
 
     Crossing extensions would make the hidden value ill defined; they do
     not occur in this material, and an occurrence raises AssembleError
-    rather than producing a silently wrong group.
+    rather than producing a silently wrong group.  So does a generator
+    whose rho, h and eta actions break 2 = rho*eta + h at the leading
+    filtration.
     """
     ss.run()
     pres = ss.pres
@@ -691,8 +691,7 @@ def assemble(
         for kind in ("rho", "h", "eta"):
             vals[kind] = action(ss, index, kind, base)
             actions[kind].append(_render_class(ss, vals[kind]))
-        if check_identity:
-            _check_two_identity(ss, index, gen, base, vals)
+        _check_two_identity(ss, index, gen, base, vals)
 
     orders = _invariant_factors(len(gens), relations)
     return HomotopyGroup(

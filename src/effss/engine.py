@@ -298,7 +298,6 @@ class SliceSS:
         r_max: Optional[int] = None,
         s_margin: Optional[int] = None,
         f_margin: Optional[int] = None,
-        check: bool = True,
     ) -> None:
         if window is None:
             window = obj.default_window
@@ -308,7 +307,6 @@ class SliceSS:
         self.pres = obj.pres
         self.window = window
         self.r_max = r_max or obj.default_r_max or obj.stable_page + 1
-        self.check = check
         self.box = widened_box(window, self.r_max, s_margin, f_margin)
 
         for r, images in obj.schedule.items():
@@ -522,7 +520,6 @@ class SliceSS:
                     [o for _c, o in cols_p],
                     sub_orders,
                     tgt_orders,
-                    check=self.check,
                 )
             blocks.append((p, tuple(idx), H))
             for k, o in enumerate(H.orders):

@@ -363,9 +363,9 @@ def build_fiber_object(
             rhs_k = next((e for g, e in rm if g == b_v), 0)
             v_slack = max(v_slack, rhs_k - lhs_k)
 
-    # Pair rules.  Normality of a monomial here is a pairwise condition
-    # (caps, slots, and which letters a carrier tolerates), so rules whose
-    # lhs is a product of two generators rewrite everything.
+    # Pair rules.  Every violation here is a square over a cap of 1 or a
+    # pair sharing a slot, so one rule per non-normal pair rewrites
+    # everything; pairs too far out get none, and rewriting refuses them.
     rules: List[RewriteRule] = []
     ng = len(gens)
     for i in range(ng):
@@ -377,6 +377,8 @@ def build_fiber_object(
                 continue
             tj, lj, kj = back[j]
             lhs: Monomial = ((i, 2),) if i == j else ((i, 1), (j, 1))
+            if pres0.is_normal(lhs):
+                continue
             if ti == "iota" and tj == "iota":
                 rules.append(RewriteRule(lhs=lhs, rhs=()))
                 continue
@@ -384,8 +386,6 @@ def build_fiber_object(
                 # no covered monomial can multiply out this far
                 continue
             prod = layout.product_via_base(((i, 1),), ((j, 1),))
-            if prod == {lhs: 1}:
-                continue
             rhs = tuple(
                 (c, m)
                 for m, c in sorted(prod.items(), key=lambda mc: pres0.mono_key(mc[0]))

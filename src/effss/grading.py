@@ -16,8 +16,8 @@ module holds the shared machinery for that picture:
   with monomial rewrite rules.  Products are computed by rewriting to normal
   form; the rule lists used here are confluent and terminating, which the test
   suite checks on random products.  Caps and slots alone define the normal
-  forms: the constructor refuses a rule whose lhs passes them, so basis
-  enumeration is one search over caps and slots with no rule lookups.
+  forms.  Each rule repairs exactly one cap or slot violation and is looked
+  up by it; a violation that no rule repairs is refused.
 
 Coefficients are reduced modulo the additive order of the monomial they sit
 on.  The order of a monomial is the gcd of the torsions of the generators
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -177,7 +177,7 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """lhs -> sum of (coeff, monomial).  lhs divides a monomial, fire."""
+    """lhs -> sum of (coeff, monomial), lhs being one cap or slot violation."""
 
     lhs: Monomial
     rhs: Tuple[Tuple[int, Monomial], ...]
@@ -187,11 +187,11 @@ class RingPresentation:
     """A tri-graded algebra given by generators and monomial rewrite rules.
 
     Invariant, checked once per rule at construction: caps and slots alone
-    define the normal forms.  Every rule lhs breaks a cap or a slot, and
-    since both are closed under division, so does every monomial a rule
-    applies to.  The normal-form monomials (those passing caps and slots)
-    form an additive basis; ``multiply`` and ``reduce`` rewrite arbitrary
-    products onto it with exact coefficients.
+    define the normal forms.  Every rule lhs is exactly one violation (a
+    generator one over its cap, or two generators sharing a slot), and no
+    two rules share one.  The monomials without violations form an additive
+    basis; ``multiply`` and ``reduce`` rewrite products onto it with exact
+    coefficients, and refuse a violation that no rule repairs.
     """
 
     def __init__(
@@ -221,20 +221,21 @@ class RingPresentation:
             if g.torsion < 0 or g.cap is not None and g.cap < 1:
                 raise PresentationError("bad torsion or cap on %s" % g.name)
 
-        # Rules are looked up through the set of generators in their lhs.
-        # All our rules touch one or two generators, and monomial supports
-        # stay small, so scanning the subsets of a support is cheap.
-        self._rules_by_key: Dict[Tuple[int, ...], List[RewriteRule]] = {}
+        # Each rule repairs exactly one violation, and rewriting looks its
+        # rule up by that violation.  A pair sharing two slots yields
+        # itself twice, hence the set.
+        self._rules: Dict[Monomial, RewriteRule] = {}
         for r in self.rules:
-            if not r.lhs:
-                raise PresentationError("rule with empty lhs")
-            if self.is_normal(r.lhs):
+            if set(self._violations(r.lhs)) != {r.lhs}:
                 raise PresentationError(
-                    "rule lhs %s passes every cap and slot; caps and slots "
-                    "must exclude what the rules rewrite" % self.render_monomial(r.lhs)
+                    "rule lhs %s is not exactly one cap or slot violation"
+                    % self.render_monomial(r.lhs)
                 )
-            key = tuple(g for g, _ in r.lhs)
-            self._rules_by_key.setdefault(key, []).append(r)
+            if r.lhs in self._rules:
+                raise PresentationError(
+                    "two rules rewrite %s" % self.render_monomial(r.lhs)
+                )
+            self._rules[r.lhs] = r
 
         tails = [
             i
@@ -349,32 +350,44 @@ class RingPresentation:
 
     # -- reduction and products ----------------------------------------
 
-    def _find_rule(self, m: Monomial) -> Optional[RewriteRule]:
-        sup = [g for g, _ in m]
-        n = len(sup)
-        for i in range(n):
-            for r in self._rules_by_key.get((sup[i],), ()):
-                if mono_div(m, r.lhs) is not None:
-                    return r
-            for j in range(i + 1, n):
-                for r in self._rules_by_key.get((sup[i], sup[j]), ()):
-                    if mono_div(m, r.lhs) is not None:
-                        return r
-        return None
+    def _violations(self, m: Monomial) -> Iterator[Monomial]:
+        """The minimal non-normal divisors of m, in support order.
+
+        These are g^(cap+1) for a generator over its cap, and g*h for two
+        generators sharing a slot (once per shared slot).  m is normal
+        exactly when there are none.
+        """
+        seen: Dict[str, List[int]] = {}
+        for g, e in m:
+            spec = self.generators[g]
+            if spec.cap is not None and e > spec.cap:
+                yield ((g, spec.cap + 1),)
+            for sl in spec.slots:
+                members = seen.setdefault(sl, [])
+                for h in members:
+                    yield ((h, 1), (g, 1))
+                members.append(g)
 
     def reduce_monomial(self, m: Monomial) -> Element:
         """Rewrite a single monomial to a combination of normal monomials.
 
-        Coefficients are not yet reduced modulo torsion; ``reduce`` does
-        that.  Results of nontrivial rewrites are memoized, monomials that
-        are already normal are passed through without touching the memo.
+        The first violation of m that has a rule is rewritten.  When none
+        has one, m lies beyond the materialized window and is refused.
+        Coefficients are reduced modulo torsion by ``reduce``, not here.
+        Results of nontrivial rewrites are memoized.
         """
-        rule = self._find_rule(m)
-        if rule is None:
-            return {m: 1}
         hit = self._reduce_memo.get(m)
         if hit is not None:
             return hit
+        violations = list(self._violations(m))
+        if not violations:
+            return {m: 1}
+        rule = next((self._rules[v] for v in violations if v in self._rules), None)
+        if rule is None:
+            raise PresentationError(
+                "%s: no rule rewrites %s, which lies beyond the materialized "
+                "window" % (self.name, self.render_monomial(m))
+            )
         quot = mono_div(m, rule.lhs)
         assert quot is not None
         acc: Element = {}
@@ -419,22 +432,12 @@ class RingPresentation:
         return self.reduce(raw)
 
     def is_normal(self, m: Monomial) -> bool:
-        """True when m is a basis monomial: it passes every cap and slot.
+        """True when m is a basis monomial: it has no cap or slot violation.
 
-        By the class invariant no rule applies to such a monomial.  The
-        constructor uses it to check each rule lhs; tests use it to check
-        that ``multiply`` returns only normal monomials.
+        The fiber builder uses it to skip pairs that need no rule; tests
+        use it to check that ``multiply`` returns only normal monomials.
         """
-        used_slots: set = set()
-        for g, e in m:
-            spec = self.generators[g]
-            if spec.cap is not None and e > spec.cap:
-                return False
-            for sl in spec.slots:
-                if sl in used_slots:
-                    return False
-                used_slots.add(sl)
-        return True
+        return next(self._violations(m), None) is None
 
     # -- basis enumeration ----------------------------------------------
 
@@ -449,9 +452,8 @@ class RingPresentation:
         Runs a depth-first search over exponent vectors, one level per
         generator, except that a run of consecutive generators sharing a
         slot is one "none or one of these" level, searched outermost.
-        Normal forms are exactly the monomials passing caps and slots
-        (checked once per rule at construction), so nothing emitted needs
-        a rule lookup.  Total exponents are bounded because 2f + s - w is
+        Normal forms are exactly the monomials passing caps and slots, so
+        nothing emitted needs a rule lookup.  Total exponents are bounded because 2f + s - w is
         at least 1 on every generator; when filtrations never decrease,
         partial stems are pruned by the stem reach per unit of filtration
         left.  The pure-weight generator (the tau power) is peeled off

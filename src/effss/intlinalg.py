@@ -463,13 +463,12 @@ def homology(
     orders_prev: Sequence[int],
     orders: Sequence[int],
     orders_next: Sequence[int],
-    check: bool = True,
 ) -> Homology:
     """Homology of G_prev -> G -> G_next at the middle spot.
 
     The groups are given by their summand orders; the matrices act on the
-    corresponding preferred bases.  With ``check`` on, both maps are verified
-    to respect torsion and the composite is verified to vanish.
+    corresponding preferred bases.  Both maps are verified to respect
+    torsion and the composite is verified to vanish.
     """
     n = len(orders)
     if d_in.m != n or d_out.n != n:
@@ -477,15 +476,14 @@ def homology(
     if d_in.n != len(orders_prev) or d_out.m != len(orders_next):
         raise LinearAlgebraError("differential shapes do not match neighbors")
 
-    if check:
-        _check_well_defined(d_out, orders, orders_next, "outgoing differential")
-        _check_well_defined(d_in, orders_prev, orders, "incoming differential")
-        comp = d_out @ d_in
-        for i, ot in enumerate(orders_next):
-            for j in range(comp.n):
-                v = comp.rows[i][j]
-                if (ot and v % ot) or (not ot and v):
-                    raise LinearAlgebraError("composite of differentials is nonzero")
+    _check_well_defined(d_out, orders, orders_next, "outgoing differential")
+    _check_well_defined(d_in, orders_prev, orders, "incoming differential")
+    comp = d_out @ d_in
+    for i, ot in enumerate(orders_next):
+        for j in range(comp.n):
+            v = comp.rows[i][j]
+            if (ot and v % ot) or (not ot and v):
+                raise LinearAlgebraError("composite of differentials is nonzero")
 
     if n == 0:
         return Homology(0, [], [], None, None, [], [])

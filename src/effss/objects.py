@@ -13,7 +13,7 @@ from importlib import resources
 from typing import Dict, Optional
 
 from .engine import ObjectSpec, Window
-from .grading import EffssError, RingPresentation, presentation_from_dict
+from .grading import EffssError, presentation_from_dict
 
 #: objects with a tri-graded slice spectral sequence
 TRI_GRADED = ("ko_C", "ko", "L", "L_C")

@@ -194,6 +194,43 @@ def test_slot_exclusion():
     assert pres.is_normal(pres.monomial({"u": 1, "a": 1}))
 
 
+def mini_gens():
+    return [
+        GeneratorSpec("t", TriDegree(0, 0, -1)),
+        GeneratorSpec("u", TriDegree(1, 1, 1), torsion=2),
+        GeneratorSpec("a", TriDegree(2, 1, 1), torsion=2, cap=1, slots=("fam",)),
+        GeneratorSpec("b", TriDegree(3, 1, 2), torsion=2, cap=1, slots=("fam",)),
+    ]
+
+
+def test_violation_without_rule_refused():
+    # a*b shares the slot "fam" but nothing rewrites it: it must not be
+    # passed off as a normal monomial
+    gens = mini_gens()
+    pres = RingPresentation("mini", gens)
+    ab = pres.monomial({"a": 1, "b": 1})
+    with pytest.raises(PresentationError, match="beyond the materialized window"):
+        pres.reduce({ab: 1})
+    pres = RingPresentation("mini", gens, rules=[RewriteRule(pres.monomial({"a": 2}), ())])
+    with pytest.raises(PresentationError):
+        pres.reduce({pres.monomial({"u": 1, "a": 1, "b": 1}): 1})
+    assert pres.reduce({pres.monomial({"a": 2, "u": 1}): 1}) == {}
+    assert pres.reduce({pres.monomial({"u": 3, "a": 1}): 1}) == {pres.monomial({"u": 3, "a": 1}): 1}
+
+
+def test_rule_lhs_must_be_one_violation():
+    gens = mini_gens()
+    pres = RingPresentation("mini", gens)
+    for lhs in ({"a": 3}, {"u": 1, "a": 1, "b": 1}, {"a": 2, "b": 1}):
+        with pytest.raises(PresentationError, match="not exactly one"):
+            RingPresentation("mini", gens, rules=[RewriteRule(pres.monomial(lhs), ())])
+    with pytest.raises(PresentationError, match="not exactly one"):
+        RingPresentation("mini", gens, rules=[RewriteRule((), ())])
+    ab = pres.monomial({"a": 1, "b": 1})
+    with pytest.raises(PresentationError, match="two rules"):
+        RingPresentation("mini", gens, rules=[RewriteRule(ab, ()), RewriteRule(ab, ())])
+
+
 def test_rule_on_normal_lhs_refused():
     # u is uncapped and slot-free, so u^2 passes every cap and slot: a
     # rule rewriting it would make the enumerated basis disagree with
