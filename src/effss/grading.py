@@ -453,11 +453,11 @@ class RingPresentation:
         generator, except that a run of consecutive generators sharing a
         slot is one "none or one of these" level, searched outermost.
         Normal forms are exactly the monomials passing caps and slots, so
-        nothing emitted needs a rule lookup.  Total exponents are bounded because 2f + s - w is
-        at least 1 on every generator; when filtrations never decrease,
-        partial stems are pruned by the stem reach per unit of filtration
-        left.  The pure-weight generator (the tau power) is peeled off
-        into a closed-form range at the leaves.
+        nothing emitted needs a rule lookup.  Total exponents are bounded
+        because 2f + s - w is at least 1 on every generator; when
+        filtrations never decrease, partial stems are pruned by the stem
+        reach per unit of filtration left.  The pure-weight generator (the
+        tau power) is peeled off into a closed-form range at the leaves.
         """
         s0, s1 = s_range
         f0, f1 = f_range
