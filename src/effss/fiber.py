@@ -377,13 +377,13 @@ def build_fiber_object(
                 continue
             tj, lj, kj = back[j]
             lhs: Monomial = ((i, 2),) if i == j else ((i, 1), (j, 1))
-            if pres0.is_normal(lhs):
-                continue
             if ti == "iota" and tj == "iota":
                 rules.append(RewriteRule(lhs=lhs, rhs=()))
                 continue
             if ki + kj > family_max - v_slack:
                 # no covered monomial can multiply out this far
+                continue
+            if pres0.is_normal(lhs):
                 continue
             prod = layout.product_via_base(((i, 1),), ((j, 1),))
             rhs = tuple(
