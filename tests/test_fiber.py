@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effss.engine import SliceSS, Window
+from effss.engine import SliceSS, Window, derive
 from effss.fiber import (
     FiberError,
     build_fiber_object,
     splitting_report,
     val_3_pow_minus_1,
 )
-from effss.grading import PresentationError, TriDegree, presentation_from_dict
-from effss.objects import get_object, load_data
+from effss.grading import (
+    PresentationError,
+    RewriteRule,
+    TriDegree,
+    mono_mul,
+    presentation_from_dict,
+)
+from effss.objects import get_object, load_data, spec_to_dict
 
 SMALL = Window(s=(-2, 8), f=(0, 4), w=(-4, 6))
 
@@ -135,6 +141,64 @@ def test_random_products_agree_with_base_ring_route(L):
     for _ in range(300):
         a, b = rng.choice(monos), rng.choice(monos)
         assert L.pres.multiply({a: 1}, {b: 1}) == lay.product_via_base(a, b)
+
+
+def test_pair_beyond_the_cover_refused(L):
+    # the two top thv families multiply past every rule the window needs
+    p = L.pres
+    top = L.meta["layout"].family_max
+    a = p.monomial({"thv%d" % (2 * top): 1})
+    b = p.monomial({"thv%d" % (2 * top - 2): 1})
+    with pytest.raises(PresentationError, match="beyond the materialized window"):
+        p.multiply({a: 1}, {b: 1})
+
+
+def eager_pair_rules(layout):
+    """Every pair rule the fiber window needs, made up front.
+
+    The oracle for the rule set a fiber presentation dumps: each
+    non-normal carrier pair is multiplied through the base ring, iota
+    pairs get the zero rule, and pairs whose v-powers add up past the
+    family range (less the v-power base rewriting can add) get none.
+    """
+    pres = layout.pres
+    v_slack = 0
+    for rule in layout.base.rules:
+        lhs_k = next((e for g, e in rule.lhs if g == layout.b_v), 0)
+        for _, rm in rule.rhs:
+            rhs_k = next((e for g, e in rm if g == layout.b_v), 0)
+            v_slack = max(v_slack, rhs_k - lhs_k)
+    rules = []
+    ng = len(pres.generators)
+    for i in range(ng):
+        if i == layout.f_tail:
+            continue
+        ti, _, ki = layout.back[i]
+        for j in range(i, ng):
+            if j == layout.f_tail:
+                continue
+            tj, _, kj = layout.back[j]
+            lhs = ((i, 2),) if i == j else ((i, 1), (j, 1))
+            if ti == "iota" and tj == "iota":
+                rules.append(RewriteRule(lhs=lhs, rhs=()))
+                continue
+            if ki + kj > layout.family_max - v_slack or pres.is_normal(lhs):
+                continue
+            prod = layout.product_via_base(((i, 1),), ((j, 1),))
+            rhs = tuple((c, m) for m, c in sorted(prod.items(), key=lambda mc: pres.mono_key(mc[0])))
+            rules.append(RewriteRule(lhs=lhs, rhs=rhs))
+    return rules
+
+
+def test_dumped_rules_are_the_eager_pair_rules(L_tall, LC_thin):
+    for obj in (get_object("L"), get_object("L_C"), L_tall, LC_thin):
+        pres = obj.pres
+        want = [
+            {"lhs": pres.mono_to_dict(r.lhs), "rhs": [[c, pres.mono_to_dict(m)] for c, m in r.rhs]}
+            for r in eager_pair_rules(obj.meta["layout"])
+        ]
+        assert spec_to_dict(obj)["rules"] == want, obj.name
+        assert len(want) > 1000
 
 
 def test_random_associativity(L):
@@ -341,6 +405,31 @@ def test_pair_rules_agree_with_base_route_on_wide_boxes(wide_monomials, data):
     assert all(p.is_normal(m) for m in left)
 
 
+def base_route_d1(obj, m):
+    """d1 of a fiber monomial computed in the base ring and translated back."""
+    layout = obj.meta["layout"]
+    base = get_object(obj.meta["base"])
+    exps, iota = layout.debase(m)
+    bm = tuple(sorted((g, e) for g, e in exps.items() if e))
+    return layout.translate(derive(layout.base, bm, base.schedule[1]), iota=bool(iota))
+
+
+def test_fiber_d1_matches_base_route(L, LC):
+    for obj in (L, LC):
+        monos = [m for ms in obj.pres.basis_window(SMALL.s, SMALL.f, SMALL.w).values() for m in ms]
+        assert len(monos) > 100
+        for m in monos:
+            assert derive(obj.pres, m, obj.schedule[1]) == base_route_d1(obj, m), m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fiber_d1_matches_base_route_on_wide_boxes(wide_monomials, data):
+    obj, monos, _ = data.draw(st.sampled_from(wide_monomials))
+    m = data.draw(st.sampled_from(monos))
+    assert derive(obj.pres, m, obj.schedule[1]) == base_route_d1(obj, m)
+
+
 def test_hook_refuses_uncovered_window(L):
     with pytest.raises(PresentationError):
         L.pres.basis_window((0, 500), (0, 4), (-4, 6))
@@ -408,10 +497,17 @@ def test_small_window_second_page_LC(LC):
     assert g.orders == [4]
 
 
-def test_dump_round_trip(L):
-    from effss.objects import spec_to_dict
+def test_dump_round_trip():
+    # a fresh object, so its products are made before the dump reads
+    # its rule set; the reloaded presentation has only the dumped rules
+    obj = build_fiber_object(load_data("L"), SMALL, r_max=2)
+    monos = [m for ms in obj.pres.basis_window(SMALL.s, SMALL.f, SMALL.w).values() for m in ms]
+    rng = random.Random(11)
+    pairs = [(rng.choice(monos), rng.choice(monos)) for _ in range(300)]
+    live = [obj.pres.multiply({a: 1}, {b: 1}) for a, b in pairs]
 
-    blob = json.dumps(spec_to_dict(L))
-    back = presentation_from_dict(json.loads(blob))
+    back = presentation_from_dict(json.loads(json.dumps(spec_to_dict(obj))))
     d = TriDegree(3, 1, 2)
-    assert back.basis_at(d) == L.pres.basis_at(d)
+    assert back.basis_at(d) == obj.pres.basis_at(d)
+    assert [back.multiply({a: 1}, {b: 1}) for a, b in pairs] == live
+    assert sum(not obj.pres.is_normal(mono_mul(a, b)) for a, b in pairs) > 100
