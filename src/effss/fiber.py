@@ -20,8 +20,9 @@ it from the base presentation for whatever window is requested:
   iota * v-power, encoding the normal form "at most one v-carrier per
   monomial" as a shared exclusion slot, so the generic basis search takes
   the carriers as one "none or one of these" level;
-* rewrite rules found by multiplying carrier pairs back in the base ring
-  and renormalizing, so the product structure is inherited, not typed in;
+* products taken in the base ring and renormalized, so the product
+  structure is inherited, not typed in: the rule for a non-normal carrier
+  pair is made the first time rewriting meets the pair, and kept;
 * the d1 table, by running the base Leibniz rule on each carrier's
   underlying monomial and pushing the value through the splitting.
 
@@ -187,8 +188,9 @@ class FiberLayout:
     def product_via_base(self, ma: Monomial, mb: Monomial) -> Element:
         """Multiply two fiber monomials through the base ring.
 
-        This bypasses the generated rewrite rules entirely, which is what
-        makes it a useful cross-check on them.
+        This is the fiber's one product route: the presentation's pair
+        rules are this product of the two generators, made on first
+        lookup and kept.
         """
         ea, ia = self.debase(ma)
         eb, ib = self.debase(mb)
@@ -335,23 +337,6 @@ def build_fiber_object(
             )
         )
 
-    name = str(data["name"])
-    pres0 = RingPresentation(name, gens)
-    layout = FiberLayout(
-        base=bpres,
-        pres=pres0,
-        b_tail=b_tail,
-        b_v=b_v,
-        v_scale=v_scale,
-        priority=priority,
-        letter_map=letter_map,
-        f_tail=f_tail,
-        fam=fam,
-        ifam=ifam,
-        back=back,
-        family_max=family_max,
-    )
-
     # Rewriting in the base can raise the v-power (th1 squared picks one
     # up); leave that much headroom when deciding which carrier pairs get
     # a rule.  The +2 in family_max keeps every product of two covered
@@ -364,42 +349,37 @@ def build_fiber_object(
             v_slack = max(v_slack, rhs_k - lhs_k)
 
     # Pair rules.  Every violation here is a square over a cap of 1 or a
-    # pair sharing a slot, so one rule per non-normal pair rewrites
-    # everything; pairs too far out get none, and rewriting refuses them.
-    rules: List[RewriteRule] = []
-    ng = len(gens)
-    for i in range(ng):
-        if i == f_tail:
-            continue
-        ti, li, ki = back[i]
-        for j in range(i, ng):
-            if j == f_tail:
-                continue
-            tj, lj, kj = back[j]
-            lhs: Monomial = ((i, 2),) if i == j else ((i, 1), (j, 1))
-            if ti == "iota" and tj == "iota":
-                rules.append(RewriteRule(lhs=lhs, rhs=()))
-                continue
-            if ki + kj > family_max - v_slack:
-                # no covered monomial can multiply out this far
-                continue
-            if pres0.is_normal(lhs):
-                continue
-            prod = layout.product_via_base(((i, 1),), ((j, 1),))
-            rhs = tuple(
-                (c, m)
-                for m, c in sorted(prod.items(), key=lambda mc: pres0.mono_key(mc[0]))
-            )
-            rules.append(RewriteRule(lhs=lhs, rhs=rhs))
+    # pair sharing a slot, and its rule is the pair's product in the base.
+    # iota squares to zero; pairs too far out get none, and rewriting
+    # refuses them.
+    def pair_rule(lhs: Monomial) -> Optional[RewriteRule]:
+        exps, iota = layout.debase(lhs)
+        if iota < 2 and exps.get(b_v, 0) > family_max - v_slack:
+            return None
+        prod = layout.product_via_base(lhs, ())
+        return RewriteRule(lhs, tuple((prod[m], m) for m in sorted(prod, key=pres.mono_key)))
 
-    pres = RingPresentation(name, gens, rules=rules)
+    name = str(data["name"])
+    pres = RingPresentation(name, gens, rule_source=pair_rule)
     pres.cover = cover
-    layout.pres = pres
+    layout = FiberLayout(
+        base=bpres,
+        pres=pres,
+        b_tail=b_tail,
+        b_v=b_v,
+        v_scale=v_scale,
+        priority=priority,
+        letter_map=letter_map,
+        f_tail=f_tail,
+        fam=fam,
+        ifam=ifam,
+        back=back,
+        family_max=family_max,
+    )
 
     base_d1 = base.schedule.get(1, {})
     images: Dict[int, Element] = {}
-    for fi in range(ng):
-        tag, l, k = back[fi]
+    for fi, (tag, l, k) in back.items():
         if tag == "tail":
             bm: Monomial = ((b_tail, 1),)
         elif tag == "letter":
@@ -423,8 +403,7 @@ def build_fiber_object(
         # image times v's image to the k-th, iota staying iota
         vloc = base_eta[b_v]
         table = {}
-        for fi in range(ng):
-            tag, l, k = back[fi]
+        for fi, (tag, l, k) in back.items():
             if tag == "tail":
                 table[fi] = base_eta[b_tail]
             elif tag == "letter":

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class EffssError(Exception):
@@ -186,12 +186,14 @@ class RewriteRule:
 class RingPresentation:
     """A tri-graded algebra given by generators and monomial rewrite rules.
 
-    Invariant, checked once per rule at construction: caps and slots alone
-    define the normal forms.  Every rule lhs is exactly one violation (a
-    generator one over its cap, or two generators sharing a slot), and no
-    two rules share one.  The monomials without violations form an additive
-    basis; ``multiply`` and ``reduce`` rewrite products onto it with exact
-    coefficients, and refuse a violation that no rule repairs.
+    Invariant: caps and slots alone define the normal forms.  Every rule
+    lhs is exactly one violation (a generator one over its cap, or two
+    generators sharing a slot), and no two rules share one.  Each rule is
+    checked as it enters the rule dict: given rules at construction, and
+    rules from ``rule_source`` (violation -> rule or None) on first lookup.
+    The monomials without violations form an additive basis; ``multiply``
+    and ``reduce`` rewrite products onto it with exact coefficients, and
+    refuse a violation that no rule repairs.
     """
 
     def __init__(
@@ -200,10 +202,10 @@ class RingPresentation:
         generators: Sequence[GeneratorSpec],
         rules: Sequence[RewriteRule] = (),
         global_torsion: int = 0,
+        rule_source: Optional[Callable[[Monomial], Optional[RewriteRule]]] = None,
     ) -> None:
         self.name = name
         self.generators: Tuple[GeneratorSpec, ...] = tuple(generators)
-        self.rules: Tuple[RewriteRule, ...] = tuple(rules)
         self.global_torsion = int(global_torsion)
 
         self._index: Dict[str, int] = {}
@@ -221,21 +223,17 @@ class RingPresentation:
             if g.torsion < 0 or g.cap is not None and g.cap < 1:
                 raise PresentationError("bad torsion or cap on %s" % g.name)
 
-        # Each rule repairs exactly one violation, and rewriting looks its
-        # rule up by that violation.  A pair sharing two slots yields
-        # itself twice, hence the set.
-        self._rules: Dict[Monomial, RewriteRule] = {}
-        for r in self.rules:
-            if set(self._violations(r.lhs)) != {r.lhs}:
-                raise PresentationError(
-                    "rule lhs %s is not exactly one cap or slot violation"
-                    % self.render_monomial(r.lhs)
-                )
-            if r.lhs in self._rules:
-                raise PresentationError(
-                    "two rules rewrite %s" % self.render_monomial(r.lhs)
-                )
-            self._rules[r.lhs] = r
+        # Given rules are a dict source, looked up here so that a bad one
+        # is refused at construction.
+        given: Dict[Monomial, RewriteRule] = {}
+        for r in rules:
+            if r.lhs in given:
+                raise PresentationError("two rules rewrite %s" % self.render_monomial(r.lhs))
+            given[r.lhs] = r
+        self._source = rule_source or given.get
+        self._rules: Dict[Monomial, Optional[RewriteRule]] = {}
+        for lhs in given:
+            self._rule(lhs)
 
         tails = [
             i
@@ -295,6 +293,17 @@ class RingPresentation:
     def tail(self) -> Optional[int]:
         """Index of the pure-weight (tau power) generator, if there is one."""
         return self._tail
+
+    @property
+    def rules(self) -> Tuple[RewriteRule, ...]:
+        """Every rule, in generator order: a cap violation before the pairs.
+
+        This asks the source about every violation the generators can
+        form, so only serialization reads it; rewriting never does.
+        """
+        top = tuple((i, (g.cap or 0) + 1) for i, g in enumerate(self.generators))
+        lhss = sorted(set(self._violations(top)), key=lambda v: (v[0][0], v[-1][0]))
+        return tuple(r for r in map(self._rule, lhss) if r is not None)
 
     # -- bookkeeping --------------------------------------------------
 
@@ -368,6 +377,19 @@ class RingPresentation:
                     yield ((h, 1), (g, 1))
                 members.append(g)
 
+    def _rule(self, v: Monomial) -> Optional[RewriteRule]:
+        """The rule repairing violation v; the source is asked once per v."""
+        if v not in self._rules:
+            rule = self._source(v)
+            # a pair sharing two slots yields itself twice, hence the set
+            if rule is not None and (rule.lhs != v or set(self._violations(v)) != {v}):
+                raise PresentationError(
+                    "rule lhs %s is not exactly one cap or slot violation"
+                    % self.render_monomial(rule.lhs)
+                )
+            self._rules[v] = rule
+        return self._rules[v]
+
     def reduce_monomial(self, m: Monomial) -> Element:
         """Rewrite a single monomial to a combination of normal monomials.
 
@@ -382,7 +404,7 @@ class RingPresentation:
         violations = list(self._violations(m))
         if not violations:
             return {m: 1}
-        rule = next((self._rules[v] for v in violations if v in self._rules), None)
+        rule = next((r for r in map(self._rule, violations) if r is not None), None)
         if rule is None:
             raise PresentationError(
                 "%s: no rule rewrites %s, which lies beyond the materialized "
@@ -434,8 +456,8 @@ class RingPresentation:
     def is_normal(self, m: Monomial) -> bool:
         """True when m is a basis monomial: it has no cap or slot violation.
 
-        The fiber builder uses it to skip pairs that need no rule; tests
-        use it to check that ``multiply`` returns only normal monomials.
+        Tests are its only callers.  They check that ``multiply`` returns
+        only normal monomials.
         """
         return next(self._violations(m), None) is None
 
@@ -703,19 +725,11 @@ def presentation_from_dict(data: Dict[str, object]) -> RingPresentation:
                 slots=tuple(g.get("slots", ())),
             )
         )
-    pres = RingPresentation(
-        str(data["name"]),
-        gens,
-        global_torsion=int(data.get("globalTorsion", 0)),  # type: ignore[arg-type]
-    )
-    rules = []
-    for r in data.get("rules", ()):  # type: ignore[attr-defined]
-        lhs = pres.monomial(dict(r["lhs"]))
-        rhs = tuple((int(c), pres.monomial(dict(m))) for c, m in r["rhs"])
-        rules.append(RewriteRule(lhs=lhs, rhs=rhs))
-    return RingPresentation(
-        str(data["name"]),
-        gens,
-        rules=rules,
-        global_torsion=int(data.get("globalTorsion", 0)),  # type: ignore[arg-type]
-    )
+    name = str(data["name"])
+    mono = RingPresentation(name, gens).monomial
+    rules = [
+        RewriteRule(mono(dict(r["lhs"])), tuple((int(c), mono(dict(m))) for c, m in r["rhs"]))
+        for r in data.get("rules", ())  # type: ignore[attr-defined]
+    ]
+    torsion = int(data.get("globalTorsion", 0))  # type: ignore[arg-type]
+    return RingPresentation(name, gens, rules=rules, global_torsion=torsion)
