@@ -224,16 +224,19 @@ class RingPresentation:
                 raise PresentationError("bad torsion or cap on %s" % g.name)
 
         # Given rules are a dict source, looked up here so that a bad one
-        # is refused at construction.
+        # is refused at construction; rule_source answers the rest.
         given: Dict[Monomial, RewriteRule] = {}
         for r in rules:
             if r.lhs in given:
-                raise PresentationError("two rules rewrite %s" % self.render_monomial(r.lhs))
+                raise PresentationError(
+                    "two rules rewrite %s" % self.render_monomial(r.lhs)
+                )
             given[r.lhs] = r
-        self._source = rule_source or given.get
         self._rules: Dict[Monomial, Optional[RewriteRule]] = {}
+        self._source = given.get
         for lhs in given:
             self._rule(lhs)
+        self._source = rule_source or given.get
 
         tails = [
             i
@@ -296,7 +299,7 @@ class RingPresentation:
 
     @property
     def rules(self) -> Tuple[RewriteRule, ...]:
-        """Every rule, in generator order: a cap violation before the pairs.
+        """Every rule, sorted by the first and then the last generator of its lhs.
 
         This asks the source about every violation the generators can
         form, so only serialization reads it; rewriting never does.
@@ -727,9 +730,9 @@ def presentation_from_dict(data: Dict[str, object]) -> RingPresentation:
         )
     name = str(data["name"])
     mono = RingPresentation(name, gens).monomial
-    rules = [
-        RewriteRule(mono(dict(r["lhs"])), tuple((int(c), mono(dict(m))) for c, m in r["rhs"]))
-        for r in data.get("rules", ())  # type: ignore[attr-defined]
-    ]
+    rules = []
+    for r in data.get("rules", ()):  # type: ignore[attr-defined]
+        rhs = tuple((int(c), mono(dict(m))) for c, m in r["rhs"])
+        rules.append(RewriteRule(lhs=mono(dict(r["lhs"])), rhs=rhs))
     torsion = int(data.get("globalTorsion", 0))  # type: ignore[arg-type]
     return RingPresentation(name, gens, rules=rules, global_torsion=torsion)

@@ -231,6 +231,33 @@ def test_rule_lhs_must_be_one_violation():
         RingPresentation("mini", gens, rules=[RewriteRule(ab, ()), RewriteRule(ab, ())])
 
 
+def test_rule_source_asked_once_per_violation():
+    gens = mini_gens()
+    pres = RingPresentation("mini", gens)
+    ab, a2, b2 = (pres.monomial(e) for e in ({"a": 1, "b": 1}, {"a": 2}, {"b": 2}))
+    uab = pres.monomial({"u": 1, "a": 1, "b": 1})
+    asked = []
+
+    def source(v):
+        asked.append(v)
+        return RewriteRule(ab, ()) if v == ab else None
+
+    pres = RingPresentation("mini", gens, rules=[RewriteRule(a2, ())], rule_source=source)
+    assert asked == []
+    assert pres.reduce({uab: 1}) == {} and pres.reduce({uab: 1}) == {}
+    assert pres.reduce({pres.monomial({"u": 1, "a": 2}): 1}) == {}
+    assert asked == [ab]
+    for _ in range(2):
+        with pytest.raises(PresentationError, match="beyond the materialized window"):
+            pres.reduce({b2: 1})
+    assert asked == [ab, b2]
+    assert pres.rules == (RewriteRule(a2, ()), RewriteRule(ab, ()))
+
+    wrong = RingPresentation("mini", gens, rule_source=lambda v: RewriteRule(uab, ()))
+    with pytest.raises(PresentationError, match="not exactly one"):
+        wrong.reduce({ab: 1})
+
+
 def test_rule_on_normal_lhs_refused():
     # u is uncapped and slot-free, so u^2 passes every cap and slot: a
     # rule rewriting it would make the enumerated basis disagree with
