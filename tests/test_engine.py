@@ -1,6 +1,8 @@
 """Page mechanics on the two base objects, against hand-computed values."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effss.assemble import infinity_coords
 from effss.charts import _project
@@ -13,10 +15,15 @@ from effss.engine import (
     page_shift,
     validate_schedule,
 )
-from effss.grading import TriDegree
+from effss.grading import TriDegree, el_iadd, mono_mul
+from effss.intlinalg import Mat
 from effss.objects import get_object
 
 SMALL = Window(s=(-2, 10), f=(0, 8), w=(-4, 8))
+FIBER_SMALL = Window(s=(-2, 8), f=(0, 4), w=(-4, 6))  # SMALL of tests/test_fiber.py
+
+#: each object on its small test box
+SMALL_BOXES = (("ko_C", SMALL), ("ko", SMALL), ("L", FIBER_SMALL), ("L_C", FIBER_SMALL))
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +199,74 @@ def test_dump_lines_format(koc):
         assert line.startswith("page 1 | ")
         parts = [p.strip() for p in line.split("|")]
         assert len(parts) == 5
+
+
+# -- d1 by tau orbits against derive on every monomial -----------------------
+
+
+def per_monomial_d1_matrices(ss):
+    """The d1 matrices with ``derive`` applied to every page 1 monomial.
+
+    This is the oracle for ``SliceSS._d1_matrices``, which expands each
+    tau-free part once and shifts the result along its tau orbit.
+    """
+    images = ss.obj.schedule.get(1, {})
+    shift = page_shift(1)
+    mats, unknown = {}, set()
+    for d, G in ss.pages[1].items():
+        vals = [derive(ss.pres, m, images) for m in G.monomials]
+        if not any(vals):
+            continue
+        tgt = d + shift
+        if not ss.box.contains(tgt):
+            unknown.add(d)
+            continue
+        T = ss.pages[1].get(tgt)
+        if T is None:
+            raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
+        mats[d] = Mat.from_cols([T.coords(ss.pres, v) for v in vals], len(T.orders))
+    return mats, unknown
+
+
+@pytest.mark.parametrize("name,window", SMALL_BOXES)
+def test_d1_matrices_match_per_monomial_oracle(name, window):
+    ss = SliceSS(get_object(name, window), window)
+    mats, unknown = ss._d1_matrices()
+    want, want_unknown = per_monomial_d1_matrices(ss)
+    assert want and mats.keys() == want.keys()
+    for d, M in want.items():
+        assert (mats[d].m, mats[d].n, mats[d].rows) == (M.m, M.n, M.rows), d
+    assert unknown == want_unknown
+
+
+@pytest.fixture(scope="module")
+def tau_free_parts():
+    """(object, the tau-free page 1 monomials of its small box) per object."""
+    out = []
+    for name, window in SMALL_BOXES:
+        obj = get_object(name, window)
+        tail = obj.pres.tail
+        monos = obj.pres.basis_window(window.s, window.f, window.w).values()
+        parts = sorted({m for ms in monos for m in ms if all(g != tail for g, _ in m)})
+        out.append((obj, parts))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tau_shift_identity(tau_free_parts, data):
+    """d1(tau^e X) = tau^e d1(X) + e tau^(e-1) d1(tau) X for tau-free normal X."""
+    obj, parts = data.draw(st.sampled_from(tau_free_parts))
+    X = data.draw(st.sampled_from(parts))
+    e = data.draw(st.integers(0, 6))
+    pres, images, t = obj.pres, obj.schedule[1], obj.pres.tail
+
+    def tau(k):
+        return ((t, k),) if k else ()
+
+    m = mono_mul(tau(e), X)
+    assert pres.is_normal(m) and pres.order_of(m) == pres.order_of(X)
+    want = pres.multiply({tau(e): 1}, derive(pres, X, images))
+    if e:
+        el_iadd(want, pres.multiply({mono_mul(tau(e - 1), X): 1}, images.get(t) or {}), e)
+    assert derive(pres, m, images) == pres.reduce(want)
