@@ -249,8 +249,16 @@ class RingPresentation:
                 % [self.generators[i].name for i in tails]
             )
         self._tail: Optional[int] = tails[0] if tails else None
-        if self._tail is not None and self.generators[self._tail].degree.w >= 0:
-            raise PresentationError("pure-weight generator must lower the weight")
+        if self._tail is not None:
+            t = self.generators[self._tail]
+            if t.degree.w >= 0:
+                raise PresentationError("pure-weight generator must lower the weight")
+            # so multiplying by it keeps a monomial normal, keeps its order
+            # and commutes with rewriting, which the d1 build relies on
+            if t.cap is not None or t.slots or t.torsion:
+                raise PresentationError(
+                    "pure-weight generator %s must be free, with no cap or slot" % t.name
+                )
 
         # Search levels for basis_window.  A maximal run of consecutive
         # generators sharing a slot admits at most one of its members, so
@@ -294,7 +302,10 @@ class RingPresentation:
 
     @property
     def tail(self) -> Optional[int]:
-        """Index of the pure-weight (tau power) generator, if there is one."""
+        """Index of the pure-weight (tau power) generator, if there is one.
+
+        It is free and has no cap or slot, which the constructor checks.
+        """
         return self._tail
 
     @property
@@ -504,7 +515,6 @@ class RingPresentation:
         reach = self._reach
         tail = self._tail
         tail_w = -gens[tail].degree.w if tail is not None else 0
-        tail_cap = gens[tail].cap if tail is not None else None
         out: Dict[TriDegree, List[Monomial]] = {}
 
         def leaf(parts: List[Tuple[int, int]], s: int, f: int, w: int) -> None:
@@ -520,8 +530,6 @@ class RingPresentation:
             hi = (w - w0) // tail_w
             if lo < 0:
                 lo = 0
-            if tail_cap is not None and hi > tail_cap:
-                hi = tail_cap
             cut = bisect_left(m, (tail, 0))
             for e in range(lo, hi + 1):
                 mm = m[:cut] + ((tail, e),) + m[cut:] if e else m

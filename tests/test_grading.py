@@ -286,6 +286,19 @@ def test_single_tail_generator_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "tail",
+    [
+        GeneratorSpec("t", TriDegree(0, 0, -1), cap=3),
+        GeneratorSpec("t", TriDegree(0, 0, -1), slots=("x",)),
+        GeneratorSpec("t", TriDegree(0, 0, -1), torsion=2),
+    ],
+)
+def test_tail_generator_must_be_free_and_unbounded(tail):
+    with pytest.raises(PresentationError, match="must be free"):
+        RingPresentation("bad", [tail, GeneratorSpec("x", TriDegree(1, 1, 1))])
+
+
 def test_random_products_associative_and_reduced():
     ko = make_ko()
     rng = random.Random(11)
