@@ -25,6 +25,7 @@ effects are visible instead of silent.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -353,13 +354,58 @@ class SliceSS:
         return self.diffs[r]
 
     def _d1_matrices(self) -> Tuple[Dict[TriDegree, Mat], Set[TriDegree]]:
+        """d1 at every page 1 degree, one Leibniz expansion per tau orbit.
+
+        Write a page 1 monomial as tau^e X with X tau-free.  Since tau is
+        free and has no cap or slot, tau^e X is normal with the order of
+        X, and rewriting commutes with multiplying by tau.  So
+
+            d1(tau^e X) = tau^e d1(X) + e tau^(e-1) d1(tau) X
+
+        holds exactly once each coefficient is reduced modulo the order of
+        its monomial, and ``derive`` runs once per X rather than once per
+        monomial.
+        """
         images = self.obj.schedule.get(1, {})
         shift = page_shift(1)
         mats: Dict[TriDegree, Mat] = {}
         unknown: Set[TriDegree] = set()
         pres = self.pres
+        t = -1 if pres.tail is None else pres.tail  # -1 matches no generator
+        d1_tau = images.get(t)
+
+        def split(m: Monomial) -> Tuple[Monomial, int, Monomial]:
+            """(a, k, b) with m = a * tau^k * b, tau sorting between a and b."""
+            i = bisect_left(m, (t, 0))
+            if i < len(m) and m[i][0] == t:
+                return m[:i], m[i][1], m[i + 1 :]
+            return m[:i], 0, m[i:]
+
+        # X -> d1(X) and d1(tau) X, split at tau, with the latter's orders
+        orbits: Dict[Monomial, Tuple[list, list]] = {}
+
+        def d1(m: Monomial) -> Element:
+            pre, e, post = split(m)
+            X = pre + post
+            if X not in orbits:
+                dX = derive(pres, X, images)
+                dtX = pres.multiply_monomial(X, d1_tau) if d1_tau else {}
+                orbits[X] = (
+                    [split(mm) + (c,) for mm, c in dX.items()],
+                    [split(mm) + (c, pres.order_of(mm)) for mm, c in dtX.items()],
+                )
+            dX, dtX = orbits[X]
+            val = {a + ((t, k + e),) + b if k + e else a + b: c for a, k, b, c in dX}
+            for a, k, b, c, o in dtX if e else ():
+                mm = a + ((t, k + e - 1),) + b if k + e > 1 else a + b
+                c = val.pop(mm, 0) + e * c
+                c = c % o if o else c
+                if c:
+                    val[mm] = c
+            return val
+
         for d, G in self.pages[1].items():
-            vals = [derive(pres, m, images) for m in G.monomials]
+            vals = [d1(m) for m in G.monomials]
             if not any(vals):
                 continue
             tgt = d + shift
