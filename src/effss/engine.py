@@ -116,9 +116,12 @@ class Certified:
         return (d for d in self.box.degrees() if d not in self.uncertified)
 
 
-@dataclass
+@dataclass(eq=False)
 class ObjectSpec:
-    """Everything the engine needs to run one object's spectral sequence."""
+    """Everything the engine needs to run one object's spectral sequence.
+
+    Specs compare and hash by identity, so per-object memos can key on them.
+    """
 
     name: str
     pres: RingPresentation

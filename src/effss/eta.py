@@ -30,6 +30,7 @@ localization commutes with every differential.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -313,21 +314,31 @@ def eta_image_table(obj) -> Dict[int, EtaElement]:
     return table
 
 
+#: object -> {monomial: its image}; a memo lives as long as its object
+_LOCALIZED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def localize(obj, e: Element) -> EtaElement:
     """Image of a tri-graded element under inverting h1.
 
     Generator-wise substitution with h1 powers dropped; coefficients
-    are read mod 2 since the target is an F_2 vector space.
+    are read mod 2 since the target is an F_2 vector space.  Each
+    monomial's image is kept per object, as generator indices mean
+    different things on different objects.
     """
     table = eta_image_table(obj)
+    memo = _LOCALIZED.setdefault(obj, {})
     out: set = set()
     for mono, c in e.items():
         if c % 2 == 0:
             continue
-        acc = ETA_UNIT
-        for g, exp in mono:
-            acc = eta_el_mul(acc, eta_el_pow(table[g], exp))
-        out ^= acc
+        img = memo.get(mono)
+        if img is None:
+            img = ETA_UNIT
+            for g, exp in mono:
+                img = eta_el_mul(img, eta_el_pow(table[g], exp))
+            memo[mono] = img
+        out ^= img
     return frozenset(out)
 
 

@@ -90,6 +90,16 @@ def test_generator_images_frozen(L):
     }
 
 
+def test_localize_keeps_one_memo_per_object(L):
+    # generator 0 is rho on L and tau on L_C, and 1 is tau2 and h1
+    LC = build_fiber_object(load_data("L_C"), Window(s=(-2, 16), f=(0, 6), w=(-4, 9)), r_max=3)
+    m = ((0, 2), (1, 1))
+    on_L, on_LC = localize(L, {m: 1}), localize(LC, {m: 1})
+    assert on_L == parse_eta("rho^2*tau^2 + rho^4*v2")
+    assert on_LC == parse_eta("tau^2")
+    assert localize(L, {m: 3}) == on_L and localize(LC, {m: 1}) == on_LC
+
+
 def test_eta_image_survives_presentation_dump(ko):
     out = spec_to_dict(ko)
     assert out["etaImage"]["tau2"] == [[0, 2, 1, 0], [2, 0, 0, 0]]
