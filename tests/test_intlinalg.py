@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effss.intlinalg import (
     F2Homology,
@@ -211,43 +213,68 @@ def test_f2_homology_basic():
         H.project([0, 0, 1])
 
 
+def check_f2_matches_generic(n, out, n_bounds, pick):
+    """F2Homology against homology on one complex of order 2 classes.
+
+    ``out`` is the outgoing map; the ``n_bounds`` boundaries and ten test
+    cycles are sums ``pick(zmasks)`` of the mod 2 cycle basis, so both
+    sides accept them.
+    """
+    mt = out.m
+    out_cols = [sum((out.rows[i][j] & 1) << i for i in range(mt)) for j in range(n)]
+    zmasks = F2Homology(n, [], out_cols)._gens_masks
+
+    def cycle():
+        m = pick(zmasks)
+        return [1 if m & (1 << i) else 0 for i in range(n)]
+
+    cols = [cycle() for _ in range(n_bounds)]
+    fast = F2Homology(n, [sum((c[i] & 1) << i for i in range(n)) for c in cols], out_cols)
+    slow = homology(Mat.from_cols(cols, n), out, [2] * len(cols), [2] * n, [2] * mt)
+    assert len(fast.orders) == len(slow.orders)
+    assert all(o == 2 for o in slow.orders)
+    # same subgroup: vanishing of projections must agree on random cycles
+    for _ in range(10):
+        x = cycle()
+        assert (fast.project(x) == [0] * len(fast.orders)) == (
+            slow.project(x) == [0] * len(slow.orders)
+        )
+
+
 def test_f2_homology_matches_generic():
     rng = random.Random(17)
+
+    def pick(zmasks):
+        m = 0
+        for z in zmasks:
+            if rng.random() < 0.5:
+                m ^= z
+        return m
+
     for _ in range(50):
         n = rng.randint(1, 6)
         mt = rng.randint(0, 3)
         out = Mat([[rng.randint(0, 1) for _ in range(n)] for _ in range(mt)], mt, n)
-        out_cols = [
-            sum((out.rows[i][j] & 1) << i for i in range(mt)) for j in range(n)
-        ]
-        # choose boundaries inside the mod 2 kernel so both sides accept them
-        probe = F2Homology(n, [], out_cols)
-        zmasks = probe._gens_masks
-        cols = []
-        for _ in range(rng.randint(0, 3)):
-            m = 0
-            for z in zmasks:
-                if rng.random() < 0.5:
-                    m ^= z
-            cols.append([1 if m & (1 << i) else 0 for i in range(n)])
-        fast = F2Homology(
-            n, [sum((c[i] & 1) << i for i in range(n)) for c in cols], out_cols
-        )
-        slow = homology(
-            Mat.from_cols(cols, n), out, [2] * len(cols), [2] * n, [2] * mt
-        )
-        assert len(fast.orders) == len(slow.orders)
-        assert all(o == 2 for o in slow.orders)
-        # same subgroup: vanishing of projections must agree on random cycles
-        for _ in range(10):
-            m = 0
-            for z in zmasks:
-                if rng.random() < 0.5:
-                    m ^= z
-            x = [1 if m & (1 << i) else 0 for i in range(n)]
-            assert (fast.project(x) == [0] * len(fast.orders)) == (
-                slow.project(x) == [0] * len(slow.orders)
-            )
+        check_f2_matches_generic(n, out, rng.randint(0, 3), pick)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_f2_homology_matches_generic_property(data):
+    n = data.draw(st.integers(1, 8))
+    mt = data.draw(st.integers(0, 4))
+    out = Mat(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                 min_size=mt, max_size=mt)), mt, n)
+
+    def pick(zmasks):
+        bits = data.draw(st.lists(st.booleans(), min_size=len(zmasks), max_size=len(zmasks)))
+        m = 0
+        for z, b in zip(zmasks, bits):
+            if b:
+                m ^= z
+        return m
+
+    check_f2_matches_generic(n, out, data.draw(st.integers(0, 4)), pick)
 
 
 def test_random_complexes_sanity():
