@@ -2,10 +2,12 @@
 
 The first page of each object is the graded algebra described by its
 presentation.  The d_1 differential is given on generators and extended as a
-derivation; higher differentials, where an object has them, follow a coweight
-pattern: on page r exactly the non-image classes whose coweight has 2-adic
-valuation r - 1 support a differential, and the value is the generator of the
-target group, which the pattern requires to be a single Z/2.
+derivation, once per tau orbit: tau is free with no cap or slot, so
+d1(tau^e X) = tau^e d1(X) + e tau^(e-1) d1(tau) X exactly for tau-free X.
+Higher differentials, where an object has them, follow a coweight pattern: on
+page r exactly the non-image classes whose coweight has 2-adic valuation
+r - 1 support a differential, and the value is the generator of the target
+group, which the pattern requires to be a single Z/2.
 
 Differentials lower the stem by one, raise the filtration by 2r + 1 and
 preserve the weight.
@@ -116,12 +118,9 @@ class Certified:
         return (d for d in self.box.degrees() if d not in self.uncertified)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False)  # hashed by identity, so per-object memos can key on it
 class ObjectSpec:
-    """Everything the engine needs to run one object's spectral sequence.
-
-    Specs compare and hash by identity, so per-object memos can key on them.
-    """
+    """Everything the engine needs to run one object's spectral sequence."""
 
     name: str
     pres: RingPresentation
@@ -359,15 +358,10 @@ class SliceSS:
     def _d1_matrices(self) -> Tuple[Dict[TriDegree, Mat], Set[TriDegree]]:
         """d1 at every page 1 degree, one Leibniz expansion per tau orbit.
 
-        Write a page 1 monomial as tau^e X with X tau-free.  Since tau is
-        free and has no cap or slot, tau^e X is normal with the order of
-        X, and rewriting commutes with multiplying by tau.  So
-
-            d1(tau^e X) = tau^e d1(X) + e tau^(e-1) d1(tau) X
-
-        holds exactly once each coefficient is reduced modulo the order of
-        its monomial, and ``derive`` runs once per X rather than once per
-        monomial.
+        tau is free with no cap or slot, so multiplying by it keeps a monomial
+        normal, keeps its order and commutes with rewriting.  Hence for tau-free
+        X, d1(tau^e X) = tau^e d1(X) + e tau^(e-1) d1(tau) X, exactly once each
+        coefficient is reduced modulo the order of its monomial.
         """
         images = self.obj.schedule.get(1, {})
         shift = page_shift(1)
@@ -375,32 +369,26 @@ class SliceSS:
         unknown: Set[TriDegree] = set()
         pres = self.pres
         t = -1 if pres.tail is None else pres.tail  # -1 matches no generator
-        d1_tau = images.get(t)
+        orbits: Dict[Monomial, Tuple[list, list]] = {}  # X -> d1(X), d1(tau) X
 
         def split(m: Monomial) -> Tuple[Monomial, int, Monomial]:
-            """(a, k, b) with m = a * tau^k * b, tau sorting between a and b."""
-            i = bisect_left(m, (t, 0))
-            if i < len(m) and m[i][0] == t:
-                return m[:i], m[i][1], m[i + 1 :]
-            return m[:i], 0, m[i:]
-
-        # X -> d1(X) and d1(tau) X, split at tau, with the latter's orders
-        orbits: Dict[Monomial, Tuple[list, list]] = {}
+            i = bisect_left(m, (t, 0))  # m = m[:i] * tau^k * the rest
+            k = m[i][1] if i < len(m) and m[i][0] == t else 0
+            return m[:i], k, m[i + 1 if k else i :]
 
         def d1(m: Monomial) -> Element:
-            pre, e, post = split(m)
-            X = pre + post
+            a, e, b = split(m)
+            X = a + b
             if X not in orbits:
-                dX = derive(pres, X, images)
-                dtX = pres.multiply_monomial(X, d1_tau) if d1_tau else {}
+                dtX = pres.multiply_monomial(X, images[t]) if images.get(t) else {}
                 orbits[X] = (
-                    [split(mm) + (c,) for mm, c in dX.items()],
+                    [split(mm) + (c,) for mm, c in derive(pres, X, images).items()],
                     [split(mm) + (c, pres.order_of(mm)) for mm, c in dtX.items()],
                 )
             dX, dtX = orbits[X]
-            val = {a + ((t, k + e),) + b if k + e else a + b: c for a, k, b, c in dX}
-            for a, k, b, c, o in dtX if e else ():
-                mm = a + ((t, k + e - 1),) + b if k + e > 1 else a + b
+            val = {p + ((t, k + e),) + q if k + e else p + q: c for p, k, q, c in dX}
+            for p, k, q, c, o in dtX if e else ():
+                mm = p + ((t, k + e - 1),) + q if k + e > 1 else p + q
                 c = val.pop(mm, 0) + e * c
                 c = c % o if o else c
                 if c:

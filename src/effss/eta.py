@@ -322,9 +322,9 @@ def localize(obj, e: Element) -> EtaElement:
     """Image of a tri-graded element under inverting h1.
 
     Generator-wise substitution with h1 powers dropped; coefficients
-    are read mod 2 since the target is an F_2 vector space.  Each
-    monomial's image is kept per object, as generator indices mean
-    different things on different objects.
+    are read mod 2 since the target is an F_2 vector space.  Monomial
+    images are memoized per object: indices mean different generators
+    on different objects.
     """
     table = eta_image_table(obj)
     memo = _LOCALIZED.setdefault(obj, {})

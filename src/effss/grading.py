@@ -249,16 +249,14 @@ class RingPresentation:
                 % [self.generators[i].name for i in tails]
             )
         self._tail: Optional[int] = tails[0] if tails else None
-        if self._tail is not None:
-            t = self.generators[self._tail]
-            if t.degree.w >= 0:
-                raise PresentationError("pure-weight generator must lower the weight")
-            # so multiplying by it keeps a monomial normal, keeps its order
-            # and commutes with rewriting, which the d1 build relies on
-            if t.cap is not None or t.slots or t.torsion:
-                raise PresentationError(
-                    "pure-weight generator %s must be free, with no cap or slot" % t.name
-                )
+        t = self.generators[self._tail] if tails else None
+        # multiplying by the tail then keeps a monomial normal and its order,
+        # and commutes with rewriting, which the d1 build relies on
+        if t is not None and (t.degree.w >= 0 or t.torsion or t.cap is not None or t.slots):
+            raise PresentationError(
+                "pure-weight generator %s must lower the weight and be free, "
+                "with no cap or slot" % t.name
+            )
 
         # Search levels for basis_window.  A maximal run of consecutive
         # generators sharing a slot admits at most one of its members, so
@@ -302,10 +300,7 @@ class RingPresentation:
 
     @property
     def tail(self) -> Optional[int]:
-        """Index of the pure-weight (tau power) generator, if there is one.
-
-        It is free and has no cap or slot, which the constructor checks.
-        """
+        """Index of the pure-weight (tau power) generator, if there is one."""
         return self._tail
 
     @property

@@ -295,7 +295,7 @@ def test_single_tail_generator_enforced():
     ],
 )
 def test_tail_generator_must_be_free_and_unbounded(tail):
-    with pytest.raises(PresentationError, match="must be free"):
+    with pytest.raises(PresentationError, match="be free, with no cap or slot"):
         RingPresentation("bad", [tail, GeneratorSpec("x", TriDegree(1, 1, 1))])
 
 
