@@ -37,8 +37,7 @@ def test_entry_pairs_runs_and_takes_medians(tmp_path):
     parent.append(write(tmp_path, "pt.json", record("a", 4.0, trace=True)))
     change.append(write(tmp_path, "ct.json", record("b", 2.0, trace=True, failed=1)))
     out = tmp_path / "BENCH.json"
-    assert bench_entry.main(["--out", str(out), "--benchmark", str(ROOT / "BENCHMARK.json"),
-                             "--parent", *parent, "--change", *change]) == 0
+    assert bench_entry.main(["--out", str(out), "--parent", *parent, "--change", *change]) == 0
     got = json.loads(out.read_text())
     assert got["context"]["parent"]["commit"] == "a" and got["context"]["change"]["commit"] == "b"
     wl = got["workloads"]["L-default"]
@@ -54,11 +53,10 @@ def test_entry_pairs_runs_and_takes_medians(tmp_path):
 
 def test_entry_refuses_mixed_contexts_and_flags_digests(tmp_path):
     out = str(tmp_path / "BENCH.json")
-    bench = str(ROOT / "BENCHMARK.json")
     p = write(tmp_path, "p.json", record("a", 4.0))
     with pytest.raises(SystemExit):
-        bench_entry.main(["--out", out, "--benchmark", bench, "--parent", p,
+        bench_entry.main(["--out", out, "--parent", p,
                           write(tmp_path, "q.json", record("z", 4.0)), "--change", p])
     c = write(tmp_path, "c.json", record("b", 3.0, digest="other"))
-    bench_entry.main(["--out", out, "--benchmark", bench, "--parent", p, "--change", c])
+    bench_entry.main(["--out", out, "--parent", p, "--change", c])
     assert not json.loads(Path(out).read_text())["workloads"]["L-default"]["jobs"]["digests_equal"]

@@ -20,8 +20,8 @@ For each workload the entry holds:
   digest of every repetition equals the parent's.
 
 ``context`` gives each side's cores, Python version, commit and source
-sha256.  Records of one side must agree on all four; the script exits 2
-when they do not.  Only the standard library is used.
+sha256.  Records of one side must agree on all four; the script exits
+with an error when they do not.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ import statistics
 import sys
 
 CONTEXT_KEYS = ("cores", "cores_usable", "python", "commit", "source_sha256")
+#: metric units, directions and bounds
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 
 
 def spread(samples):
@@ -106,11 +108,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--parent", nargs="+", required=True, metavar="RUN.json")
     ap.add_argument("--change", nargs="+", required=True, metavar="RUN.json")
-    ap.add_argument("--benchmark", default="BENCHMARK.json",
-                    help="metric list with units and bounds (default: %(default)s)")
     args = ap.parse_args(argv)
 
-    with open(args.benchmark, encoding="utf-8") as fh:
+    with open(BENCHMARK, encoding="utf-8") as fh:
         bench = json.load(fh)
     sides = {}
     for side in ("parent", "change"):
