@@ -1,4 +1,5 @@
-"""Page mechanics on the two base objects, against hand-computed values."""
+"""Page mechanics on the two base objects, against hand-computed values,
+and the d1 build on all four objects against derive on every monomial."""
 
 import pytest
 from hypothesis import given, settings
