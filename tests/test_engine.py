@@ -17,7 +17,7 @@ from effss.engine import (
     validate_schedule,
 )
 from effss.grading import TriDegree, el_iadd, mono_mul
-from effss.intlinalg import Mat
+from effss.intlinalg import Mat, homology
 from effss.objects import get_object
 
 SMALL = Window(s=(-2, 10), f=(0, 8), w=(-4, 8))
@@ -225,8 +225,16 @@ def per_monomial_d1_matrices(ss):
         T = ss.pages[1].get(tgt)
         if T is None:
             raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
-        mats[d] = Mat.from_cols([T.coords(ss.pres, v) for v in vals], len(T.orders))
+        mats[d] = Mat.from_cols([dense_coords(T, v) for v in vals], len(T.orders))
     return mats, unknown
+
+
+def dense_coords(T, e):
+    """Coordinates of a reduced element over the page 1 basis group T."""
+    vec = [0] * len(T.orders)
+    for m, c in e.items():
+        vec[T.monomials.index(m)] = c
+    return vec
 
 
 @pytest.mark.parametrize("name,window", SMALL_BOXES)
@@ -238,6 +246,39 @@ def test_d1_matrices_match_per_monomial_oracle(name, window):
     for d, M in want.items():
         assert (mats[d].m, mats[d].n, mats[d].rows) == (M.m, M.n, M.rows), d
     assert unknown == want_unknown
+
+
+@pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("ko", "L")])
+def test_page2_matches_generic_homology_on_oracle_blocks(name, window):
+    """Route agreement for the first page turn: at every certified degree
+    that d1 touches, generic ``homology`` on the oracle's dense blocks,
+    restricted to each part of the image splitting, gives the orders the
+    engine reports on page 2 for that part."""
+    ss = SliceSS(get_object(name, window), window).run(2)
+    mats, _unknown = per_monomial_d1_matrices(ss)
+    shift = page_shift(1)
+    checked = 0
+    for d, G in ss.pages[1].items():
+        Min, Mout = mats.get(d - shift), mats.get(d)
+        if (Min is None and Mout is None) or d not in ss.valid[2]:
+            continue
+        src = ss.pages[1].get(d - shift)
+        tgt = ss.pages[1].get(d + shift)
+        H2 = ss.group(2, d)
+        for p in set(G.parts):
+            idx = [i for i, q in enumerate(G.parts) if q == p]
+            d_in = Min or Mat.zeros(len(G.orders), 0)
+            d_out = Mout or Mat.zeros(0, len(G.orders))
+            H = homology(
+                Mat([d_in.rows[i] for i in idx], len(idx), d_in.n),
+                Mat([[row[j] for j in idx] for row in d_out.rows], d_out.m, len(idx)),
+                src.orders if Min else [],
+                [G.orders[i] for i in idx],
+                tgt.orders if Mout else [],
+            )
+            assert H.orders == [o for o, q in zip(H2.orders, H2.parts) if q == p], (d, p)
+        checked += 1
+    assert checked > 50
 
 
 @pytest.fixture(scope="module")

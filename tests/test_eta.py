@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effss.engine import SliceSS, Window
 from effss.eta import (
@@ -30,6 +32,11 @@ def L():
     # wide enough in s to hold rv12 and tau2^4 * rv12
     w = Window(s=(-2, 26), f=(0, 8), w=(-8, 14))
     return build_fiber_object(load_data("L"), w, r_max=3)
+
+
+@pytest.fixture(scope="module")
+def LC():
+    return build_fiber_object(load_data("L_C"), Window(s=(-2, 16), f=(0, 6), w=(-4, 9)), r_max=3)
 
 
 @pytest.fixture(scope="module")
@@ -90,14 +97,37 @@ def test_generator_images_frozen(L):
     }
 
 
-def test_localize_keeps_one_memo_per_object(L):
+def test_localize_keeps_one_memo_per_object(L, LC):
     # generator 0 is rho on L and tau on L_C, and 1 is tau2 and h1
-    LC = build_fiber_object(load_data("L_C"), Window(s=(-2, 16), f=(0, 6), w=(-4, 9)), r_max=3)
     m = ((0, 2), (1, 1))
     on_L, on_LC = localize(L, {m: 1}), localize(LC, {m: 1})
     assert on_L == parse_eta("rho^2*tau^2 + rho^4*v2")
     assert on_LC == parse_eta("tau^2")
     assert localize(L, {m: 3}) == on_L and localize(LC, {m: 1}) == on_LC
+
+
+@pytest.fixture(scope="module")
+def fiber_page1(L, LC):
+    """(object, its page 1 monomials on a small box) for L and L_C."""
+    out = []
+    for obj in (L, LC):
+        monos = obj.pres.basis_window((-2, 16), (0, 6), (-4, 9)).values()
+        out.append((obj, sorted({m for ms in monos for m in ms})))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_memoized_image_is_the_product_of_generator_powers(fiber_page1, data):
+    """localize, memo hit or miss, against eta_el_pow of each generator image."""
+    obj, monos = data.draw(st.sampled_from(fiber_page1))
+    m = data.draw(st.sampled_from(monos))
+    table = obj.meta["etaImage"]
+    want = ETA_UNIT
+    for g, exp in m:
+        want = eta_el_mul(want, eta_el_pow(table[g], exp))
+    assert localize(obj, {m: 1}) == want
+    assert localize(obj, {m: 1}) == want
 
 
 def test_eta_image_survives_presentation_dump(ko):

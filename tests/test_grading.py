@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from effss.engine import Window
 from effss.grading import (
     MONE,
     GeneratorSpec,
@@ -16,6 +19,7 @@ from effss.grading import (
     mono_mul,
     presentation_from_dict,
 )
+from effss.objects import get_object
 
 
 def make_ko():
@@ -374,3 +378,42 @@ def test_inhomogeneous_element_detected():
         ko.degree_of_element(e)
     assert ko.degree_of_element({}) is None
     assert ko.degree_of_element({ko.monomial({"v2": 1}): 1}) == TriDegree(4, 0, 2)
+
+
+# -- the monomial sort key against the dense exponent vector -----------------
+
+
+def dense_mono_key(pres, m):
+    """The full exponent vector of m, one entry per generator: the oracle
+    for ``RingPresentation.mono_key``."""
+    key = [0] * len(pres.generators)
+    for g, e in m:
+        key[g] = e
+    return tuple(key)
+
+
+@pytest.fixture(scope="module")
+def page1_monomials():
+    """(presentation, its page 1 monomials on a small box) per object."""
+    small = Window(s=(-2, 10), f=(0, 8), w=(-4, 8))
+    fiber_small = Window(s=(-2, 8), f=(0, 4), w=(-4, 6))
+    out = []
+    for name, w in (("ko_C", small), ("ko", small), ("L", fiber_small), ("L_C", fiber_small)):
+        pres = get_object(name, w).pres
+        monos = pres.basis_window(w.s, w.f, w.w).values()
+        out.append((pres, sorted({m for ms in monos for m in ms})))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mono_key_orders_like_the_dense_exponent_vector(page1_monomials, data):
+    pres, monos = data.draw(st.sampled_from(page1_monomials))
+    picked = data.draw(st.lists(st.sampled_from(monos), min_size=2, max_size=8, unique=True))
+    a, b = picked[:2]
+    key, dense = pres.mono_key, lambda m: dense_mono_key(pres, m)
+    assert (key(a) < key(b), key(a) == key(b)) == (dense(a) < dense(b), dense(a) == dense(b))
+    assert sorted(picked, key=key) == sorted(picked, key=dense)
+    e = {m: data.draw(st.integers(1, 7)) for m in picked}
+    want = " + ".join(pres.render_term(e[m], m) for m in sorted(e, key=dense))
+    assert pres.render(e) == want
