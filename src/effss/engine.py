@@ -13,7 +13,10 @@ Differentials lower the stem by one, raise the filtration by 2r + 1 and
 preserve the weight.
 
 Page turning is integer homology, done blockwise over the image/non-image
-splitting so that every summand of every page stays on one side of it.  A
+splitting so that every summand of every page stays on one side of it.
+Differential blocks are sparse columns (``ColMat``) from the moment they are
+built, and a turn reads only their nonzero entries; a block whose part is
+all order 2, almost every block, goes to the bitset ``F2Homology``.  A
 group is either a page 1 basis or such a homology group; a group that no
 differential touches is carried to the next page as the same object.  A
 window is widened internally to a box and a certified region is tracked page
@@ -40,9 +43,9 @@ from .grading import (
     el_iadd,
 )
 from .intlinalg import (
+    ColMat,
     F2Homology,
     LinearAlgebraError,
-    Mat,
     homology,
     two_adic_valuation,
 )
@@ -234,26 +237,27 @@ class PageGroup:
             self._mono_index = {m: i for i, m in enumerate(self.monomials)}
         return self._mono_index
 
-    def coords(self, pres: RingPresentation, e: Element) -> List[int]:
-        """Coordinates of a reduced element over a page 1 basis group."""
+    def coords(self, pres: RingPresentation, e: Element) -> Dict[int, int]:
+        """Sparse coordinates {index: coefficient} of a reduced element over
+        a page 1 basis group."""
         idx = self.mono_index()
-        vec = [0] * len(self.orders)
-        for m, c in e.items():
-            i = idx.get(m)
-            if i is None:
-                raise EngineError(
-                    "element %s not supported on the window basis at %s"
-                    % (pres.render(e), self.degree)
-                )
-            vec[i] = c
-        return vec
+        try:
+            return {idx[m]: c for m, c in e.items()}
+        except KeyError:
+            raise EngineError(
+                "element %s not supported on the window basis at %s"
+                % (pres.render(e), self.degree)
+            ) from None
 
     def project_element(self, pres: RingPresentation, e: Element) -> List[int]:
         """Coefficients of a page 1 element over this page's summands."""
         if self.prev is None:
             if self.monomials is None:  # died on an earlier page
                 return []
-            return self.coords(pres, pres.reduce(e))
+            vec = [0] * len(self.orders)
+            for i, c in self.coords(pres, pres.reduce(e)).items():
+                vec[i] = c
+            return vec
         vec = self.prev.project_element(pres, e)
         out: List[int] = []
         for _part, idx, H in self.blocks:
@@ -262,33 +266,31 @@ class PageGroup:
 
 
 def _f2_out_cols(
-    rows: Sequence[Sequence[int]], col_idx: Sequence[int], tgt_orders: Sequence[int]
+    cols: Sequence[Dict[int, int]], col_idx: Sequence[int], tgt_orders: Sequence[int]
 ) -> List[int]:
-    """Translate outgoing matrix columns col_idx into bit masks over the target.
+    """Translate outgoing sparse columns col_idx into bit masks over the target.
 
     A map from an order 2 class into Z/o factors through the order 2
     subgroup, so each entry must be 0 or o/2 modulo o; into a free class it
     must vanish.
     """
-    cols = []
+    masks = []
     for j in col_idx:
         mask = 0
-        for i, o in enumerate(tgt_orders):
-            e = rows[i][j]
+        for i, e in cols[j].items():
+            o = tgt_orders[i]
             if o == 0:
-                if e:
-                    raise LinearAlgebraError(
-                        "order 2 class maps nontrivially to a free class"
-                    )
-                continue
+                raise LinearAlgebraError(
+                    "order 2 class maps nontrivially to a free class"
+                )
             em = e % o
             if em == 0:
                 continue
             if o % 2 or em != o // 2:
                 raise LinearAlgebraError("map from order 2 class is ill defined")
             mask |= 1 << i
-        cols.append(mask)
-    return cols
+        masks.append(mask)
+    return masks
 
 
 class SliceSS:
@@ -321,7 +323,7 @@ class SliceSS:
             first[d] = PageGroup.basis(obj, d, monos)
         self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: first}
         self.valid: Dict[int, Certified] = {1: Certified(self.box)}
-        self.diffs: Dict[int, Dict[TriDegree, Mat]] = {}  # nonzero d_r only
+        self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
         self._ran_to = 1
 
@@ -346,7 +348,7 @@ class SliceSS:
             return False
         return "cokernel" in g.parts
 
-    def _ensure_diffs(self, r: int) -> Dict[TriDegree, Mat]:
+    def _ensure_diffs(self, r: int) -> Dict[TriDegree, ColMat]:
         if r not in self.diffs:
             if r > self._ran_to:
                 raise EngineError("page %d has not been reached yet" % r)
@@ -355,7 +357,7 @@ class SliceSS:
             self.unknown_out[r] = unknown
         return self.diffs[r]
 
-    def _d1_matrices(self) -> Tuple[Dict[TriDegree, Mat], Set[TriDegree]]:
+    def _d1_matrices(self) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
         """d1 at every page 1 degree, one Leibniz expansion per tau orbit.
 
         tau is free with no cap or slot, so multiplying by it keeps a monomial
@@ -365,7 +367,7 @@ class SliceSS:
         """
         images = self.obj.schedule.get(1, {})
         shift = page_shift(1)
-        mats: Dict[TriDegree, Mat] = {}
+        mats: Dict[TriDegree, ColMat] = {}
         unknown: Set[TriDegree] = set()
         pres = self.pres
         t = -1 if pres.tail is None else pres.tail  # -1 matches no generator
@@ -406,13 +408,12 @@ class SliceSS:
             T = self.pages[1].get(tgt)
             if T is None:
                 raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
-            cols = [T.coords(pres, v) for v in vals]
-            mats[d] = Mat.from_cols(cols, len(T.orders))
+            mats[d] = ColMat([T.coords(pres, v) for v in vals], len(T.orders))
         return mats, unknown
 
-    def _pattern_matrices(self, r: int) -> Tuple[Dict[TriDegree, Mat], Set[TriDegree]]:
+    def _pattern_matrices(self, r: int) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
         shift = page_shift(r)
-        mats: Dict[TriDegree, Mat] = {}
+        mats: Dict[TriDegree, ColMat] = {}
         unknown: Set[TriDegree] = set()
         if not self.obj.has_pattern:
             return mats, unknown
@@ -436,8 +437,7 @@ class SliceSS:
                     )
                 unknown.add(d)
                 continue
-            cols = [[1 if p == "cokernel" else 0] for p in G.parts]
-            mats[d] = Mat.from_cols(cols, 1)
+            mats[d] = ColMat([{0: 1} if p == "cokernel" else {} for p in G.parts], 1)
         return mats, unknown
 
     def _turn(self, r: int) -> None:
@@ -489,25 +489,28 @@ class SliceSS:
     def _turn_group(
         self,
         G: PageGroup,
-        Min: Optional[Mat],
+        Min: Optional[ColMat],
         srcG: Optional[PageGroup],
-        Mout: Optional[Mat],
+        Mout: Optional[ColMat],
         tgtG: Optional[PageGroup],
     ) -> PageGroup:
-        n = len(G.orders)
-        in_cols = Min.cols() if Min is not None else []
+        in_cols = Min.cols if Min is not None else []
         src_orders = srcG.orders if in_cols else []
-        out_rows = Mout.rows if Mout is not None else []
-        tgt_orders = tgtG.orders if out_rows else []
+        out_cols = Mout.cols if Mout is not None else [{}] * len(G.orders)
+        tgt_orders = tgtG.orders if Mout is not None else []
 
+        # the summands of each part, and each summand's place in its part
         part_idx: Dict[str, List[int]] = {}
+        pos: List[int] = []
         for i, p in enumerate(G.parts):
-            part_idx.setdefault(p, []).append(i)
+            idx = part_idx.setdefault(p, [])
+            pos.append(len(idx))
+            idx.append(i)
 
         # incoming columns must live in a single part each
-        in_by_part: Dict[str, List[Tuple[List[int], int]]] = {p: [] for p in part_idx}
+        in_by_part: Dict[str, List[Tuple[Dict[int, int], int]]] = {p: [] for p in part_idx}
         for col, o in zip(in_cols, src_orders):
-            touched = {G.parts[i] for i in range(n) if col[i]}
+            touched = {G.parts[i] for i in col}
             if not touched:
                 continue
             if len(touched) > 1:
@@ -518,8 +521,7 @@ class SliceSS:
 
         # outgoing blocks may not share target rows
         rows_used = {
-            p: {i for i, row in enumerate(out_rows) if any(row[j] for j in idx)}
-            for p, idx in part_idx.items()
+            p: set().union(*(out_cols[j] for j in idx)) for p, idx in part_idx.items()
         }
         parts_present = [p for p in PART_ORDER if p in part_idx]
         for a in range(len(parts_present)):
@@ -543,27 +545,26 @@ class SliceSS:
                 masks = []
                 for col, _o in cols_p:
                     mask = 0
-                    for k, i in enumerate(idx):
-                        if col[i] & 1:
-                            mask |= 1 << k
+                    for i, c in col.items():
+                        if c & 1:
+                            mask |= 1 << pos[i]
                     masks.append(mask)
-                H = F2Homology(len(idx), masks, _f2_out_cols(out_rows, idx, tgt_orders))
+                H = F2Homology(len(idx), masks, _f2_out_cols(out_cols, idx, tgt_orders))
             else:
-                d_in = Mat.from_cols([[col[i] for i in idx] for col, _o in cols_p], len(idx))
-                d_out = Mat([[row[j] for j in idx] for row in out_rows], len(out_rows), len(idx))
+                d_in = ColMat([{pos[i]: c for i, c in col.items()} for col, _o in cols_p], len(idx))
                 H = homology(
-                    d_in,
-                    d_out,
+                    d_in.dense(),
+                    ColMat([out_cols[j] for j in idx], len(tgt_orders)).dense(),
                     [o for _c, o in cols_p],
                     sub_orders,
                     tgt_orders,
                 )
             blocks.append((p, tuple(idx), H))
-            for k, o in enumerate(H.orders):
+            for o, gen in zip(H.orders, H.gens):
                 orders.append(o)
                 parts.append(p)
                 acc: Element = {}
-                for j, c in enumerate(H.gens[k]):
+                for j, c in enumerate(gen):
                     if c:
                         el_iadd(acc, G.lift(idx[j]), c)
                 lifts.append(pres.reduce(acc))
@@ -610,10 +611,8 @@ class SliceSS:
             return {}
         T = self.pages[r].get(d + page_shift(r))
         acc: Element = {}
-        for k in range(M.m):
-            c = M.rows[k][i]
-            if c:
-                el_iadd(acc, T.lift(k), c)
+        for k, c in M.cols[i].items():
+            el_iadd(acc, T.lift(k), c)
         return self.pres.reduce(acc)
 
     def summands(self, r: int, user_only: bool = True) -> Iterator[Tuple[TriDegree, int, int, Element, str]]:

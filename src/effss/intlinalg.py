@@ -10,14 +10,14 @@ in invariant-factor form together with explicit generator vectors and a
 projection map, so that classes on the next page can be expressed in the old
 coordinates and old classes can be pushed forward.
 
-Everything here is plain Python integers.  Matrices are dense lists of rows;
-the blocks that show up in practice are small (a handful of monomials per
-tri-degree), so no effort is spent on sparsity.
+Everything here is plain Python integers.  ``Mat`` is a dense list of rows,
+which the Smith form works on.  Differential blocks are ``ColMat``: sparse
+columns, since on the fibers only about a tenth of their cells are nonzero.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .grading import EffssError
 
@@ -69,9 +69,6 @@ class Mat:
     def col(self, j: int) -> List[int]:
         return [self.rows[i][j] for i in range(self.m)]
 
-    def cols(self) -> List[List[int]]:
-        return [self.col(j) for j in range(self.n)]
-
     def hstack(self, other: "Mat") -> "Mat":
         if self.m != other.m:
             raise LinearAlgebraError("hstack shape mismatch")
@@ -113,6 +110,28 @@ class Mat:
 
     def __repr__(self) -> str:
         return "Mat(%r)" % (self.rows,)
+
+
+class ColMat:
+    """A sparse m x n integer matrix: cols[j] maps a row to its nonzero
+    entry.  The Smith form routines work on the ``dense`` copy."""
+
+    __slots__ = ("m", "n", "cols")
+
+    def __init__(self, cols: List[Dict[int, int]], m: int):
+        self.cols = cols
+        self.m = m
+        self.n = len(cols)
+
+    def is_zero(self) -> bool:
+        return not any(self.cols)
+
+    def dense(self) -> Mat:
+        rows = [[0] * self.n for _ in range(self.m)]
+        for j, col in enumerate(self.cols):
+            for i, c in col.items():
+                rows[i][j] = c
+        return Mat(rows, self.m, self.n)
 
 
 def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat]:
@@ -357,68 +376,72 @@ class Homology:
 class F2Homology:
     """Same interface as Homology, specialized to all-order-2 ambient groups.
 
-    Bit masks over the ambient coordinates stand in for vectors, so kernel,
-    image and quotient are a handful of xor reductions per class.  This is
-    the path almost every tri-degree takes: any monomial carrying a torsion
-    letter is killed by 2, so away from the bottom filtration rows the
-    groups are elementary abelian.
+    Int bitsets stand in for vectors and for sets of generator indices, so
+    kernel, image and quotient are a handful of xor reductions per class.
+    Each pivot row of the cycle span holds its ambient mask in the low n
+    bits and the generators it stands for above them.  The long-lived state
+    is ints in tuples and an int-keyed dict, which the cyclic garbage
+    collector does not track.  This is the path almost every tri-degree
+    takes: any monomial carrying a torsion letter is killed by 2, so away
+    from the bottom filtration rows the groups are elementary abelian.
     """
+
+    __slots__ = ("ambient_rank", "_out_cols", "_piv", "_gens_masks")
 
     def __init__(self, n: int, in_masks: Sequence[int], out_cols: Sequence[int]):
         self.ambient_rank = n
-        self._out_cols = list(out_cols)
+        self._out_cols = tuple(out_cols)
         if len(self._out_cols) != n:
             raise LinearAlgebraError("need one outgoing column per coordinate")
 
-        # reduced span of Z = ker(out), as pivot -> (mask, generator index set)
-        self._piv: dict = {}
-        gens_masks: List[int] = []
-
-        def insert(mask: int, coeffs: frozenset, as_gen: bool) -> None:
-            m, c = mask, coeffs
-            while m:
-                low = m & -m
-                hit = self._piv.get(low)
-                if hit is None:
-                    if as_gen:
-                        k = len(gens_masks)
-                        gens_masks.append(m)
-                        self._piv[low] = (m, frozenset([k]))
-                    else:
-                        self._piv[low] = (m, c)
-                    return
-                m ^= hit[0]
-                c = c ^ hit[1]
-            # reduced to zero: dependent, nothing to record
-
+        # reduced span of Z = ker(out), as lowest ambient bit -> augmented row
+        self._piv: Dict[int, int] = {}
         for b in in_masks:
             if self._cycle_defect(b):
                 raise LinearAlgebraError("boundary is not a cycle")
-            insert(b, frozenset(), as_gen=False)
+            m = self._reduce(b)
+            if m:
+                self._piv[m & -m] = m
 
         # kernel of the outgoing map, found by reducing the value columns
-        vp: dict = {}
-        for i in range(n):
-            v = self._out_cols[i]
+        gens_masks: List[int] = []
+        vp: Dict[int, Tuple[int, int]] = {}
+        for i, v in enumerate(self._out_cols):
             c = 1 << i
-            placed = False
             while v:
-                low = v & -v
-                hit = vp.get(low)
+                hit = vp.get(v & -v)
                 if hit is None:
-                    vp[low] = (v, c)
-                    placed = True
+                    vp[v & -v] = (v, c)
                     break
                 v ^= hit[0]
                 c ^= hit[1]
-            if not placed and not v:
-                insert(c, frozenset(), as_gen=True)
+            else:
+                m = self._reduce(c) & ((1 << n) - 1)
+                if m:  # a new class, standing for itself alone
+                    self._piv[m & -m] = m | 1 << (n + len(gens_masks))
+                    gens_masks.append(m)
+        self._gens_masks = tuple(gens_masks)
 
-        self._gens_masks = gens_masks
-        self.orders = [2] * len(gens_masks)
-        self.gens = [
-            [1 if g & (1 << i) else 0 for i in range(n)] for g in gens_masks
-        ]
+    @property
+    def orders(self) -> List[int]:
+        return [2] * len(self._gens_masks)
+
+    @property
+    def gens(self) -> List[List[int]]:
+        """One 0/1 coordinate vector per summand, computed on each read."""
+        n = self.ambient_rank
+        return [[g >> i & 1 for i in range(n)] for g in self._gens_masks]
+
+    def _reduce(self, row: int) -> int:
+        """Xor recorded rows into row until its ambient part is zero or
+        starts at a bit no row has as its pivot."""
+        ambient = (1 << self.ambient_rank) - 1
+        while row & ambient:
+            hit = self._piv.get(row & -row)
+            if hit is None:
+                break
+            row ^= hit
+        return row
 
     def _to_mask(self, x: Sequence[int]) -> int:
         if len(x) != self.ambient_rank:
@@ -446,15 +469,11 @@ class F2Homology:
         m = self._to_mask(x)
         if self._cycle_defect(m):
             raise LinearAlgebraError("vector is not a cycle")
-        coeffs: frozenset = frozenset()
-        while m:
-            low = m & -m
-            hit = self._piv.get(low)
-            if hit is None:
-                raise LinearAlgebraError("cycle outside the recorded span")
-            m ^= hit[0]
-            coeffs = coeffs ^ hit[1]
-        return [1 if k in coeffs else 0 for k in range(len(self.orders))]
+        n = self.ambient_rank
+        row = self._reduce(m)
+        if row & ((1 << n) - 1):
+            raise LinearAlgebraError("cycle outside the recorded span")
+        return [row >> (n + k) & 1 for k in range(len(self._gens_masks))]
 
 
 def homology(

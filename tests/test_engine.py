@@ -244,7 +244,8 @@ def test_d1_matrices_match_per_monomial_oracle(name, window):
     want, want_unknown = per_monomial_d1_matrices(ss)
     assert want and mats.keys() == want.keys()
     for d, M in want.items():
-        assert (mats[d].m, mats[d].n, mats[d].rows) == (M.m, M.n, M.rows), d
+        assert (mats[d].m, mats[d].n, mats[d].dense().rows) == (M.m, M.n, M.rows), d
+        assert all(all(col.values()) for col in mats[d].cols), d
     assert unknown == want_unknown
 
 

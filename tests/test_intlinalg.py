@@ -103,7 +103,7 @@ def test_kernel_basis():
     M = Mat([[1, 2, 3], [2, 4, 6]])
     K = kernel_basis(M)
     assert K.n == 2
-    for c in K.cols():
+    for c in (K.col(j) for j in range(K.n)):
         assert M.vec(c) == [0, 0]
     # both obvious kernel vectors lie in the lattice spanned by K
     for v in ([2, -1, 0], [3, 0, -1]):
@@ -124,9 +124,9 @@ def test_lattice_basis():
     B = lattice_basis(P)
     assert B.n == 2
     # span check in both directions
-    for c in P.cols():
+    for c in (P.col(j) for j in range(P.n)):
         assert solve(B, c) is not None
-    for c in B.cols():
+    for c in (B.col(j) for j in range(B.n)):
         assert solve(P, c) is not None
 
 
