@@ -323,8 +323,10 @@ def localize(obj, e: Element) -> EtaElement:
 
     Generator-wise substitution with h1 powers dropped; coefficients
     are read mod 2 since the target is an F_2 vector space.  Monomial
-    images are memoized per object: indices mean different generators
-    on different objects.
+    images are memoized per object, since indices mean different
+    generators on different objects.  A new monomial's image is the
+    product of the images of its generator powers, which live in the
+    same memo.
     """
     table = eta_image_table(obj)
     memo = _LOCALIZED.setdefault(obj, {})
@@ -335,8 +337,11 @@ def localize(obj, e: Element) -> EtaElement:
         img = memo.get(mono)
         if img is None:
             img = ETA_UNIT
-            for g, exp in mono:
-                img = eta_el_mul(img, eta_el_pow(table[g], exp))
+            for ge in mono:
+                power = memo.get((ge,))
+                if power is None:
+                    power = memo[(ge,)] = eta_el_pow(table[ge[0]], ge[1])
+                img = eta_el_mul(img, power)
             memo[mono] = img
         out ^= img
     return frozenset(out)
