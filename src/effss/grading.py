@@ -598,11 +598,9 @@ class RingPresentation:
     # -- printing and serialization ---------------------------------------
 
     def mono_key(self, m: Monomial):
-        """Dense exponent tuple, the canonical sort key for monomials."""
-        key = [0] * len(self.generators)
-        for g, e in m:
-            key[g] = e
-        return tuple(key)
+        """The canonical sort key: it orders monomials as their dense
+        exponent vectors do, as a lower generator outranks every higher one."""
+        return tuple([(-g, e) for g, e in m])
 
     def render_monomial(self, m: Monomial) -> str:
         if not m:
