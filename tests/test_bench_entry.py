@@ -60,3 +60,30 @@ def test_entry_refuses_mixed_contexts_and_flags_digests(tmp_path):
     c = write(tmp_path, "c.json", record("b", 3.0, digest="other"))
     bench_entry.main(["--out", out, "--parent", p, "--change", c])
     assert not json.loads(Path(out).read_text())["workloads"]["L-default"]["jobs"]["digests_equal"]
+
+
+def test_entry_records_tier1_and_verify_times(tmp_path):
+    p = write(tmp_path, "p.json", record("a", 4.0))
+    c = write(tmp_path, "c.json", record("b", 3.0))
+    logs = {
+        "p.log": "....s..\n218 passed, 1 skipped in 98.70s (0:01:38)\n",
+        "c.log": "== 1 failed, 217 passed, 1 skipped in 85.19s ==\n",
+        "p.txt": "PASS charts: 3 golden charts, 181 rows, byte-exact [13.5s]\n"
+                 "PASS eta-compare: 172436 summands commute [18.3s]\n",
+        "c.txt": "PASS charts: 3 golden charts, 181 rows, byte-exact [12.0s]\n"
+                 "FAIL eta-compare: over the 10s budget: took 11.0s [11.0s]\n",
+    }
+    for name, text in logs.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "BENCH.json"
+    bench_entry.main(["--out", str(out), "--parent", p, "--change", c,
+                      "--tier1", str(tmp_path / "p.log"), str(tmp_path / "c.log"),
+                      "--verify", str(tmp_path / "p.txt"), str(tmp_path / "c.txt")])
+    got = json.loads(out.read_text())
+    assert got["tier1"] == {"parent": {"summary": "218 passed, 1 skipped", "seconds": 98.7},
+                            "change": {"summary": "1 failed, 217 passed, 1 skipped", "seconds": 85.19}}
+    assert got["verify"] == {"charts": {"parent": 13.5, "change": 12.0, "passed": True},
+                             "eta-compare": {"parent": 18.3, "change": 11.0, "passed": False}}
+    with pytest.raises(SystemExit):
+        bench_entry.main(["--out", str(out), "--parent", p, "--change", c,
+                          "--verify", str(tmp_path / "p.log"), str(tmp_path / "c.txt")])

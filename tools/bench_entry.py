@@ -1,7 +1,8 @@
 """Write a BENCH_<n>.json entry from perfbench run records.
 
     python3 tools/bench_entry.py --out BENCH_7.json \
-        --parent RUN.json [RUN.json ...] --change RUN.json [RUN.json ...]
+        --parent RUN.json [RUN.json ...] --change RUN.json [RUN.json ...] \
+        [--tier1 PARENT.log CHANGE.log] [--verify PARENT.txt CHANGE.txt]
 
 Each RUN.json is a record that ``perfbench/run.py`` writes to
 ``.perfbench/<workload>-trace<k>.json``; copy it away after each run, as
@@ -19,6 +20,12 @@ For each workload the entry holds:
 * ``jobs``: attempted and failed jobs per side, and whether every output
   digest of every repetition equals the parent's.
 
+``--tier1`` takes the output of the tier-1 pytest run on each side and
+records its final summary (counts and wall seconds) under ``tier1``.
+``--verify`` takes the output of ``effss verify`` on each side and records
+each check's seconds, and whether it passed on both sides, under
+``verify``.
+
 ``context`` gives each side's cores, Python version, commit and source
 sha256.  Records of one side must agree on all four; the script exits
 with an error when they do not.  Only the standard library is used.
@@ -29,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import sys
 
@@ -103,11 +111,57 @@ def workload_entry(bench, parent, change):
     return entry
 
 
+#: pytest's final line, e.g. "218 passed, 1 skipped in 85.19s (0:01:25)"
+PYTEST_SUMMARY = re.compile(r"^=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([0-9.]+)s\b")
+#: one line of ``effss verify``, e.g. "PASS charts: 3 golden charts ... [3.6s]"
+VERIFY_LINE = re.compile(r"^(PASS|FAIL) ([\w-]+): .*\[([0-9.]+)s\]$")
+
+
+def tier1_summary(path):
+    """The last pytest summary line of a log, as counts and seconds."""
+    found = None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            m = PYTEST_SUMMARY.match(line.strip())
+            if m:
+                found = {"summary": m.group(1), "seconds": float(m.group(2))}
+    if found is None:
+        raise SystemExit("bench_entry: no pytest summary line in %s" % path)
+    return found
+
+
+def verify_checks(path):
+    """{check: (passed, seconds)} from the output of ``effss verify``."""
+    out = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            m = VERIFY_LINE.match(line.strip())
+            if m:
+                out[m.group(2)] = (m.group(1) == "PASS", float(m.group(3)))
+    if not out:
+        raise SystemExit("bench_entry: no verify check lines in %s" % path)
+    return out
+
+
+def verify_entry(parent_path, change_path):
+    sides = {"parent": verify_checks(parent_path), "change": verify_checks(change_path)}
+    entry = {}
+    for name in sorted(set(sides["parent"]) | set(sides["change"])):
+        row = {side: checks[name][1] for side, checks in sides.items() if name in checks}
+        row["passed"] = all(name in checks and checks[name][0] for checks in sides.values())
+        entry[name] = row
+    return entry
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True)
     ap.add_argument("--parent", nargs="+", required=True, metavar="RUN.json")
     ap.add_argument("--change", nargs="+", required=True, metavar="RUN.json")
+    ap.add_argument("--tier1", nargs=2, metavar=("PARENT.log", "CHANGE.log"),
+                    help="tier-1 pytest output of each side")
+    ap.add_argument("--verify", nargs=2, metavar=("PARENT.txt", "CHANGE.txt"),
+                    help="effss verify output of each side")
     args = ap.parse_args(argv)
 
     with open(BENCHMARK, encoding="utf-8") as fh:
@@ -128,6 +182,11 @@ def main(argv=None) -> int:
             bench,
             [r for r in sides["parent"] if r["workload"] == name],
             [r for r in sides["change"] if r["workload"] == name])
+    if args.tier1:
+        out["tier1"] = {side: tier1_summary(path)
+                        for side, path in zip(("parent", "change"), args.tier1)}
+    if args.verify:
+        out["verify"] = verify_entry(*args.verify)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
