@@ -552,9 +552,10 @@ class SliceSS:
                 H = F2Homology(len(idx), masks, _f2_out_cols(out_cols, idx, tgt_orders))
             else:
                 d_in = ColMat([{pos[i]: c for i, c in col.items()} for col, _o in cols_p], len(idx))
+                d_out = ColMat([out_cols[j] for j in idx], len(tgt_orders))
                 H = homology(
                     d_in.dense(),
-                    ColMat([out_cols[j] for j in idx], len(tgt_orders)).dense(),
+                    d_out.dense(),
                     [o for _c, o in cols_p],
                     sub_orders,
                     tgt_orders,
