@@ -239,7 +239,11 @@ def dense_coords(T, e):
     return vec
 
 
-@pytest.mark.parametrize("name,window", SMALL_BOXES)
+#: an L box reaching lower weights, where rho^2 and tau2 shift most blocks
+L_LOW = Window(s=(-6, 4), f=(0, 6), w=(-10, 2))
+
+
+@pytest.mark.parametrize("name,window", SMALL_BOXES + (("L", L_LOW),))
 def test_d1_matrices_match_per_monomial_oracle(name, window):
     ss = SliceSS(get_object(name, window), window)
     mats, unknown = ss._d1_matrices()
