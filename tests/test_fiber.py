@@ -364,6 +364,22 @@ def test_basis_window_matches_closed_form(L, L_tall, LC_thin):
         assert sum(len(v) for v in want.values()) > at_least
 
 
+def sub_range(data, lo, hi):
+    a, b = data.draw(st.integers(lo, hi)), data.draw(st.integers(lo, hi))
+    return min(a, b), max(a, b)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_basis_window_matches_closed_form_on_sub_boxes(L, LC, L_tall, LC_thin, data):
+    """The generic search against the closed form on random boxes inside
+    the cover each object was materialized for."""
+    obj = data.draw(st.sampled_from((L, LC, L_tall, LC_thin)))
+    c = obj.pres.cover
+    box = tuple(sub_range(data, lo, hi) for lo, hi in (c.s, c.f, c.w))
+    assert obj.pres.basis_window(*box) == closed_form_basis(obj, *box)
+
+
 def v_power(layout, m):
     """The v-power a fiber monomial carries in the base ring."""
     return layout.debase(m)[0].get(layout.b_v, 0)
