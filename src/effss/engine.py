@@ -2,8 +2,9 @@
 
 The first page of each object is the graded algebra described by its
 presentation.  The d_1 differential is given on generators and extended as a
-derivation, once per tau orbit: tau is free with no cap or slot, so
-d1(tau^e X) = tau^e d1(X) + e tau^(e-1) d1(tau) X exactly for tau-free X.
+derivation, once per orbit of the free generators (no cap, no slot): for a
+product S of them, d1(S X) = S d1(X) + sum over g in S of e_g (S/g) d1(g) X
+exactly, once each coefficient is reduced modulo its monomial's order.
 Higher differentials, where an object has them, follow a coweight pattern: on
 page r exactly the non-image classes whose coweight has 2-adic valuation
 r - 1 support a differential, and the value is the generator of the target
@@ -30,8 +31,8 @@ effects are visible instead of silent.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .grading import (
@@ -41,6 +42,8 @@ from .grading import (
     RingPresentation,
     TriDegree,
     el_iadd,
+    lam,
+    mono_div,
 )
 from .intlinalg import (
     ColMat,
@@ -49,6 +52,10 @@ from .intlinalg import (
     homology,
     two_adic_valuation,
 )
+
+
+#: coded d1 terms (code, coefficient, order), and the lcm of their orders
+Part = Tuple[List[Tuple[int, int, int]], int]
 
 
 class EngineError(EffssError):
@@ -358,57 +365,126 @@ class SliceSS:
         return self.diffs[r]
 
     def _d1_matrices(self) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
-        """d1 at every page 1 degree, one Leibniz expansion per tau orbit.
+        """d1 at every page 1 degree, one Leibniz expansion per orbit.
 
-        tau is free with no cap or slot, so multiplying by it keeps a monomial
-        normal, keeps its order and commutes with rewriting.  Hence for tau-free
-        X, d1(tau^e X) = tau^e d1(X) + e tau^(e-1) d1(tau) X, exactly once each
-        coefficient is reduced modulo the order of its monomial.
+        Each monomial splits as S X, where S is a product of the free
+        generators (no cap, no slot) and X holds the rest.  Multiplying by a
+        free generator keeps a monomial normal and commutes with rewriting;
+        only the order can shrink, to gcd(o(m), torsion).  Hence
+        d1(S X) = S d1(X) + sum over g in S of e_g (S/g) d1(g) X, exactly once
+        each coefficient is reduced modulo the order of its monomial, and
+        derive(X) and each d1(g) X are computed once per X.
+
+        Monomials are coded as ints: the id of X above the exponents of S,
+        packed in fields no exponent met here overflows, so multiplying by S
+        adds S's code.  Only d1 terms and the targets of nonzero columns are
+        coded.  Where the target lies outside the box, the first nonzero
+        column settles the degree.
         """
         images = self.obj.schedule.get(1, {})
         shift = page_shift(1)
         mats: Dict[TriDegree, ColMat] = {}
         unknown: Set[TriDegree] = set()
         pres = self.pres
-        t = -1 if pres.tail is None else pres.tail  # -1 matches no generator
-        orbits: Dict[Monomial, Tuple[list, list]] = {}  # X -> d1(X), d1(tau) X
+        gens = pres.generators
+        free = [g for g, spec in enumerate(gens) if spec.cap is None and not spec.slots]
+        # Each monomial coded below, and each sum of codes formed, has degree
+        # in the box or divides a monomial of degree d + shift for some d in
+        # the box, so its 2f + s - w is at most the box's top plus the shift's.
+        # Every generator has 2f + s - w >= 1, so that bounds each exponent,
+        # and no field carries.
+        box = self.box
+        width = (lam(TriDegree(box.s[1], box.f[1], box.w[0])) + max(lam(shift), 0)).bit_length()
+        unit = {g: 1 << k * width for k, g in enumerate(free)}
+        high = len(free) * width
+        moving = {g for g in free if images.get(g)}  # free generators with d1 != 0
+        ids: Dict[Monomial, int] = {}  # X -> its id
+        orbits: Dict[Monomial, Tuple[Part, Dict[int, Part]]] = {}  # X -> d1(X), {g: d1(g) X}
+        shifts: Dict[Monomial, Tuple[int, int, list]] = {}  # S -> by_shift(S)
 
-        def split(m: Monomial) -> Tuple[Monomial, int, Monomial]:
-            i = bisect_left(m, (t, 0))  # m = m[:i] * tau^k * the rest
-            k = m[i][1] if i < len(m) and m[i][0] == t else 0
-            return m[:i], k, m[i + 1 if k else i :]
+        def code(m: Monomial) -> int:
+            X = tuple([p for p in m if p[0] not in unit])
+            i = ids.get(X)
+            if i is None:
+                i = ids[X] = len(ids)
+            return (i << high) + sum([e * unit[g] for g, e in m if g in unit])
 
-        def d1(m: Monomial) -> Element:
-            a, e, b = split(m)
-            X = a + b
-            if X not in orbits:
-                dtX = pres.multiply_monomial(X, images[t]) if images.get(t) else {}
-                orbits[X] = (
-                    [split(mm) + (c,) for mm, c in derive(pres, X, images).items()],
-                    [split(mm) + (c, pres.order_of(mm)) for mm, c in dtX.items()],
-                )
-            dX, dtX = orbits[X]
-            val = {p + ((t, k + e),) + q if k + e else p + q: c for p, k, q, c in dX}
-            for p, k, q, c, o in dtX if e else ():
-                mm = p + ((t, k + e - 1),) + q if k + e > 1 else p + q
-                c = val.pop(mm, 0) + e * c
-                c = c % o if o else c
+        def coded(e: Element) -> Part:
+            terms = [(code(m), c, pres.order_of(m)) for m, c in e.items()]
+            o = 1  # the lcm of the orders, 0 when one is free
+            for _k, _c, ok in terms:
+                o = o * ok // gcd(o, ok)
+            return terms, o
+
+        def add(val: Dict[int, int], part: Part, sh: int, e: int, t: int) -> Dict[int, int]:
+            """val + e * (part shifted by sh), where sh is the code of a
+            monomial of order t; val may be updated in place."""
+            terms, o = part
+            if o:  # every order divides o
+                e %= o
+                if not e:
+                    return val
+            if not val and e == 1 and (not t or o and not t % o):
+                return {k + sh: c for k, c, _o in terms}
+            for k, c, ok in terms:
+                k += sh
+                ok = gcd(ok, t)
+                c = val.pop(k, 0) + e * c
+                c = c % ok if ok else c
                 if c:
-                    val[mm] = c
+                    val[k] = c
             return val
 
-        for d, G in self.pages[1].items():
+        def by_shift(S: Monomial) -> Tuple[int, int, list]:
+            """The code and order of S, and (g, the code of S/g, e_g, the order
+            of S/g) for each g in S with d1(g) != 0."""
+            s, o = sum([e * unit[g] for g, e in S]), pres.order_of(S)
+            moved = [
+                (g, s - unit[g], e, pres.order_of(mono_div(S, ((g, 1),))))
+                for g, e in S
+                if g in moving
+            ]
+            return s, o, moved
+
+        def d1(m: Monomial) -> Dict[int, int]:
+            """d1(m) as {code: nonzero coefficient}."""
+            X = tuple([p for p in m if p[0] not in unit])
+            orbit = orbits.get(X)
+            if orbit is None:
+                orbit = orbits[X] = (coded(derive(pres, X, images)), {})
+            dX, dgX = orbit
+            if not (dX[0] or moving):
+                return {}
+            S = tuple([p for p in m if p[0] in unit])
+            info = shifts.get(S)
+            if info is None:
+                info = shifts[S] = by_shift(S)
+            s, t, moved = info
+            if not dX[0] and not moved:
+                return {}
+            val = add({}, dX, s, 1, t)
+            for g, sh, e, tg in moved:
+                if g not in dgX:
+                    dgX[g] = coded(pres.multiply_monomial(X, images[g]))
+                val = add(val, dgX[g], sh, e, tg)
+            return val
+
+        pages = self.pages[1]
+        into_box = Window(*((lo - x, hi - x) for (lo, hi), x in zip((box.s, box.f, box.w), shift)))
+        for d, G in pages.items():
+            if not into_box.contains(d):  # one nonzero column settles d
+                if any(map(d1, G.monomials)):
+                    unknown.add(d)
+                continue
             vals = [d1(m) for m in G.monomials]
             if not any(vals):
                 continue
             tgt = d + shift
-            if not self.box.contains(tgt):
-                unknown.add(d)
-                continue
-            T = self.pages[1].get(tgt)
+            T = pages.get(tgt)
             if T is None:
                 raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
-            mats[d] = ColMat([T.coords(pres, v) for v in vals], len(T.orders))
+            row = {code(m): i for i, m in enumerate(T.monomials)}
+            mats[d] = ColMat([{row[k]: c for k, c in v.items()} for v in vals], len(T.orders))
         return mats, unknown
 
     def _pattern_matrices(self, r: int) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:

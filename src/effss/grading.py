@@ -250,8 +250,9 @@ class RingPresentation:
             )
         self._tail: Optional[int] = tails[0] if tails else None
         t = self.generators[self._tail] if tails else None
-        # multiplying by the tail then keeps a monomial normal and its order,
-        # and commutes with rewriting, which the d1 build relies on
+        # basis_window emits every power of the tail in range at its leaves,
+        # which needs a weight-lowering tail with no cap or slot; it is the
+        # free tau tower on every shipped object
         if t is not None and (t.degree.w >= 0 or t.torsion or t.cap is not None or t.slots):
             raise PresentationError(
                 "pure-weight generator %s must lower the weight and be free, "

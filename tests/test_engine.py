@@ -12,13 +12,14 @@ from effss.charts import _project
 from effss.engine import (
     EngineError,
     NotCertifiedError,
+    ObjectSpec,
     SliceSS,
     Window,
     derive,
     page_shift,
     validate_schedule,
 )
-from effss.grading import TriDegree, el_iadd, mono_mul
+from effss.grading import GeneratorSpec, RingPresentation, TriDegree, el_iadd, mono_mul
 from effss.intlinalg import Mat, homology
 from effss.objects import get_object
 
@@ -204,14 +205,17 @@ def test_dump_lines_format(koc):
         assert len(parts) == 5
 
 
-# -- d1 by tau orbits against derive on every monomial -----------------------
+# -- d1 by orbits against derive on every monomial ---------------------------
 
 
 def per_monomial_d1_matrices(ss):
     """The d1 matrices with ``derive`` applied to every page 1 monomial.
 
     This is the oracle for ``SliceSS._d1_matrices``, which expands each
-    tau-free part once and shifts the result along its tau orbit.
+    part X free of the free generators once and shifts the result along
+    the orbit of products S X.  Both compute d1 in full at degrees whose
+    target leaves the box, where the engine stops at the first nonzero
+    column, so the ``unknown`` sets must agree too.
     """
     images = ss.obj.schedule.get(1, {})
     shift = page_shift(1)
@@ -253,6 +257,26 @@ def test_d1_matrices_match_per_monomial_oracle(name, window):
         assert (mats[d].m, mats[d].n, mats[d].dense().rows) == (M.m, M.n, M.rows), d
         assert all(all(col.values()) for col in mats[d].cols), d
     assert unknown == want_unknown
+
+
+def test_d1_orders_shrink_by_a_free_generator():
+    """x is free with torsion 3 and d1(y) = z has order 2, so d1 vanishes on
+    every x^a y^b z^c with a > 0: a column of S X is reduced modulo the order
+    of its monomials, which S can lower."""
+    pres = RingPresentation("toy", [
+        GeneratorSpec("x", TriDegree(4, 0, 2), torsion=3),
+        GeneratorSpec("y", TriDegree(4, 0, 2)),
+        GeneratorSpec("z", TriDegree(3, 3, 2), torsion=2),
+    ])
+    obj = ObjectSpec("toy", pres, schedule={1: {pres.gen("y"): {pres.monomial({"z": 1}): 1}}})
+    ss = SliceSS(obj, Window(s=(0, 16), f=(0, 6), w=(0, 10)), r_max=2)
+    mats, unknown = ss._d1_matrices()
+    want, want_unknown = per_monomial_d1_matrices(ss)
+    assert want and mats.keys() == want.keys() and unknown == want_unknown
+    for d, M in want.items():
+        assert mats[d].dense().rows == M.rows, d
+    x = pres.gen("x")
+    assert any(x in dict(m) for d in mats for m in ss.pages[1][d].monomials)
 
 
 @pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("ko", "L")])
