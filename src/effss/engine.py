@@ -54,8 +54,8 @@ from .intlinalg import (
 )
 
 
-#: coded d1 terms (code, coefficient, order), and the lcm of their orders
-Part = Tuple[List[Tuple[int, int, int]], int]
+#: coded d1 terms (code, coefficient, order)
+Part = List[Tuple[int, int, int]]
 
 
 class EngineError(EffssError):
@@ -386,8 +386,7 @@ class SliceSS:
         mats: Dict[TriDegree, ColMat] = {}
         unknown: Set[TriDegree] = set()
         pres = self.pres
-        gens = pres.generators
-        free = [g for g, spec in enumerate(gens) if spec.cap is None and not spec.slots]
+        free = [g for g, spec in enumerate(pres.generators) if spec.cap is None and not spec.slots]
         # Each monomial coded below, and each sum of codes formed, has degree
         # in the box or divides a monomial of degree d + shift for some d in
         # the box, so its 2f + s - w is at most the box's top plus the shift's.
@@ -410,30 +409,18 @@ class SliceSS:
             return (i << high) + sum([e * unit[g] for g, e in m if g in unit])
 
         def coded(e: Element) -> Part:
-            terms = [(code(m), c, pres.order_of(m)) for m, c in e.items()]
-            o = 1  # the lcm of the orders, 0 when one is free
-            for _k, _c, ok in terms:
-                o = o * ok // gcd(o, ok)
-            return terms, o
+            return [(code(m), c, pres.order_of(m)) for m, c in e.items()]
 
-        def add(val: Dict[int, int], part: Part, sh: int, e: int, t: int) -> Dict[int, int]:
-            """val + e * (part shifted by sh), where sh is the code of a
-            monomial of order t; val may be updated in place."""
-            terms, o = part
-            if o:  # every order divides o
-                e %= o
-                if not e:
-                    return val
-            if not val and e == 1 and (not t or o and not t % o):
-                return {k + sh: c for k, c, _o in terms}
-            for k, c, ok in terms:
+        def add(val: Dict[int, int], part: Part, sh: int, e: int, t: int) -> None:
+            """val += e * (part shifted by sh), where sh is the code of a
+            monomial of order t."""
+            for k, c, o in part:
                 k += sh
-                ok = gcd(ok, t)
+                o = gcd(o, t)
                 c = val.pop(k, 0) + e * c
-                c = c % ok if ok else c
+                c = c % o if o else c
                 if c:
                     val[k] = c
-            return val
 
         def by_shift(S: Monomial) -> Tuple[int, int, list]:
             """The code and order of S, and (g, the code of S/g, e_g, the order
@@ -453,20 +440,19 @@ class SliceSS:
             if orbit is None:
                 orbit = orbits[X] = (coded(derive(pres, X, images)), {})
             dX, dgX = orbit
-            if not (dX[0] or moving):
+            if not (dX or moving):
                 return {}
             S = tuple([p for p in m if p[0] in unit])
             info = shifts.get(S)
             if info is None:
                 info = shifts[S] = by_shift(S)
             s, t, moved = info
-            if not dX[0] and not moved:
-                return {}
-            val = add({}, dX, s, 1, t)
+            val: Dict[int, int] = {}
+            add(val, dX, s, 1, t)
             for g, sh, e, tg in moved:
                 if g not in dgX:
                     dgX[g] = coded(pres.multiply_monomial(X, images[g]))
-                val = add(val, dgX[g], sh, e, tg)
+                add(val, dgX[g], sh, e, tg)
             return val
 
         pages = self.pages[1]
