@@ -213,9 +213,9 @@ def per_monomial_d1_matrices(ss):
 
     This is the oracle for ``SliceSS._d1_matrices``, which expands each
     part X free of the free generators once and shifts the result along
-    the orbit of products S X.  Both compute d1 in full at degrees whose
+    the orbit of products S X.  It computes d1 in full at degrees whose
     target leaves the box, where the engine stops at the first nonzero
-    column, so the ``unknown`` sets must agree too.
+    column, so the ``unknown`` sets are compared too.
     """
     images = ss.obj.schedule.get(1, {})
     shift = page_shift(1)
@@ -335,8 +335,8 @@ def test_free_shift_identity(page1_monomials, data):
     """d1(g^e X) = g^e d1(X) + e g^(e-1) d1(g) X for every free generator g
     and normal X, and g^e X is normal of order gcd(o(X), torsion(g)).
 
-    rho has torsion 2, and its exponents are drawn from 2 on, so that the
-    order of a free X shrinks and 2 g d1(g) X must vanish."""
+    rho has torsion 2, and its exponents are drawn from 2 on, so that g^e X
+    has a smaller order than X whenever X is free."""
     obj, monos = data.draw(st.sampled_from(page1_monomials))
     pres, images = obj.pres, obj.schedule[1]
     g = data.draw(st.sampled_from(free_generators(pres)))
