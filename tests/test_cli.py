@@ -15,7 +15,8 @@ import sys
 import pytest
 
 from effss.cli import UsageError, _parse_range, cli
-from effss.objects import spec_from_dict, spec_to_dict
+from effss.engine import Certified, NotCertifiedError, SliceSS, Window
+from effss.objects import get_object, spec_from_dict, spec_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +209,66 @@ def test_python_dash_m_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["name"] == "ko_C"
+
+
+
+# -- compute against the degree-by-degree reading ------------------------------
+
+#: (object, window) per object, on small windows
+COMPUTE_CASES = (
+    ("ko_C", Window(s=(0, 8), f=(0, 6), w=(-4, 8))),
+    ("ko", Window(s=(0, 8), f=(0, 6), w=(-4, 8))),
+    ("L", Window(s=(-2, 8), f=(0, 4), w=(-4, 6))),
+    ("L_C", Window(s=(-2, 8), f=(0, 4), w=(-4, 6))),
+)
+
+
+def punch(ss):
+    """Uncertify the user degrees of the window's second stem on every page,
+    so that the dump has degrees to skip."""
+    band = {d for d in ss.window.degrees() if d.s == ss.window.s[0] + 1}
+    for r, valid in ss.valid.items():
+        ss.valid[r] = Certified(valid.box, valid.uncertified | band)
+
+
+def compute_oracle(name, window, punched):
+    """The ``compute --pages 1..inf`` dump read degree by degree: every degree
+    of the user window, through ``group`` and ``infinity``, skipping the
+    ones that are not certified."""
+    ss = SliceSS(get_object(name, window=window), window).run()
+    if punched:
+        punch(ss)
+    lines = ["# object %s, window s %d..%d f %d..%d w %d..%d"
+             % (name, *window.s, *window.f, *window.w)]
+    for r in list(range(1, ss.r_max + 1)) + ["inf"]:
+        lines.append("page %s" % r)
+        for d in window.degrees():
+            try:
+                G = ss.infinity(d) if r == "inf" else ss.group(r, d)
+            except NotCertifiedError:
+                continue
+            if not G.orders:
+                continue
+            orders = " + ".join("Z" if o == 0 else "Z/%d" % o for o in G.orders)
+            labels = ", ".join(ss.pres.render(G.lift(i)) for i in range(len(G.orders)))
+            lines.append("  (%d,%d,%d)  %s  %s" % (d.s, d.f, d.w, orders, labels))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("punched", [False, True], ids=["certified", "punched"])
+@pytest.mark.parametrize("name,window", COMPUTE_CASES, ids=[c[0] for c in COMPUTE_CASES])
+def test_compute_matches_the_degree_by_degree_reading(capsys, monkeypatch, name, window, punched):
+    if punched:
+        class Punched(SliceSS):
+            def run(self, r_to=None):
+                super().run(r_to)
+                punch(self)
+                return self
+
+        monkeypatch.setattr("effss.cli.SliceSS", Punched)
+    flags = ["--stems=%d..%d" % window.s, "--filtrations=%d..%d" % window.f,
+             "--weights=%d..%d" % window.w]
+    code, out, _ = run_cli(capsys, "compute", "--object", name, "--pages", "1..inf", *flags)
+    assert code == 0
+    want = compute_oracle(name, window, punched)
+    assert out == want and want.count("\n  (") > 20

@@ -20,7 +20,7 @@ from effss.engine import (
     validate_schedule,
 )
 from effss.grading import GeneratorSpec, RingPresentation, TriDegree, el_iadd, mono_mul
-from effss.intlinalg import Mat, homology
+from effss.intlinalg import ColMat, LinearAlgebraError, Mat, homology
 from effss.objects import get_object
 
 SMALL = Window(s=(-2, 10), f=(0, 8), w=(-4, 8))
@@ -354,3 +354,112 @@ def test_free_shift_identity(page1_monomials, data):
     if e:
         el_iadd(want, pres.multiply({mono_mul(power(e - 1), X): 1}, images.get(g) or {}), e)
     assert derive(pres, m, images) == pres.reduce(want)
+
+
+# -- lifts and differential values against the rewriting route --------------
+
+
+@pytest.fixture(scope="module")
+def small_runs():
+    return [SliceSS(get_object(name, window), window).run() for name, window in SMALL_BOXES]
+
+
+def test_lifts_are_normal_and_values_match_the_rewriting_route(small_runs):
+    """Every lift of every page is a normal element with reduced
+    coefficients, and d_r of each summand equals ``reduce`` applied to the
+    sum of its target's lifts, the route the engine took before it summed
+    lifts by their coefficients alone."""
+    for ss in small_runs:
+        pres, nonzero = ss.pres, 0
+        for r, page in ss.pages.items():
+            shift = page_shift(r)
+            mats = ss.diffs.get(r, {}) if r < ss.r_max else {}
+            for d, G in page.items():
+                M, T = mats.get(d), page.get(d + shift)
+                for i in range(len(G)):
+                    lift = G.lift(i)
+                    assert pres.reduce(lift) == lift, (ss.obj.name, r, d, i)
+                    if r == ss.r_max:
+                        continue
+                    want: dict = {}
+                    for k, c in (M.cols[i].items() if M is not None else ()):
+                        el_iadd(want, T.lift(k), c)
+                    want = pres.reduce(want)
+                    assert ss.differential_value(r, d, i) == want, (r, d, i)
+                    nonzero += bool(want)
+        assert nonzero, ss.obj.name
+
+
+# -- refusals of the page turn, on hand-built blocks -------------------------
+
+#: where the toy's generators sit: A, and its d1 target A + page_shift(1)
+TOY_A, TOY_T = TriDegree(4, 0, 2), TriDegree(3, 3, 2)
+
+
+@pytest.fixture(scope="module")
+def toy():
+    """Page 1 of a toy with a (cokernel) and b (image) of order 2 at A, and
+    t, u (image), z and q of orders 2, 2, 0 and 4 at A + page_shift(1).
+    Every product leaves the window's single weight, so each degree holds
+    its generators alone.  Returns the run and each generator's row."""
+    gens = [("a", TOY_A, 2), ("b", TOY_A, 2), ("t", TOY_T, 2), ("u", TOY_T, 2),
+            ("z", TOY_T, 0), ("q", TOY_T, 4)]
+    pres = RingPresentation("toy", [GeneratorSpec(n, d, torsion=o) for n, d, o in gens])
+    obj = ObjectSpec("toy", pres, image_gens=frozenset({pres.gen("b"), pres.gen("u")}))
+    ss = SliceSS(obj, Window(s=(0, 4), f=(0, 3), w=(2, 2)), r_max=2)
+    row = {}
+    for d in (TOY_A, TOY_T):
+        for i, m in enumerate(ss.pages[1][d].monomials):
+            row[pres.gen_name(m[0][0])] = i
+    assert len(row) == len(gens)
+    return ss, row
+
+
+def toy_block(ss, row, values):
+    """The d1 block at A: values maps a or b to {target name: coefficient}."""
+    G = ss.pages[1][TOY_A]
+    cols = [{} for _ in G.monomials]
+    for src, val in values.items():
+        cols[row[src]] = {row[t]: c for t, c in val.items()}
+    return ColMat(cols, len(ss.pages[1][TOY_T]))
+
+
+def turn_out(ss, row, values):
+    """Turn the group at A under the outgoing block given by values."""
+    page = ss.pages[1]
+    return ss._turn_group(page[TOY_A], None, None, toy_block(ss, row, values), page[TOY_T])
+
+
+def turn_in(ss, row, values):
+    """Turn the group at A + page_shift(1) under the incoming block."""
+    page = ss.pages[1]
+    return ss._turn_group(page[TOY_T], toy_block(ss, row, values), page[TOY_A], None, None)
+
+
+def test_turn_refuses_an_incoming_column_across_the_splitting(toy):
+    ss, row = toy
+    # t and u are hit, z and q survive
+    assert turn_in(ss, row, {"a": {"t": 1}, "b": {"u": 1}}).orders == [4, 0]
+    with pytest.raises(EngineError, match="incoming differential at .* mixes the image splitting"):
+        turn_in(ss, row, {"a": {"t": 1, "u": 1}})
+
+
+def test_turn_refuses_outgoing_parts_sharing_a_target_row(toy):
+    ss, row = toy
+    assert turn_out(ss, row, {"a": {"t": 1}, "b": {"u": 1}}).orders == []
+    with pytest.raises(EngineError, match="outgoing differential at .* mixes the image splitting"):
+        turn_out(ss, row, {"a": {"t": 1}, "b": {"t": 1}})
+
+
+def test_turn_refuses_an_order_2_class_mapping_to_a_free_class(toy):
+    ss, row = toy
+    with pytest.raises(LinearAlgebraError, match="order 2 class maps nontrivially to a free class"):
+        turn_out(ss, row, {"a": {"z": 1}})
+
+
+def test_turn_refuses_an_ill_defined_map_from_an_order_2_class(toy):
+    ss, row = toy
+    # into Z/4 an order 2 class may only hit twice the generator
+    assert turn_out(ss, row, {"a": {"q": 2}}).orders == [2]
+    with pytest.raises(LinearAlgebraError, match="map from order 2 class is ill defined"):
+        turn_out(ss, row, {"a": {"q": 1}})
