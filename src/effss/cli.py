@@ -116,13 +116,7 @@ def _cmd_compute(args) -> int:
         pages.append("inf")
     for r in pages:
         lines.append("page %s" % r)
-        for d in ss.window.degrees():
-            try:
-                G = ss.infinity(d) if r == "inf" else ss.group(r, d)
-            except NotCertifiedError:
-                continue
-            if not G.orders:
-                continue
+        for d, G in ss.groups(ss.r_max if r == "inf" else r):
             labels = ", ".join(ss.pres.render(G.lift(i)) for i in range(len(G.orders)))
             lines.append("  (%d,%d,%d)  %s  %s"
                          % (d.s, d.f, d.w, _render_orders(G.orders), labels))

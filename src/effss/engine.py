@@ -556,54 +556,50 @@ class SliceSS:
         Mout: Optional[ColMat],
         tgtG: Optional[PageGroup],
     ) -> PageGroup:
-        in_cols = Min.cols if Min is not None else []
-        src_orders = srcG.orders if in_cols else []
-        out_cols = Mout.cols if Mout is not None else [{}] * len(G.orders)
-        tgt_orders = tgtG.orders if Mout is not None else []
-
+        gparts = G.parts
         # the summands of each part, and each summand's place in its part
         part_idx: Dict[str, List[int]] = {}
         pos: List[int] = []
-        for i, p in enumerate(G.parts):
+        for i, p in enumerate(gparts):
             idx = part_idx.setdefault(p, [])
             pos.append(len(idx))
             idx.append(i)
 
         # incoming columns must live in a single part each
         in_by_part: Dict[str, List[Tuple[Dict[int, int], int]]] = {p: [] for p in part_idx}
-        for col, o in zip(in_cols, src_orders):
-            touched = {G.parts[i] for i in col}
-            if not touched:
-                continue
-            if len(touched) > 1:
-                raise EngineError(
-                    "incoming differential at %s mixes the image splitting" % (G.degree,)
-                )
-            in_by_part[touched.pop()].append((col, o))
+        if Min is not None:
+            for col, o in zip(Min.cols, srcG.orders):
+                if not col:
+                    continue
+                rows = iter(col)
+                p = gparts[next(rows)]
+                for i in rows:
+                    if gparts[i] != p:
+                        raise EngineError(
+                            "incoming differential at %s mixes the image splitting" % (G.degree,)
+                        )
+                in_by_part[p].append((col, o))
 
         # outgoing blocks may not share target rows
-        rows_used = {
-            p: set().union(*(out_cols[j] for j in idx)) for p, idx in part_idx.items()
-        }
         parts_present = [p for p in PART_ORDER if p in part_idx]
-        for a in range(len(parts_present)):
-            for b in range(a + 1, len(parts_present)):
-                if rows_used[parts_present[a]] & rows_used[parts_present[b]]:
-                    raise EngineError(
-                        "outgoing differential at %s mixes the image splitting"
-                        % (G.degree,)
-                    )
+        if Mout is not None and len(parts_present) == 2:
+            a, b = (set().union(*(Mout.cols[j] for j in part_idx[p])) for p in parts_present)
+            if not a.isdisjoint(b):
+                raise EngineError(
+                    "outgoing differential at %s mixes the image splitting" % (G.degree,)
+                )
 
+        tgt_orders = tgtG.orders if Mout is not None else []
         blocks = []
         orders: List[int] = []
         parts: List[str] = []
         lifts: List[Element] = []
-        pres = self.pres
+        norm = self.pres.reduce_coefficients
         for p in parts_present:
             idx = part_idx[p]
             sub_orders = [G.orders[i] for i in idx]
             cols_p = in_by_part[p]
-            if all(o == 2 for o in sub_orders):
+            if sub_orders.count(2) == len(idx):
                 masks = []
                 for col, _o in cols_p:
                     mask = 0
@@ -611,26 +607,37 @@ class SliceSS:
                         if c & 1:
                             mask |= 1 << pos[i]
                     masks.append(mask)
-                H = F2Homology(len(idx), masks, _f2_out_cols(out_cols, idx, tgt_orders))
+                if Mout is not None:
+                    out_masks = _f2_out_cols(Mout.cols, idx, tgt_orders)
+                else:
+                    out_masks = [0] * len(idx)
+                H = F2Homology(len(idx), masks, out_masks)
+                for gen in H.gen_masks:
+                    acc: Element = {}
+                    while gen:
+                        low = gen & -gen
+                        el_iadd(acc, G.lift(idx[low.bit_length() - 1]))
+                        gen ^= low
+                    lifts.append(norm(acc))
             else:
                 d_in = ColMat([{pos[i]: c for i, c in col.items()} for col, _o in cols_p], len(idx))
-                d_out = ColMat([out_cols[j] for j in idx], len(tgt_orders))
+                out_p = [Mout.cols[j] for j in idx] if Mout is not None else [{}] * len(idx)
                 H = homology(
                     d_in.dense(),
-                    d_out.dense(),
+                    ColMat(out_p, len(tgt_orders)).dense(),
                     [o for _c, o in cols_p],
                     sub_orders,
                     tgt_orders,
                 )
+                for gen in H.gens:
+                    acc = {}
+                    for j, c in enumerate(gen):
+                        if c:
+                            el_iadd(acc, G.lift(idx[j]), c)
+                    lifts.append(norm(acc))
             blocks.append((p, tuple(idx), H))
-            for o, gen in zip(H.orders, H.gens):
-                orders.append(o)
-                parts.append(p)
-                acc: Element = {}
-                for j, c in enumerate(gen):
-                    if c:
-                        el_iadd(acc, G.lift(idx[j]), c)
-                lifts.append(pres.reduce(acc))
+            orders.extend(H.orders)
+            parts.extend([p] * len(H.orders))
 
         return PageGroup(G.degree, orders, parts, prev=G, blocks=blocks, lifts=lifts)
 
@@ -670,24 +677,30 @@ class SliceSS:
     def differential_value(self, r: int, d: TriDegree, i: int) -> Element:
         """d_r of summand i at degree d, as an element of page 1 ({} if zero)."""
         M = self._ensure_diffs(r).get(d)
-        if M is None:
+        if M is None or not M.cols[i]:
             return {}
-        T = self.pages[r].get(d + page_shift(r))
+        T = self.pages[r][d + page_shift(r)]
         acc: Element = {}
         for k, c in M.cols[i].items():
             el_iadd(acc, T.lift(k), c)
-        return self.pres.reduce(acc)
+        return self.pres.reduce_coefficients(acc)
+
+    def groups(self, r: int, user_only: bool = True) -> Iterator[Tuple[TriDegree, PageGroup]]:
+        """Yield (degree, group) for the certified non-empty groups of page r,
+        degree-sorted, which is the order of ``Window.degrees``."""
+        if r not in self.pages:
+            raise EngineError("page %d not computed" % r)
+        page, valid = self.pages[r], self.valid[r]
+        for d in sorted(page):
+            if user_only and not self.window.contains(d):
+                continue
+            G = page[d]
+            if G.orders and d in valid:
+                yield d, G
 
     def summands(self, r: int, user_only: bool = True) -> Iterator[Tuple[TriDegree, int, int, Element, str]]:
         """Yield (degree, index, order, lift, part), degree-sorted."""
-        if r not in self.pages:
-            raise EngineError("page %d not computed" % r)
-        for d in sorted(self.pages[r]):
-            if user_only and not self.window.contains(d):
-                continue
-            if d not in self.valid[r]:
-                continue
-            G = self.pages[r][d]
+        for d, G in self.groups(r, user_only):
             for i, o in enumerate(G.orders):
                 yield d, i, o, G.lift(i), G.parts[i]
 

@@ -441,8 +441,13 @@ class RingPresentation:
             if not c:
                 continue
             el_iadd(acc, self.reduce_monomial(m), c)
+        return self.reduce_coefficients(acc)
+
+    def reduce_coefficients(self, e: Element) -> Element:
+        """Normal form of an element whose monomials are all normal, such as
+        a sum of lifts: each coefficient reduced mod its monomial's order."""
         out: Element = {}
-        for m, c in acc.items():
+        for m, c in e.items():
             c = self._norm_coeff(m, c)
             if c:
                 out[m] = c

@@ -428,9 +428,17 @@ class F2Homology:
 
     @property
     def gens(self) -> List[List[int]]:
-        """One 0/1 coordinate vector per summand, computed on each read."""
+        """One 0/1 coordinate vector per summand, computed on each read.
+
+        The engine reads ``gen_masks`` instead; this is the interface shared
+        with ``Homology``, which the tests compare."""
         n = self.ambient_rank
         return [[g >> i & 1 for i in range(n)] for g in self._gens_masks]
+
+    @property
+    def gen_masks(self) -> Tuple[int, ...]:
+        """One bitmask per summand: bit i set where coordinate i is 1."""
+        return self._gens_masks
 
     def _reduce(self, row: int) -> int:
         """Xor recorded rows into row until its ambient part is zero or
