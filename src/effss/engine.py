@@ -43,7 +43,6 @@ from .grading import (
     TriDegree,
     el_iadd,
     lam,
-    mono_div,
 )
 from .intlinalg import (
     ColMat,
@@ -422,15 +421,24 @@ class SliceSS:
                 if c:
                     val[k] = c
 
+        torsion = [spec.torsion for spec in pres.generators]
+
         def by_shift(S: Monomial) -> Tuple[int, int, list]:
             """The code and order of S, and (g, the code of S/g, e_g, the order
-            of S/g) for each g in S with d1(g) != 0."""
-            s, o = sum([e * unit[g] for g, e in S]), pres.order_of(S)
-            moved = [
-                (g, s - unit[g], e, pres.order_of(mono_div(S, ((g, 1),))))
-                for g, e in S
-                if g in moving
-            ]
+            of S/g) for each g in S with d1(g) != 0, from the generators'
+            torsions: S/g has the order of S unless e_g = 1."""
+            s, o = 0, pres.global_torsion
+            for g, e in S:
+                s += e * unit[g]
+                o = gcd(o, torsion[g])
+            moved = []
+            for g, e in S:
+                if g in moving:
+                    if e > 1:
+                        og = o
+                    else:
+                        og = gcd(pres.global_torsion, *[torsion[h] for h, _ in S if h != g])
+                    moved.append((g, s - unit[g], e, og))
             return s, o, moved
 
         def d1(m: Monomial) -> Dict[int, int]:
@@ -442,13 +450,14 @@ class SliceSS:
             dX, dgX = orbit
             if not (dX or moving):
                 return {}
-            S = tuple([p for p in m if p[0] in unit])
+            S = tuple([p for p in m if p[0] in unit]) if X else m
             info = shifts.get(S)
             if info is None:
                 info = shifts[S] = by_shift(S)
             s, t, moved = info
             val: Dict[int, int] = {}
-            add(val, dX, s, 1, t)
+            if dX:
+                add(val, dX, s, 1, t)
             for g, sh, e, tg in moved:
                 if g not in dgX:
                     dgX[g] = coded(pres.multiply_monomial(X, images[g]))

@@ -279,6 +279,31 @@ def test_d1_orders_shrink_by_a_free_generator():
     assert any(x in dict(m) for d in mats for m in ss.pages[1][d].monomials)
 
 
+def test_d1_orders_when_a_moving_generator_leaves_the_shift():
+    """x is free with torsion 3 and d1(x) = z has order 2.  The term
+    e (S/x) d1(x) X of a column is reduced modulo the order of S/x, which is
+    that of S when e > 1 and loses x's torsion when e = 1: d1(x) = z
+    survives, while d1(x^3) = 3 x^2 z vanishes."""
+    pres = RingPresentation("toy", [
+        GeneratorSpec("x", TriDegree(4, 0, 2), torsion=3),
+        GeneratorSpec("y", TriDegree(4, 0, 2)),
+        GeneratorSpec("z", TriDegree(3, 3, 2), torsion=2),
+    ])
+    z = {pres.monomial({"z": 1}): 1}
+    obj = ObjectSpec("toy", pres, schedule={1: {pres.gen("x"): z, pres.gen("y"): z}})
+    ss = SliceSS(obj, Window(s=(0, 16), f=(0, 6), w=(0, 10)), r_max=2)
+    mats, unknown = ss._d1_matrices()
+    want, want_unknown = per_monomial_d1_matrices(ss)
+    assert want and mats.keys() == want.keys() and unknown == want_unknown
+    for d, M in want.items():
+        assert mats[d].dense().rows == M.rows, d
+    for e, survives in ((1, True), (3, False)):
+        m = pres.monomial({"x": e})
+        G = ss.pages[1][pres.degree_of(m)]
+        M = mats.get(G.degree)
+        assert bool(M and M.cols[G.monomials.index(m)]) == survives, e
+
+
 @pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("ko", "L")])
 def test_page2_matches_generic_homology_on_oracle_blocks(name, window):
     """Route agreement for the first page turn: at every certified degree
