@@ -19,8 +19,16 @@ Differential blocks are sparse columns (``ColMat``) from the moment they are
 built, and a turn reads only their nonzero entries; a block whose part is
 all order 2, almost every block, goes to the bitset ``F2Homology``.  A
 group is either a page 1 basis or such a homology group; a group that no
-differential touches is carried to the next page as the same object.  A
-window is widened internally to a box and a certified region is tracked page
+differential touches is carried to the next page as the same object.
+
+Every lift is a normal element with each coefficient reduced modulo its
+monomial's order: a page 1 lift is a basis monomial, and a later one is an
+integer combination of the previous page's lifts.  Such a combination has
+only normal monomials, so it (a homology generator's lift, or the value of
+a differential) is normalized by its coefficients alone, with
+``RingPresentation.reduce_coefficients`` and no rewriting.
+
+A window is widened internally to a box and a certified region is tracked page
 by page: a degree stays certified only while every differential that could
 reach it or leave it connects two certified degrees.  The region is stored
 as the box minus an explicit set of uncertified degrees per page, and
@@ -542,17 +550,18 @@ class SliceSS:
         lost = {d for d in lost if d in valid}
         self.valid[r + 1] = Certified(box, valid.uncertified | lost)
 
+        incoming = {src + shift: M for src, M in mats.items()}
         newpage: Dict[TriDegree, PageGroup] = {}
         for d, G in page.items():
             if d in lost or not G.orders:
                 continue
             Mout = mats.get(d)
-            Min = mats.get(d - shift)
+            Min = incoming.get(d)
             if Mout is None and Min is None:
                 newpage[d] = G
                 continue
-            srcG = page.get(d - shift)
-            tgtG = page.get(d + shift)
+            srcG = page.get(d - shift) if Min is not None else None
+            tgtG = page.get(d + shift) if Mout is not None else None
             newpage[d] = self._turn_group(G, Min, srcG, Mout, tgtG)
         self.pages[r + 1] = newpage
         self._ran_to = r + 1
@@ -574,25 +583,30 @@ class SliceSS:
             pos.append(len(idx))
             idx.append(i)
 
-        # incoming columns must live in a single part each
-        in_by_part: Dict[str, List[Tuple[Dict[int, int], int]]] = {p: [] for p in part_idx}
+        # incoming columns must live in a single part each; each is kept
+        # with its source order and its odd entries as a mask over the part
+        in_by_part: Dict[str, List[Tuple[Dict[int, int], int, int]]] = {p: [] for p in part_idx}
         if Min is not None:
             for col, o in zip(Min.cols, srcG.orders):
                 if not col:
                     continue
-                rows = iter(col)
-                p = gparts[next(rows)]
-                for i in rows:
+                entries = iter(col.items())
+                i, c = next(entries)
+                p = gparts[i]
+                mask = (c & 1) << pos[i]
+                for i, c in entries:
                     if gparts[i] != p:
                         raise EngineError(
                             "incoming differential at %s mixes the image splitting" % (G.degree,)
                         )
-                in_by_part[p].append((col, o))
+                    if c & 1:
+                        mask |= 1 << pos[i]
+                in_by_part[p].append((col, o, mask))
 
         # outgoing blocks may not share target rows
         parts_present = [p for p in PART_ORDER if p in part_idx]
         if Mout is not None and len(parts_present) == 2:
-            a, b = (set().union(*(Mout.cols[j] for j in part_idx[p])) for p in parts_present)
+            a, b = [set().union(*[Mout.cols[j] for j in part_idx[p]]) for p in parts_present]
             if not a.isdisjoint(b):
                 raise EngineError(
                     "outgoing differential at %s mixes the image splitting" % (G.degree,)
@@ -609,18 +623,11 @@ class SliceSS:
             sub_orders = [G.orders[i] for i in idx]
             cols_p = in_by_part[p]
             if sub_orders.count(2) == len(idx):
-                masks = []
-                for col, _o in cols_p:
-                    mask = 0
-                    for i, c in col.items():
-                        if c & 1:
-                            mask |= 1 << pos[i]
-                    masks.append(mask)
                 if Mout is not None:
                     out_masks = _f2_out_cols(Mout.cols, idx, tgt_orders)
                 else:
                     out_masks = [0] * len(idx)
-                H = F2Homology(len(idx), masks, out_masks)
+                H = F2Homology(len(idx), [mask for _c, _o, mask in cols_p], out_masks)
                 for gen in H.gen_masks:
                     acc: Element = {}
                     while gen:
@@ -629,12 +636,12 @@ class SliceSS:
                         gen ^= low
                     lifts.append(norm(acc))
             else:
-                d_in = ColMat([{pos[i]: c for i, c in col.items()} for col, _o in cols_p], len(idx))
+                d_in = ColMat([{pos[i]: c for i, c in col.items()} for col, _o, _m in cols_p], len(idx))
                 out_p = [Mout.cols[j] for j in idx] if Mout is not None else [{}] * len(idx)
                 H = homology(
                     d_in.dense(),
                     ColMat(out_p, len(tgt_orders)).dense(),
-                    [o for _c, o in cols_p],
+                    [o for _c, o, _m in cols_p],
                     sub_orders,
                     tgt_orders,
                 )
