@@ -550,13 +550,12 @@ class SliceSS:
         lost = {d for d in lost if d in valid}
         self.valid[r + 1] = Certified(box, valid.uncertified | lost)
 
-        incoming = {src + shift: M for src, M in mats.items()}
         newpage: Dict[TriDegree, PageGroup] = {}
         for d, G in page.items():
             if d in lost or not G.orders:
                 continue
             Mout = mats.get(d)
-            Min = incoming.get(d)
+            Min = mats.get(d - shift)
             if Mout is None and Min is None:
                 newpage[d] = G
                 continue
