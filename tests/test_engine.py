@@ -13,6 +13,7 @@ from effss.engine import (
     EngineError,
     NotCertifiedError,
     ObjectSpec,
+    PageGroup,
     SliceSS,
     Window,
     derive,
@@ -488,3 +489,24 @@ def test_turn_refuses_an_ill_defined_map_from_an_order_2_class(toy):
     assert turn_out(ss, row, {"a": {"q": 2}}).orders == [2]
     with pytest.raises(LinearAlgebraError, match="map from order 2 class is ill defined"):
         turn_out(ss, row, {"a": {"q": 1}})
+
+
+def test_sums_of_lifts_are_reduced_modulo_their_orders(toy):
+    """Two order 2 classes lifting to t + 2q and t, where t has order 2 and q
+    order 4.  Their sum lifts to 2t + 2q, which is 2q once each coefficient
+    is reduced modulo its monomial's order: so is the kernel class of an
+    outgoing block hitting both, and the value of a differential whose
+    column hits both."""
+    ss, _row = toy
+    pres = ss.pres
+    t, q = pres.monomial({"t": 1}), pres.monomial({"q": 1})
+    G = PageGroup(TOY_T, [2, 2], ["cokernel"] * 2, lifts=[{t: 1, q: 2}, {t: 1}])
+    tgt = PageGroup(TOY_T + page_shift(1), [2], ["cokernel"], lifts=[{}])  # lift not read
+    H = ss._turn_group(G, None, None, ColMat([{0: 1}, {0: 1}], 1), tgt)
+    assert H.orders == [2] and H.lift(0) == {q: 2}
+
+    planted = SliceSS(ss.obj, ss.window, r_max=2)
+    planted.pages[2] = {TOY_A + page_shift(2): G}
+    planted.diffs[2] = {TOY_A: ColMat([{0: 1, 1: 1}, {}], 2)}
+    planted._ran_to = 2
+    assert planted.differential_value(2, TOY_A, 0) == {q: 2}
