@@ -211,7 +211,6 @@ def test_python_dash_m_runs():
     assert json.loads(proc.stdout)["name"] == "ko_C"
 
 
-
 # -- compute against the degree-by-degree reading ------------------------------
 
 #: (object, window) per object, on small windows
