@@ -157,3 +157,38 @@ def test_uncomputed_differential_uncertifies_both_ends():
     oracle = dense_valid(ss)
     for r, want in oracle.items():
         assert set(ss.valid[r]) == want, r
+
+
+def _bands(w):
+    """Weight bands of a window: at its lowest weight, in its middle, and
+    its highest weight alone."""
+    lo, hi = w
+    mid = (lo + hi) // 2
+    return [(lo, lo + 2), (mid - 1, mid + 1), (hi, hi)]
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE))
+def test_weight_band_run_equals_the_full_run_there(name):
+    # Every differential and every certification step keeps the weight, so
+    # once the presentation is built each weight is its own spectral
+    # sequence: a run on a band of weights is the full run restricted to it.
+    window = INVARIANCE[name][0]
+    full = _run(name, window)
+    for w in _bands(window.w):
+        band = SliceSS(full.obj, Window(window.s, window.f, w)).run()
+        assert sorted(band.pages) == sorted(full.pages), (name, w)
+        seen = 0
+        for r in sorted(full.pages):
+            want = {d for d in full.valid[r] if w[0] <= d.w <= w[1]}
+            assert set(band.valid[r]) == want, (name, w, r)
+            for d in band.box.degrees():
+                assert band.differential_known(r, d) == full.differential_known(r, d), (name, w, r, d)
+            for d in want:
+                g, h = band.group(r, d), full.group(r, d)
+                assert (g.orders, g.parts) == (h.orders, h.parts), (name, w, r, d)
+                for i in range(len(g)):
+                    assert g.lift(i) == h.lift(i), (name, w, r, d, i)
+                    assert band.differential_value(r, d, i) == full.differential_value(r, d, i), (
+                        name, w, r, d, i)
+                seen += len(g)
+        assert seen, (name, w)

@@ -11,10 +11,11 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 
-from effss.cli import UsageError, _parse_range, cli
+from effss.cli import UsageError, _parse_range, _query_window, cli
 from effss.engine import Certified, NotCertifiedError, SliceSS, Window
 from effss.objects import get_object, spec_from_dict, spec_to_dict
 
@@ -165,6 +166,62 @@ def test_query_vanishing_coweight(capsys):
                            "--stem", "5", "--weight", "2")
     assert code == 0
     assert out.strip() == "0"
+
+
+#: the window of the README column (7, 4), shared by every column below
+QUERY_WINDOW = _query_window(7, 4)
+
+#: per object, the README columns, then the source columns of hidden-ledger
+#: rows and some of their tau^4 (w - 4) and v1^4 (s + 8, w + 4) translates
+QUERY_COLUMNS = {
+    "L_C": ((7, 4), (3, 2), (3, -2), (11, 6)),
+    "ko": ((7, 4), (3, 2), (3, -1), (5, 1), (4, 2), (4, -2), (1, 0), (9, 3)),
+    "L": ((7, 4), (3, 1), (0, 0), (1, 0), (-1, -2), (3, 0), (7, 2)),
+}
+
+#: columns whose relation leaves the column on either route
+LEAVES_THE_COLUMN = {("L", 0, 0), ("ko", 3, -1), ("ko", 5, 1)}
+
+
+@lru_cache(maxsize=None)
+def full_query_run(name, window):
+    return SliceSS(get_object(name, window=window), window).run()
+
+
+def full_query(capsys, monkeypatch, name, window, argv):
+    """What query prints from the run on its whole window, the route that
+    turned every weight of the window."""
+    ss = full_query_run(name, window)
+    with monkeypatch.context() as m:
+        m.setattr("effss.cli.get_object", lambda *a, **kw: ss.obj)
+        m.setattr("effss.cli.SliceSS", lambda *a, **kw: ss)
+        return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("name", sorted(QUERY_COLUMNS))
+def test_query_output_equals_the_full_window_run(capsys, monkeypatch, name):
+    # The first column uses the default query window; the others pass the
+    # same window as flags, so one full run is the oracle for all of them.
+    flags = ["--stems=%d..%d" % QUERY_WINDOW.s, "--filtrations=%d..%d" % QUERY_WINDOW.f,
+             "--weights=%d..%d" % QUERY_WINDOW.w]
+    for n, (s, w) in enumerate(QUERY_COLUMNS[name]):
+        argv = ["query", "--object", name, "--stem", str(s), "--weight", str(w)]
+        if n:
+            argv += flags
+        got = run_cli(capsys, *argv)
+        assert got == full_query(capsys, monkeypatch, name, QUERY_WINDOW, argv), argv
+        code, out, err = got
+        if (name, s, w) in LEAVES_THE_COLUMN:
+            assert code == 1 and "leaves the column" in err, argv
+        else:
+            assert code == 0 and out, argv
+
+
+def test_query_outside_the_given_weights_is_refused_as_before(capsys, monkeypatch):
+    argv = ["query", "--object", "ko", "--stem", "7", "--weight", "4", "--weights=-2..2"]
+    got = run_cli(capsys, *argv)
+    assert got == full_query(capsys, monkeypatch, "ko", Window((0, 0), (0, 0), (-2, 2)), argv)
+    assert got == (1, "", "refused: degree (7, 0, 4) is not certified on page 3 for this window\n")
 
 
 # -- verify ----------------------------------------------------------------
