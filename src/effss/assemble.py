@@ -324,6 +324,33 @@ def _carrier_half_order(pres: RingPresentation, e: Element) -> Element:
     return {m: order // 2}
 
 
+def periodic_steps(
+    row: HiddenExtension, window
+) -> List[Tuple[int, int, TriDegree, TriDegree]]:
+    """(j, k, source degree, target degree) for each tau^(4j) v1^(4k)
+    translate of row with both degrees in window, sorted by (j, k).
+
+    k runs over the v1^4 steps that put the source stem in the window and,
+    for each k, j over the tau^4 steps that put the source weight there,
+    so a row lying far from the window in stem or weight misses no step.
+    """
+    d, kd = row.degree, KIND_DEGREE[row.kind]
+    vs, vw, tw = V14_DEGREE.s, V14_DEGREE.w, -TAU4_DEGREE.w
+    (s_lo, s_hi), (w_lo, w_hi) = window.s, window.w
+    ks = range(max(0, -((d.s - s_lo) // vs)), (s_hi - d.s) // vs + 1) if row.v14 else range(1)
+    steps = []
+    for k in ks:
+        top = d.w + k * vw  # the source weight at j = 0
+        js = range(max(0, -((w_hi - top) // tw)), (top - w_lo) // tw + 1) if row.tau4 else range(1)
+        for j in js:
+            sd = TriDegree(d.s + k * vs, d.f, top - j * tw)
+            td = TriDegree(sd.s + kd.s, sd.f, sd.w + kd.w)
+            if window.contains(sd) and window.contains(td):
+                steps.append((j, k, sd, td))
+    steps.sort(key=lambda step: step[:2])
+    return steps
+
+
 def expand_ledger(
     ss: SliceSS,
     rows: Optional[Sequence[HiddenExtension]] = None,
@@ -343,85 +370,64 @@ def expand_ledger(
     if window is None:
         window = ss.window
 
-    # how many periodicity steps can possibly stay inside the window
-    k_max = max(0, (window.s[1] - window.s[0]) // V14_DEGREE.s) + 1
-    j_max = max(0, (window.w[1] - window.w[0] + 4 * k_max) // 4) + 1
-
     out: List[HiddenExtension] = []
     for row in rows:
-        for j in range(j_max + 1):
-            if j and not row.tau4:
-                break
-            for k in range(k_max + 1):
-                if k and not row.v14:
-                    break
-                sd = TriDegree(
-                    row.degree.s + k * V14_DEGREE.s,
-                    row.degree.f,
-                    row.degree.w - 4 * j + k * V14_DEGREE.w,
-                )
-                td = TriDegree(
-                    sd.s + KIND_DEGREE[row.kind].s,
-                    sd.f,
-                    sd.w + KIND_DEGREE[row.kind].w,
-                )
-                if not (window.contains(sd) and window.contains(td)):
-                    continue
-                try:
-                    source = tau4_mult(ss, v14_mult(ss, row.source, k), j)
-                    if row.special == "half-carrier-order":
-                        source = _carrier_half_order(pres, source)
-                        if j == 0 and k == 0 and source != pres.reduce(row.source):
+        for j, k, sd, td in periodic_steps(row, window):
+            try:
+                source = tau4_mult(ss, v14_mult(ss, row.source, k), j)
+                if row.special == "half-carrier-order":
+                    source = _carrier_half_order(pres, source)
+                    if j == 0 and k == 0 and source != pres.reduce(row.source):
+                        raise LedgerError(
+                            "stored multiple in %s is not half the carrier order"
+                            % pres.render(row.source)
+                        )
+                if row.special == "highest-filtration":
+                    target = _highest_filtration_class(ss, td.s, td.w, sd.f)
+                    if j == 0 and k == 0:
+                        want = (
+                            pres.degree_of_element(pres.reduce(row.target)),
+                            infinity_coords(ss, row.target)[1],
+                        )
+                        got = (
+                            pres.degree_of_element(target),
+                            infinity_coords(ss, target)[1],
+                        )
+                        if want != got:
                             raise LedgerError(
-                                "stored multiple in %s is not half the carrier order"
-                                % pres.render(row.source)
+                                "stored target %s is not the highest"
+                                " filtration class of its column"
+                                % pres.render(row.target)
                             )
-                    if row.special == "highest-filtration":
-                        target = _highest_filtration_class(ss, td.s, td.w, sd.f)
-                        if j == 0 and k == 0:
-                            want = (
-                                pres.degree_of_element(pres.reduce(row.target)),
-                                infinity_coords(ss, row.target)[1],
-                            )
-                            got = (
-                                pres.degree_of_element(target),
-                                infinity_coords(ss, target)[1],
-                            )
-                            if want != got:
-                                raise LedgerError(
-                                    "stored target %s is not the highest"
-                                    " filtration class of its column"
-                                    % pres.render(row.target)
-                                )
-                    else:
-                        target = tau4_mult(ss, v14_mult(ss, row.target, k), j)
-                except (PresentationError, NotCertifiedError):
-                    continue
-                ext = HiddenExtension(
-                    kind=row.kind,
-                    source=source,
-                    target=target,
-                    degree=sd,
-                    coweight=sd.coweight,
-                    proof=row.proof
-                    + ("; tau^4 step %d" % j if j else "")
-                    + ("; v1^4 step %d" % k if k else ""),
-                    tau4=row.tau4,
-                    v14=row.v14,
-                    special=row.special,
+                else:
+                    target = tau4_mult(ss, v14_mult(ss, row.target, k), j)
+            except (PresentationError, NotCertifiedError):
+                continue
+            ext = HiddenExtension(
+                kind=row.kind,
+                source=source,
+                target=target,
+                degree=sd,
+                coweight=sd.coweight,
+                proof=row.proof
+                + ("; tau^4 step %d" % j if j else "")
+                + ("; v1^4 step %d" % k if k else ""),
+                tau4=row.tau4,
+                v14=row.v14,
+                special=row.special,
+            )
+            check_extension(pres, ext)
+            try:
+                _, scoords = infinity_coords(ss, ext.source, sd)
+                tg, tcoords = infinity_coords(ss, ext.target)
+            except NotCertifiedError:
+                continue
+            if not (_coords_nonzero(scoords) and _coords_nonzero(tcoords)):
+                raise LedgerError(
+                    "expanded %s row at %s has a dead endpoint"
+                    % (ext.kind, sd)
                 )
-                check_extension(pres, ext)
-                try:
-                    _, scoords = infinity_coords(ss, ext.source, sd)
-                    tg, tcoords = infinity_coords(ss, ext.target)
-                except NotCertifiedError:
-                    continue
-                if not (_coords_nonzero(scoords) and _coords_nonzero(tcoords)):
-                    raise LedgerError(
-                        "expanded %s row at %s has a dead endpoint"
-                        % (ext.kind, sd)
-                    )
-                out.append(ext)
+            out.append(ext)
     return out
 
 

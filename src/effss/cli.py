@@ -27,7 +27,7 @@ from .assemble import AssembleError, assemble
 from .charts import ChartError, ChartSpec, chart_data, emit_svg, render_chart_text
 from .engine import EngineError, NotCertifiedError, SliceSS, Window
 from .grading import EffssError
-from .objects import TRI_GRADED, get_object, spec_to_dict
+from .objects import TRI_GRADED, get_object, load_data, spec_to_dict
 
 
 class UsageError(EffssError):
@@ -184,10 +184,24 @@ def _query_window(s: int, w: int) -> Window:
 
 
 def _cmd_query(args) -> int:
+    try:
+        load_data("hidden_" + args.object)
+    except EffssError:
+        raise AssembleError("%s ships no hidden-extension ledger, so query cannot "
+                            "assemble its homotopy groups" % args.object) from None
     window = (_window(args, (0, 0), (0, 0), (0, 0))
               if (args.stems or args.filtrations or args.weights)
               else _query_window(args.stem, args.weight))
-    ss = _run_object(args.object, window)
+    # Every differential and certification step keeps the weight, so a run
+    # on the weights that assemble reads (w - 1..w + 1, through the eta and
+    # rho actions) equals the run on the whole window there.  The band is
+    # clipped to the window but keeps one of its weights, so that a column
+    # outside the window is refused as not certified.
+    lo, hi = window.w
+    band = (min(max(args.weight - 1, lo), hi), max(min(args.weight + 1, hi), lo))
+    obj = get_object(args.object, window=window)
+    ss = SliceSS(obj, Window(window.s, window.f, band))
+    ss.run()
     pi = assemble(ss, args.stem, args.weight)
     gens = ", ".join(g.label for g in pi.generators)
     if not pi.generators:

@@ -11,7 +11,11 @@ r - 1 support a differential, and the value is the generator of the target
 group, which the pattern requires to be a single Z/2.
 
 Differentials lower the stem by one, raise the filtration by 2r + 1 and
-preserve the weight.
+preserve the weight, and so does every step of the certified-region
+bookkeeping below.  Once the presentation is built, each weight is
+therefore its own spectral sequence: a run on a band of weights equals the
+run on the whole window restricted to that band, which lets a caller turn
+only the weights it reads.
 
 Page turning is integer homology, done blockwise over the image/non-image
 splitting so that every summand of every page stays on one side of it.

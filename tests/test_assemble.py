@@ -3,6 +3,7 @@
 import pytest
 
 from effss.assemble import (
+    KIND_DEGREE,
     AssembleError,
     HiddenExtension,
     LedgerError,
@@ -14,9 +15,11 @@ from effss.assemble import (
     infinity_coords,
     load_ledger,
     order_pattern_check,
+    periodic_steps,
     tau4_mult,
     v14_mult,
 )
+from effss.cli import _query_window
 from effss.engine import NotCertifiedError, SliceSS, Window
 from effss.grading import PresentationError, TriDegree
 from effss.objects import get_object
@@ -177,6 +180,80 @@ def test_ko_expansion_contains_tau4_and_v14_steps(ko, ko_rows):
 
 def test_L_expansion_count_in_this_window(L_rows):
     assert len(L_rows) == 101
+
+
+def window_width_steps(row, window):
+    """The enumeration of translates that bounded the tau^4 and v1^4 steps
+    by the window's width rather than by each row's own degree."""
+    k_max = max(0, (window.s[1] - window.s[0]) // 8) + 1
+    j_max = max(0, (window.w[1] - window.w[0] + 4 * k_max) // 4) + 1
+    out = []
+    for j in range(j_max + 1):
+        if j and not row.tau4:
+            break
+        for k in range(k_max + 1):
+            if k and not row.v14:
+                break
+            sd = TriDegree(row.degree.s + 8 * k, row.degree.f, row.degree.w - 4 * j + 4 * k)
+            kd = KIND_DEGREE[row.kind]
+            td = TriDegree(sd.s + kd.s, sd.f, sd.w + kd.w)
+            if window.contains(sd) and window.contains(td):
+                out.append((j, k, sd, td))
+    return out
+
+
+#: the query windows of the README columns, the verify, test and chart
+#: windows, and the perfbench windows that expand a ledger
+LEDGER_WINDOWS = (
+    _query_window(7, 4),
+    _query_window(3, 2),
+    _query_window(3, 1),
+    _query_window(15, 8),
+    Window((-4, 42), (0, 14), (-12, 24)),
+    Window((-4, 48), (0, 20), (-15, 26)),
+    Window((-2, 12), (0, 14), (-8, 10)),
+    Window((-2, 26), (0, 14), (-10, 24)),
+    Window((-2, 26), (0, 14), (-8, 20)),
+    Window((-4, 24), (0, 12), (-12, 14)),
+    Window((-4, 16), (0, 14), (-10, 10)),
+    Window((-4, 8), (0, 20), (-8, 16)),
+    Window((-2, 6), (0, 14), (-10, 24)),
+)
+
+
+def test_periodic_steps_equal_the_window_width_enumeration(ko, L, LC):
+    # On every window in use the width bound never cut a family short, so
+    # bounding each row by its own degree finds the same translates there.
+    found = 0
+    for name, ss in (("ko", ko), ("L", L), ("L_C", LC)):
+        _col, rows = load_ledger(name, ss.pres)
+        for window in LEDGER_WINDOWS:
+            for row in rows:
+                steps = periodic_steps(row, window)
+                assert steps == window_width_steps(row, window), (name, window, row.degree)
+                found += len(steps)
+    assert found > 1000
+
+
+def test_L_rows_on_a_low_weight_band_equal_the_full_rows_there():
+    # Three weights far below the ledger's rows need more tau^4 steps than
+    # the band's width allows; bounded by each row's own weight, the band
+    # run expands exactly the full window's rows that lie in the band.
+    window = Window((-4, 8), (0, 14), (-14, 6))
+    full = SliceSS(get_object("L", window=window), window).run()
+    band_w = (-14, -12)
+    band = SliceSS(full.obj, Window(window.s, window.f, band_w)).run()
+
+    def key(r):
+        return r.kind, r.source, r.target, r.degree, r.proof
+
+    def in_band(r):
+        return all(band_w[0] <= d.w <= band_w[1]
+                   for d in (r.degree, full.pres.degree_of_element(r.target)))
+
+    want = [key(r) for r in expand_ledger(full) if in_band(r)]
+    assert want
+    assert [key(r) for r in expand_ledger(band)] == want
 
 
 def test_half_carrier_order_follows_the_growing_torsion(L, L_rows):

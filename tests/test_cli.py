@@ -168,6 +168,16 @@ def test_query_vanishing_coweight(capsys):
     assert out.strip() == "0"
 
 
+def test_query_refuses_an_object_without_a_ledger(capsys, monkeypatch):
+    def no_build(*args, **kw):
+        raise AssertionError("an object was built for a query that is refused")
+
+    monkeypatch.setattr("effss.cli.get_object", no_build)
+    code, out, err = run_cli(capsys, "query", "--object", "ko_C", "--stem", "8", "--weight", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("refused: ko_C ships no hidden-extension ledger")
+
+
 #: the window of the README column (7, 4), shared by every column below
 QUERY_WINDOW = _query_window(7, 4)
 
