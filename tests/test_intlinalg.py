@@ -17,7 +17,6 @@ from effss.intlinalg import (
     smith_normal_form,
     solve,
     two_adic_valuation,
-    unimodular_inverse,
 )
 
 
@@ -299,3 +298,153 @@ def test_random_complexes_sanity():
         # boundaries die
         for c in cols:
             assert H.project(c) == [0] * len(H.orders)
+
+
+# ---------------------------------------------------------------------------
+# route agreement: homology against the six-Smith-form route
+# ---------------------------------------------------------------------------
+
+
+def six_form_homology(d_in: Mat, d_out: Mat, orders, orders_next):
+    """Oracle: ``homology`` as it was built from six Smith forms per block.
+
+    The cycle lattice basis K comes from ``lattice_basis`` with its own
+    inverted row transform, cycles are solved through a fresh Smith form
+    of K, and the generators through the inverted row transform of Y.
+    Returns (orders, gens, project), project raising on a non-cycle.
+    """
+    n = len(orders)
+    tors = [[o if r == i else 0 for r in range(len(orders_next))]
+            for i, o in enumerate(orders_next) if o]
+    big = kernel_basis(d_out.hstack(Mat.from_cols(tors, len(orders_next))))
+    proj = Mat([big.rows[i] for i in range(n)], n, big.n)
+    if proj.n == 0:
+        return [], [], lambda x: [] if not any(x) else _raise()
+    Dp, Up, _Vp = smith_normal_form(proj)[:3]
+    Wp = unimodular_inverse(Up)
+    dp = diagonal(Dp)
+    K = Mat.from_cols([[dp[i] * Wp.rows[r][i] for r in range(n)]
+                       for i in range(len(dp)) if dp[i]], n)
+    if K.n == 0:
+        return [], [], lambda x: [] if not any(x) else _raise()
+    K_snf = smith_normal_form(K)[:3]
+
+    def coords(x):
+        z = _oracle_solve(K_snf, x)
+        if z is None:
+            _raise()
+        return z
+
+    ycols = [coords(d_in.col(j)) for j in range(d_in.n)]
+    ycols += [coords([o if r == i else 0 for r in range(n)])
+              for i, o in enumerate(orders) if o]
+    Dy, Uy, _Vy = smith_normal_form(Mat.from_cols(ycols, K.n))[:3]
+    dy = diagonal(Dy)
+    gen_mat = K @ unimodular_inverse(Uy)
+    kept, out_orders, gens, signs = [], [], [], []
+    for i in range(K.n):
+        d = dy[i] if i < len(dy) else 0
+        if d == 1:
+            continue
+        g = gen_mat.col(i)
+        sign = 1
+        for gi, o in zip(g, orders):
+            v = gi % o if o else gi
+            if v:
+                if (o == 0 and v < 0) or (o and v > o - v):
+                    sign = -1
+                break
+        kept.append(i)
+        out_orders.append(d)
+        gens.append([sign * gi % o if o else sign * gi for gi, o in zip(g, orders)])
+        signs.append(sign)
+
+    def project(x):
+        h = Uy.vec(coords(x))
+        return [sg * h[i] % d if d else sg * h[i]
+                for i, d, sg in zip(kept, out_orders, signs)]
+
+    return out_orders, gens, project
+
+
+def unimodular_inverse(U: Mat) -> Mat:
+    """Oracle: exact inverse of a unimodular matrix by a second Smith form."""
+    D, A, B = smith_normal_form(U)[:3]
+    if diagonal(D) != [1] * U.m or U.m != U.n:
+        raise LinearAlgebraError("matrix is not unimodular")
+    return B @ A
+
+
+def _oracle_solve(snf, b):
+    D, U, V = snf
+    y = U.vec(list(b))
+    dia = diagonal(D)
+    z = [0] * D.n
+    for i in range(D.m):
+        d = dia[i] if i < len(dia) else 0
+        if d:
+            if y[i] % d:
+                return None
+            if i < D.n:
+                z[i] = y[i] // d
+        elif y[i]:
+            return None
+    return V.vec(z)
+
+
+def _raise():
+    raise LinearAlgebraError("not a cycle")
+
+
+ORDERS = st.sampled_from([0, 2, 4, 8])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_homology_agrees_with_the_six_form_route(data):
+    n = data.draw(st.integers(1, 4))
+    orders = data.draw(st.lists(ORDERS, min_size=n, max_size=n))
+    orders[data.draw(st.integers(0, n - 1))] = 0  # at least one free summand
+    orders_next = data.draw(st.lists(ORDERS, min_size=0, max_size=3))
+    # a well-defined outgoing map: a torsion source hits only multiples of
+    # the target order over its own, and nothing free
+    out = [[0] * n for _ in orders_next]
+    for i, ot in enumerate(orders_next):
+        for j, o in enumerate(orders):
+            c = data.draw(st.integers(-4, 4))
+            out[i][j] = c if not o else (0 if not ot else c * (ot // min(o, ot)))
+    d_out = Mat(out, len(orders_next), n)
+    tors = [[o if r == i else 0 for r in range(len(orders_next))]
+            for i, o in enumerate(orders_next) if o]
+    big = kernel_basis(d_out.hstack(Mat.from_cols(tors, len(orders_next))))
+    cycles = Mat([big.rows[i] for i in range(n)], n, big.n)
+
+    def cycle():
+        return cycles.vec(data.draw(st.lists(st.integers(-3, 3), min_size=cycles.n,
+                                             max_size=cycles.n)))
+
+    # 0-2 incoming columns, each a cycle; a torsion source of order o hits
+    # 8/o times a cycle with no free coordinate
+    cols, orders_prev = [], []
+    for _ in range(data.draw(st.integers(0, 2))):
+        x, o = cycle(), data.draw(ORDERS)
+        if o and any(xi for xi, oi in zip(x, orders) if not oi):
+            o = 0
+        cols.append([(8 // o) * xi for xi in x] if o else x)
+        orders_prev.append(o)
+    d_in = Mat.from_cols(cols, n)
+
+    H = homology(d_in, d_out, orders_prev, orders, orders_next)
+    want_orders, want_gens, want_project = six_form_homology(d_in, d_out, orders, orders_next)
+    assert H.orders == want_orders
+    assert H.gens == want_gens
+    for x in [cycle() for _ in range(4)] + cols + want_gens:
+        assert H.project(x) == want_project(x)
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    try:
+        want = want_project(x)
+    except LinearAlgebraError:
+        with pytest.raises(LinearAlgebraError):
+            H.project(x)
+    else:
+        assert H.project(x) == want
