@@ -792,7 +792,7 @@ def _invariant_factors(n: int, relations) -> List[int]:
         cols.append(vec)
     if not cols:
         return [0] * n
-    D, _U, _V = smith_normal_form(Mat.from_cols(cols, n))
+    D = smith_normal_form(Mat.from_cols(cols, n))[0]
     dia = diagonal(D)
     factors = [abs(x) for x in dia if abs(x) > 1]
     rank = sum(1 for x in dia if x)

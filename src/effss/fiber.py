@@ -524,7 +524,7 @@ def splitting_report(
                     col = [0] * n
                     col[idx] = o
                     cols.append(col)
-            D, _, _ = smith_normal_form(Mat.from_cols(cols, n))
+            D = smith_normal_form(Mat.from_cols(cols, n))[0]
             got = []
             for i in range(n):
                 v = D.rows[i][i] if i < D.n else 0

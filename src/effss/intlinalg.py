@@ -8,7 +8,10 @@ where each group is a finite direct sum of cyclic groups Z/o_i (o_i = 0 for a
 free summand) with a preferred basis.  ``homology`` returns the subquotient
 in invariant-factor form together with explicit generator vectors and a
 projection map, so that classes on the next page can be expressed in the old
-coordinates and old classes can be pushed forward.
+coordinates and old classes can be pushed forward.  The Smith form keeps
+the inverse of its row transform as it goes, so a Smith-path ``homology``
+costs three Smith forms: the cycle kernel, the cycle lattice basis K
+(which also solves for cycle coordinates) and the boundaries in K.
 
 Everything here is plain Python integers.  ``Mat`` is a dense list of rows,
 which the Smith form works on.  Differential blocks are ``ColMat``: sparse
@@ -134,21 +137,27 @@ class ColMat:
         return Mat(rows, self.m, self.n)
 
 
-def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat]:
-    """Return (D, U, V) with U @ M @ V = D diagonal, d_i | d_{i+1}, d_i >= 0.
+def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat, Mat]:
+    """Return (D, U, V, W) with U @ M @ V = D diagonal, d_i | d_{i+1},
+    d_i >= 0, and W the inverse of U.
 
     U and V are unimodular.  Pivot choice is the smallest absolute value in
     the remaining block, scanned row-major, so the output is deterministic.
+    W is kept by undoing each row operation on the columns of W (Cohen,
+    GTM 138, 2.4): a swap swaps, row_dst += q row_src is col_src -= q col_dst,
+    a negation negates.
     """
     m, n = M.m, M.n
     A = [row[:] for row in M.rows]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Wt = [r[:] for r in U]  # the columns of W = U^-1
 
     def swap_rows(i, j):
         if i != j:
             A[i], A[j] = A[j], A[i]
             U[i], U[j] = U[j], U[i]
+            Wt[i], Wt[j] = Wt[j], Wt[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -163,8 +172,10 @@ def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat]:
         for j in range(n):
             Ad[j] += q * As[j]
         Ud, Us = U[dst], U[src]
+        Ws, Wd = Wt[src], Wt[dst]
         for j in range(m):
             Ud[j] += q * Us[j]
+            Ws[j] -= q * Wd[j]
 
     def addmul_col(dst, src, q):
         for r in A:
@@ -175,6 +186,7 @@ def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat]:
     def negate_row(i):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
+        Wt[i] = [-a for a in Wt[i]]
 
     t = 0
     while t < m and t < n:
@@ -231,24 +243,16 @@ def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat]:
             negate_row(t)
         t += 1
 
-    return Mat(A, m, n), Mat(U, m, m), Mat(V, n, n)
+    return Mat(A, m, n), Mat(U, m, m), Mat(V, n, n), Mat.from_cols(Wt, m)
 
 
 def diagonal(D: Mat) -> List[int]:
     return [D.rows[i][i] for i in range(min(D.m, D.n))]
 
 
-def unimodular_inverse(U: Mat) -> Mat:
-    """Exact inverse of a unimodular matrix."""
-    D, A, B = smith_normal_form(U)
-    if diagonal(D) != [1] * U.m or U.m != U.n:
-        raise LinearAlgebraError("matrix is not unimodular")
-    return B @ A
-
-
 def kernel_basis(M: Mat) -> Mat:
     """Columns form a lattice basis of the integer kernel of M."""
-    D, U, V = smith_normal_form(M)
+    D, _U, V, _W = smith_normal_form(M)
     dia = diagonal(D)
     cols = []
     for j in range(M.n):
@@ -265,7 +269,7 @@ def solve(M: Mat, b: Sequence[int]) -> Optional[List[int]]:
     """
     if len(b) != M.m:
         raise LinearAlgebraError("rhs length mismatch")
-    return _snf_solve(smith_normal_form(M), b)
+    return _snf_solve(smith_normal_form(M)[:3], b)
 
 
 def _snf_solve(snf: Tuple[Mat, Mat, Mat], b: Sequence[int]) -> Optional[List[int]]:
@@ -286,19 +290,22 @@ def _snf_solve(snf: Tuple[Mat, Mat, Mat], b: Sequence[int]) -> Optional[List[int
     return V.vec(z)
 
 
-def lattice_basis(P: Mat) -> Mat:
-    """Independent columns spanning the column span of P (a lattice basis)."""
+def lattice_basis(P: Mat) -> Tuple[Mat, Optional[Tuple[Mat, Mat, Mat]]]:
+    """Independent columns K spanning the column span of P (a lattice
+    basis), with a Smith form of K for ``_snf_solve``, or None when P has
+    no columns.
+
+    With U @ P @ V = D and W = U^-1, K is W's first r columns times the
+    nonzero d_1..d_r, so U @ K is diag(d) over 0 and (that, U, I) is the
+    Smith form.
+    """
     if P.n == 0:
-        return Mat.zeros(P.m, 0)
-    D, U, V = smith_normal_form(P)
-    Uinv = unimodular_inverse(U)
-    dia = diagonal(D)
-    cols = [
-        [dia[i] * Uinv.rows[r][i] for r in range(P.m)]
-        for i in range(len(dia))
-        if dia[i]
-    ]
-    return Mat.from_cols(cols, P.m)
+        return Mat.zeros(P.m, 0), None
+    D, U, _V, W = smith_normal_form(P)
+    dia = [d for d in diagonal(D) if d]
+    K = Mat.from_cols([[d * W.rows[i][j] for i in range(P.m)] for j, d in enumerate(dia)], P.m)
+    Dk = Mat([[d if i == j else 0 for j, d in enumerate(dia)] for i in range(P.m)], P.m, len(dia))
+    return K, (Dk, U, Mat.identity(len(dia)))
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +531,11 @@ def homology(
     stacked = d_out.hstack(Mat.from_cols(tors_cols, len(orders_next)))
     big = kernel_basis(stacked)
     proj = Mat([big.rows[i] for i in range(n)], n, big.n)
-    K = lattice_basis(proj)
+    K, K_snf = lattice_basis(proj)
     if K.n == 0:
         return Homology(n, [], [], None, None, [], [])
 
     # boundaries and ambient torsion, written in cycle coordinates
-    K_snf = smith_normal_form(K)
     ycols = []
     for j in range(d_in.n):
         z = _snf_solve(K_snf, d_in.col(j))
@@ -544,9 +550,8 @@ def homology(
             ycols.append(z)
     Y = Mat.from_cols(ycols, K.n)
 
-    Dy, Uy, Vy = smith_normal_form(Y)
+    Dy, Uy, _Vy, Uy_inv = smith_normal_form(Y)
     dia = diagonal(Dy)
-    Uy_inv = unimodular_inverse(Uy)
     gen_mat = K @ Uy_inv
 
     kept, dys, gens, signs = [], [], [], []

@@ -58,9 +58,10 @@ def test_two_adic_valuation():
 def test_snf_euclidean_oracle():
     # gcd of entries is 2 and |det| = 8, so the invariant factors are 2, 4.
     M = Mat([[2, 4], [6, 8]])
-    D, U, V = smith_normal_form(M)
+    D, U, V, W = smith_normal_form(M)
     assert diagonal(D) == [2, 4]
     assert U @ M @ V == D
+    assert U @ W == Mat.identity(2)
     assert abs(det(U)) == 1
     assert abs(det(V)) == 1
 
@@ -71,8 +72,9 @@ def test_snf_properties_random():
         m = rng.randint(0, 5)
         n = rng.randint(0, 5)
         M = Mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], m, n)
-        D, U, V = smith_normal_form(M)
+        D, U, V, W = smith_normal_form(M)
         assert U @ M @ V == D
+        assert U @ W == Mat.identity(m)
         dia = diagonal(D)
         for i in range(len(dia)):
             assert dia[i] >= 0
@@ -120,8 +122,9 @@ def test_solve():
 
 def test_lattice_basis():
     P = Mat.from_cols([[2, 0], [4, 0], [0, 3]], 2)
-    B = lattice_basis(P)
+    B, snf = lattice_basis(P)
     assert B.n == 2
+    assert snf[1] @ B @ snf[2] == snf[0]
     # span check in both directions
     for c in (P.col(j) for j in range(P.n)):
         assert solve(B, c) is not None
@@ -320,7 +323,7 @@ def six_form_homology(d_in: Mat, d_out: Mat, orders, orders_next):
     proj = Mat([big.rows[i] for i in range(n)], n, big.n)
     if proj.n == 0:
         return [], [], lambda x: [] if not any(x) else _raise()
-    Dp, Up, _Vp = smith_normal_form(proj)[:3]
+    Dp, Up, _Vp, _Wp = smith_normal_form(proj)
     Wp = unimodular_inverse(Up)
     dp = diagonal(Dp)
     K = Mat.from_cols([[dp[i] * Wp.rows[r][i] for r in range(n)]
@@ -338,7 +341,7 @@ def six_form_homology(d_in: Mat, d_out: Mat, orders, orders_next):
     ycols = [coords(d_in.col(j)) for j in range(d_in.n)]
     ycols += [coords([o if r == i else 0 for r in range(n)])
               for i, o in enumerate(orders) if o]
-    Dy, Uy, _Vy = smith_normal_form(Mat.from_cols(ycols, K.n))[:3]
+    Dy, Uy, _Vy, _Wy = smith_normal_form(Mat.from_cols(ycols, K.n))
     dy = diagonal(Dy)
     gen_mat = K @ unimodular_inverse(Uy)
     kept, out_orders, gens, signs = [], [], [], []
@@ -369,7 +372,7 @@ def six_form_homology(d_in: Mat, d_out: Mat, orders, orders_next):
 
 def unimodular_inverse(U: Mat) -> Mat:
     """Oracle: exact inverse of a unimodular matrix by a second Smith form."""
-    D, A, B = smith_normal_form(U)[:3]
+    D, A, B, _W = smith_normal_form(U)
     if diagonal(D) != [1] * U.m or U.m != U.n:
         raise LinearAlgebraError("matrix is not unimodular")
     return B @ A
