@@ -189,9 +189,8 @@ def _cmd_query(args) -> int:
     except EffssError:
         raise AssembleError("%s ships no hidden-extension ledger, so query cannot "
                             "assemble its homotopy groups" % args.object) from None
-    window = (_window(args, (0, 0), (0, 0), (0, 0))
-              if (args.stems or args.filtrations or args.weights)
-              else _query_window(args.stem, args.weight))
+    q = _query_window(args.stem, args.weight)
+    window = _window(args, q.s, q.f, q.w)
     # Every differential and certification step keeps the weight, so a run
     # on the weights that assemble reads (w - 1..w + 1, through the eta and
     # rho actions) equals the run on the whole window there.  The band is

@@ -234,6 +234,15 @@ def test_query_outside_the_given_weights_is_refused_as_before(capsys, monkeypatc
     assert got == (1, "", "refused: degree (7, 0, 4) is not certified on page 3 for this window\n")
 
 
+def test_query_given_only_weights_keeps_the_column_and_is_refused(capsys):
+    # The stems and filtrations left out come from the query window, so the
+    # column is not cut at filtration 0 and is refused as on the default one.
+    argv = ["query", "--object", "ko", "--stem", "0", "--weight", "0"]
+    got = run_cli(capsys, *argv, "--weights=-2..2")
+    assert got == (1, "", "refused: relation for rho^7*h1^7 leaves the column at (0, 16, 0)\n")
+    assert got == run_cli(capsys, *argv)
+
+
 # -- verify ----------------------------------------------------------------
 
 
