@@ -190,30 +190,18 @@ def chart_data(ss: SliceSS, spec: ChartSpec) -> List[ChartDatum]:
     """One datum per summand family of the residue class, stably ordered."""
     ss.run()
     pres = ss.pres
-    window = ss.window
     r = spec.page if spec.page is not None else ss.r_max
     p = _period(ss, spec)
     tau = _tau_step(ss, p)
 
-    # gather the members of every chart position, weights descending
+    # gather the members of every chart position, weights descending:
+    # groups() runs by ascending weight within each (s, f), so prepend
     cols: Dict[Tuple[int, int], List[_Member]] = {}
-    s_lo = max(spec.stems[0], window.s[0])
-    s_hi = min(spec.stems[1], window.s[1])
-    for s in range(s_lo, s_hi + 1):
-        for f in range(max(0, window.f[0]), min(spec.f_cap, window.f[1]) + 1):
-            members: List[_Member] = []
-            for w in range(window.w[1], window.w[0] - 1, -1):
-                if (s - w) % spec.modulus != spec.residue % spec.modulus:
-                    continue
-                d = TriDegree(s, f, w)
-                try:
-                    G = ss.group(r, d)
-                except NotCertifiedError:
-                    continue
-                for i, o in enumerate(G.orders):
-                    members.append(_Member(w, i, o, G.parts[i], G.lift(i)))
-            if members:
-                cols[(s, f)] = members
+    for d, G in ss.groups(r):
+        if (spec.stems[0] <= d.s <= spec.stems[1] and 0 <= d.f <= spec.f_cap
+                and (d.s - d.w) % spec.modulus == spec.residue):
+            members = [_Member(d.w, i, o, G.parts[i], G.lift(i)) for i, o in enumerate(G.orders)]
+            cols[(d.s, d.f)] = members + cols.get((d.s, d.f), [])
 
     # link tau-translates: parent at w, child at w - p, same label pattern
     for members in cols.values():

@@ -27,6 +27,7 @@ from effss.charts import (
 )
 from effss.engine import SliceSS, Window
 from effss.objects import get_object
+from effss.verify import _ko_C_run, _L_chart_run
 
 def _golden(name):
     with resources.files("effss.data").joinpath("golden").joinpath(name).open() as fh:
@@ -35,14 +36,12 @@ def _golden(name):
 
 @pytest.fixture(scope="module")
 def ko_C():
-    obj = get_object("ko_C")
-    return SliceSS(obj, Window((-2, 26), (0, 14), (-4, 20))).run()
+    return _ko_C_run()  # shared with verify's checks, which read it alike
 
 
 @pytest.fixture(scope="module")
 def L():
-    obj = get_object("L", window=Window((-2, 26), (0, 14), (-10, 24)))
-    return SliceSS(obj, obj.default_window).run()
+    return _L_chart_run()
 
 
 @pytest.fixture(scope="module")
