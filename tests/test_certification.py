@@ -12,6 +12,8 @@ compute.
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effss.engine import SliceSS, Window, page_shift
 from effss.grading import TriDegree
@@ -192,3 +194,44 @@ def test_weight_band_run_equals_the_full_run_there(name):
                         name, w, r, d, i)
                 seen += len(g)
         assert seen, (name, w)
+
+
+@st.composite
+def small_windows(draw):
+    name = draw(st.sampled_from(sorted(INVARIANCE)))
+    s0, f0, w0 = draw(st.integers(-2, 6)), draw(st.integers(0, 2)), draw(st.integers(-4, 4))
+    window = Window((s0, s0 + draw(st.integers(0, 4))), (f0, f0 + draw(st.integers(0, 3))),
+                    (w0, w0 + draw(st.integers(0, 4))))
+    return name, window
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(small_windows())
+def test_page_turn_keeps_order_and_untouched_groups(case):
+    # On each page: the certified view answers ``in``, ``len`` and iteration
+    # as the dense oracle does; the next page holds exactly this page's
+    # non-empty groups that stay certified, in this page's order; and a
+    # group that no nonzero d_r leaves or enters is carried as the same
+    # object.
+    name, window = case
+    ss = _run(name, window)
+    oracle = dense_valid(ss)
+    box = ss.box
+    around = Window((box.s[0] - 1, box.s[1] + 1), (box.f[0], box.f[1] + 1),
+                    (box.w[0] - 1, box.w[1] + 1))
+    for r in sorted(ss.pages):
+        valid, want = ss.valid[r], oracle[r]
+        assert len(valid) == len(want), (case, r)
+        assert list(valid) == sorted(want), (case, r)
+        for d in around.degrees():
+            assert (d in valid) == (d in want), (case, r, d)
+        if r + 1 not in ss.pages:
+            continue
+        page, nxt = ss.pages[r], ss.pages[r + 1]
+        assert list(nxt) == [d for d, G in page.items() if G.orders and d in oracle[r + 1]], (
+            case, r)
+        shift = page_shift(r)
+        touched = {e for d, M in ss.diffs[r].items() if not M.is_zero() for e in (d, d + shift)}
+        for d in nxt:
+            if d not in touched:
+                assert nxt[d] is page[d], (case, r, d)

@@ -451,3 +451,58 @@ def test_homology_agrees_with_the_six_form_route(data):
             H.project(x)
     else:
         assert H.project(x) == want
+
+
+# ---------------------------------------------------------------------------
+# one summand: every small shape against the six-form route
+# ---------------------------------------------------------------------------
+
+ONE_ORDERS = range(0, 65, 2)
+#: incoming entries, every 2-adic valuation 0..6 with both signs
+IN_ENTRIES = [s * (k << v) for v in range(7) for s, k in ((1, 1), (-1, 3))]
+#: outgoing rows (target order, coefficient): every coefficient modulo each order
+ROWS = [(t, c) for t in ONE_ORDERS for c in (range(t) if t else range(-2, 3))]
+ONE_OUTS = [[row] for row in ROWS] + [[row, ROWS[7 * i % len(ROWS)]] for i, row in enumerate(ROWS)]
+IN_COLS = [(p, a) for p in (0, 2, 8) for a in IN_ENTRIES]
+ONE_INS = [[]] + [[col] for col in IN_COLS] + [
+    [col, IN_COLS[5 * i % len(IN_COLS)]] for i, col in enumerate(IN_COLS)]
+
+
+def _vanishes(v, t):
+    return v % t == 0 if t else v == 0
+
+
+def test_one_summand_homology_agrees_with_the_six_form_route():
+    # Every middle order o, every outgoing shape of one and two rows, and
+    # 0-2 incoming columns taken in turn.  Ill-posed inputs must raise; on
+    # the rest orders, gens and the projection of every x with |x| <= 2o + 2
+    # (130 on a free summand) must match.
+    k = 0
+    for o in ONE_ORDERS:
+        for out in ONE_OUTS:
+            ins = ONE_INS[k % len(ONE_INS)]
+            k += 1
+            d_out = Mat([[c] for _t, c in out], len(out), 1)
+            d_in = Mat([[a for _p, a in ins]], 1, len(ins))
+            orders_prev, orders_next = [p for p, _a in ins], [t for t, _c in out]
+            ill_posed = (
+                any(o and not _vanishes(o * c, t) for t, c in out)
+                or any(p and not _vanishes(p * a, o) for p, a in ins)
+                or any(not _vanishes(c * a, t) for t, c in out for _p, a in ins)
+            )
+            if ill_posed:
+                with pytest.raises(LinearAlgebraError):
+                    homology(d_in, d_out, orders_prev, [o], orders_next)
+                continue
+            H = homology(d_in, d_out, orders_prev, [o], orders_next)
+            want_orders, want_gens, want_project = six_form_homology(d_in, d_out, [o], orders_next)
+            assert (H.orders, H.gens) == (want_orders, want_gens), (o, out, ins)
+            span = 2 * (o or 64) + 2
+            for x in range(-span, span + 1):
+                try:
+                    want = want_project([x])
+                except LinearAlgebraError:
+                    with pytest.raises(LinearAlgebraError):
+                        H.project([x])
+                else:
+                    assert H.project([x]) == want, (o, out, ins, x)
