@@ -11,7 +11,8 @@ projection map, so that classes on the next page can be expressed in the old
 coordinates and old classes can be pushed forward.  The Smith form keeps
 the inverse of its row transform as it goes, so a Smith-path ``homology``
 costs three Smith forms: the cycle kernel, the cycle lattice basis K
-(which also solves for cycle coordinates) and the boundaries in K.
+(which also solves for cycle coordinates) and the boundaries in K.  A
+group of one summand is solved in closed form, with no Smith form.
 
 Everything here is plain Python integers.  ``Mat`` is a dense list of rows,
 which the Smith form works on.  Differential blocks are ``ColMat``: sparse
@@ -20,6 +21,7 @@ columns, since on the fibers only about a tenth of their cells are nonzero.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .grading import EffssError
@@ -491,6 +493,30 @@ class F2Homology:
         return [row >> (n + k) & 1 for k in range(len(self._gens_masks))]
 
 
+def _cyclic_homology(d_in: Mat, d_out: Mat, o: int, orders_next: Sequence[int]) -> Homology:
+    """``homology`` at a single summand Z/o, in closed form.
+
+    The cycles are mZ, with m the lcm over target rows Z/t (t > 0) of
+    t / gcd(t, c) for the row's coefficient c; a nonzero c into a free row
+    leaves no cycles.  Boundaries and torsion span gZ, with g the gcd of o
+    and the incoming entries, so the homology is cyclic of order g / m and
+    generated by m.  (diag(m), 1, 1) is the Smith form of the cycle basis.
+    """
+    m = 1
+    for (c,), t in zip(d_out.rows, orders_next):
+        if t:
+            m = lcm(m, t // gcd(t, c))
+        elif c:
+            return Homology(1, [], [], None, None, [], [])
+    g = gcd(o, *d_in.rows[0])
+    if g % m:
+        raise LinearAlgebraError("image of incoming differential is not a cycle")
+    d = g // m
+    orders, gens = ([], []) if d == 1 else ([d], [[m % o if o else m]])
+    one = Mat([[1]], 1, 1)
+    return Homology(1, orders, gens, (Mat([[m]], 1, 1), one, one), one, [0], [1])
+
+
 def homology(
     d_in: Mat,
     d_out: Mat,
@@ -521,6 +547,8 @@ def homology(
 
     if n == 0:
         return Homology(0, [], [], None, None, [], [])
+    if n == 1:
+        return _cyclic_homology(d_in, d_out, orders[0], orders_next)
 
     # cycle lattice: x with d_out(x) = 0 in the target group
     tors_cols = [
