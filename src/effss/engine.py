@@ -22,8 +22,10 @@ splitting so that every summand of every page stays on one side of it.
 Differential blocks are sparse columns (``ColMat``) from the moment they are
 built, and a turn reads only their nonzero entries; a block whose part is
 all order 2, almost every block, goes to the bitset ``F2Homology``.  A
-group is either a page 1 basis or such a homology group; a group that no
-differential touches is carried to the next page as the same object.
+group is either a page 1 basis or such a homology group.  A turn re-turns
+only the degrees its differentials touch, their sources and targets; every
+other group is carried to the next page as the same object, so a turn
+costs what its differentials touch rather than the size of the box.
 
 Every lift is a normal element with each coefficient reduced modulo its
 monomial's order: a page 1 lift is a basis monomial, and a later one is an
@@ -343,6 +345,7 @@ class SliceSS:
         self.valid: Dict[int, Certified] = {1: Certified(self.box)}
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
+        self._firing: Dict[int, List[TriDegree]] = {}  # non-empty groups d_r may leave
         self._ran_to = 1
 
     # -- running --------------------------------------------------------
@@ -356,11 +359,8 @@ class SliceSS:
         return self
 
     def _may_fire(self, r: int, d: TriDegree, g: PageGroup) -> bool:
-        """Could d_r be nonzero out of the certified non-empty group g at d?"""
-        if r == 1:
-            return bool(self.obj.schedule.get(1))
-        if not self.obj.has_pattern:
-            return False
+        """Could the pattern's d_r, r >= 2, be nonzero out of the certified
+        group g at d?"""
         cw = d.coweight
         if cw == 0 or two_adic_valuation(cw) != r - 1:
             return False
@@ -370,9 +370,16 @@ class SliceSS:
         if r not in self.diffs:
             if r > self._ran_to:
                 raise EngineError("page %d has not been reached yet" % r)
-            mats, unknown = self._d1_matrices() if r == 1 else self._pattern_matrices(r)
+            if r == 1:
+                mats, unknown = self._d1_matrices()
+                # with a d1 schedule, every non-empty group may support a d1
+                pages = self.pages[1].items() if self.obj.schedule.get(1) else ()
+                firing = [d for d, G in pages if G.orders]
+            else:
+                mats, unknown, firing = self._pattern_matrices(r)
             self.diffs[r] = mats
             self.unknown_out[r] = unknown
+            self._firing[r] = firing
         return self.diffs[r]
 
     def _d1_matrices(self) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
@@ -433,7 +440,7 @@ class SliceSS:
                 if c:
                     val[k] = c
 
-        torsion = [spec.torsion for spec in pres.generators]
+        torsion = pres.torsions
 
         def by_shift(S: Monomial) -> Tuple[int, int, list]:
             """The code and order of S, and (g, the code of S/g, e_g, the order
@@ -494,16 +501,20 @@ class SliceSS:
             mats[d] = ColMat([{row[k]: c for k, c in v.items()} for v in vals], len(T.orders))
         return mats, unknown
 
-    def _pattern_matrices(self, r: int) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
+    def _pattern_matrices(
+        self, r: int
+    ) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree], List[TriDegree]]:
         shift = page_shift(r)
         mats: Dict[TriDegree, ColMat] = {}
         unknown: Set[TriDegree] = set()
+        firing: List[TriDegree] = []
         if not self.obj.has_pattern:
-            return mats, unknown
+            return mats, unknown, firing
         page = self.pages[r]
         for d, G in page.items():
             if not self._may_fire(r, d, G):
                 continue
+            firing.append(d)
             tgt = d + shift
             if tgt not in self.valid[r]:
                 unknown.add(d)
@@ -521,7 +532,7 @@ class SliceSS:
                 unknown.add(d)
                 continue
             mats[d] = ColMat([{0: 1} if p == "cokernel" else {} for p in G.parts], 1)
-        return mats, unknown
+        return mats, unknown, firing
 
     def _turn(self, r: int) -> None:
         mats = self._ensure_diffs(r)
@@ -534,35 +545,37 @@ class SliceSS:
         # group whose differential may leave the certified region (its
         # target too, when the differential could not be computed), the
         # target of an uncertified degree, and the top stem column, whose
-        # sources lie outside the box.
-        lost: Set[TriDegree] = set()
-        for d, G in page.items():
-            if G.orders and self._may_fire(r, d, G):
-                if d in unknown:
-                    lost.add(d)
-                    lost.add(d + shift)
-                elif d + shift not in valid:
-                    lost.add(d)
+        # sources lie outside the box.  Every group of the page is
+        # certified, and the last two kinds are kept inside the box by
+        # their fields.
         box = self.box
+        lost: Set[TriDegree] = set()
+        for d in self._firing[r]:
+            if d in unknown:
+                lost.add(d)
+                if box.contains(d + shift):
+                    lost.add(d + shift)
+            elif d + shift not in valid:
+                lost.add(d)
         top = box.f[1] - shift.f  # a target above this leaves the box
-        lost.update(u + shift for u in valid.uncertified if u.f <= top)
+        lost.update(u + shift for u in valid.uncertified if u.f <= top and u.s > box.s[0])
         lost.update(
             TriDegree(box.s[1], f, w)
             for f in range(shift.f, box.f[1] + 1)
             for w in range(box.w[0], box.w[1] + 1)
         )
-        lost = {d for d in lost if d in valid}
+        lost -= valid.uncertified
         self.valid[r + 1] = Certified(box, valid.uncertified | lost)
 
-        newpage: Dict[TriDegree, PageGroup] = {}
-        for d, G in page.items():
-            if d in lost or not G.orders:
+        # Only the ends of a differential turn; every other group is
+        # carried as the same object, in the page's order.
+        newpage = {d: G for d, G in page.items() if G.orders and d not in lost}
+        for d in dict.fromkeys(e for src in mats for e in (src, src + shift)):
+            G = newpage.get(d)
+            if G is None:
                 continue
             Mout = mats.get(d)
             Min = mats.get(d - shift)
-            if Mout is None and Min is None:
-                newpage[d] = G
-                continue
             srcG = page.get(d - shift) if Min is not None else None
             tgtG = page.get(d + shift) if Mout is not None else None
             newpage[d] = self._turn_group(G, Min, srcG, Mout, tgtG)
