@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .grading import (
     Element,
@@ -345,7 +345,7 @@ class SliceSS:
         self.valid: Dict[int, Certified] = {1: Certified(self.box)}
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
-        self._firing: Dict[int, List[TriDegree]] = {}  # non-empty groups d_r may leave
+        self._firing: Dict[int, Collection[TriDegree]] = {}  # non-empty groups d_r may leave
         self._ran_to = 1
 
     # -- running --------------------------------------------------------
@@ -372,9 +372,9 @@ class SliceSS:
                 raise EngineError("page %d has not been reached yet" % r)
             if r == 1:
                 mats, unknown = self._d1_matrices()
-                # with a d1 schedule, every non-empty group may support a d1
-                pages = self.pages[1].items() if self.obj.schedule.get(1) else ()
-                firing = [d for d, G in pages if G.orders]
+                # page 1 holds non-empty basis groups only, and with a d1
+                # schedule each of them may support a d1
+                firing = self.pages[1].keys() if self.obj.schedule.get(1) else ()
             else:
                 mats, unknown, firing = self._pattern_matrices(r)
             self.diffs[r] = mats
