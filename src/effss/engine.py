@@ -440,7 +440,7 @@ class SliceSS:
                 if c:
                     val[k] = c
 
-        torsion = pres.torsions
+        torsion = [spec.torsion for spec in pres.generators]
 
         def by_shift(S: Monomial) -> Tuple[int, int, list]:
             """The code and order of S, and (g, the code of S/g, e_g, the order

@@ -207,8 +207,6 @@ class RingPresentation:
         self.name = name
         self.generators: Tuple[GeneratorSpec, ...] = tuple(generators)
         self.global_torsion = int(global_torsion)
-        #: each generator's torsion, by index
-        self.torsions: Tuple[int, ...] = tuple(g.torsion for g in self.generators)
 
         self._index: Dict[str, int] = {}
         for i, g in enumerate(self.generators):
@@ -347,9 +345,9 @@ class RingPresentation:
 
     def order_of(self, m: Monomial) -> int:
         """Additive order of the cyclic summand on monomial m (0 = free)."""
-        o, t = self.global_torsion, self.torsions
+        o = self.global_torsion
         for g, _ in m:
-            o = math.gcd(o, t[g])
+            o = math.gcd(o, self.generators[g].torsion)
         return o
 
     def degree_of_element(self, e: Element) -> Optional[TriDegree]:
