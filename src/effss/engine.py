@@ -24,8 +24,7 @@ built, and a turn reads only their nonzero entries; a block whose part is
 all order 2, almost every block, goes to the bitset ``F2Homology``.  A
 group is either a page 1 basis or such a homology group.  A turn re-turns
 only the degrees its differentials touch, their sources and targets; every
-other group is carried to the next page as the same object, so a turn
-costs what its differentials touch rather than the size of the box.
+other group is carried to the next page as the same object.
 
 Every lift is a normal element with each coefficient reduced modulo its
 monomial's order: a page 1 lift is a basis monomial, and a later one is an
