@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effss.intlinalg import (
+    ColMat,
     F2Homology,
     LinearAlgebraError,
     Mat,
@@ -278,6 +279,30 @@ def test_f2_homology_matches_generic_property(data):
 
     check_f2_matches_generic(n, out, data.draw(st.integers(0, 4)), pick)
 
+
+
+def sparse_columns(data, m):
+    """0-8 columns, each a mapping from distinct rows below m to nonzero
+    coefficients in -64..64; any of them may be empty."""
+    nonzero = st.integers(-64, 64).filter(bool)
+    n = data.draw(st.integers(0, 8))
+    return [
+        data.draw(st.dictionaries(st.integers(0, m - 1), nonzero, max_size=m) if m else st.just({}))
+        for _ in range(n)
+    ]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_colmat_agrees_with_a_dense_oracle(data):
+    m = data.draw(st.integers(0, 12))
+    cols = sparse_columns(data, m)
+    M = ColMat(cols, m)
+    want = [[col.get(i, 0) for col in cols] for i in range(m)]
+    assert (M.m, M.n) == (m, len(cols))
+    D = M.dense()
+    assert (D.m, D.n, D.rows) == (m, len(cols), want)
+    assert M.is_zero() == (not any(cols))
 
 def test_random_complexes_sanity():
     """Random two-step complexes with d_out * d_in = 0 by construction."""
