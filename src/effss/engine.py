@@ -122,22 +122,30 @@ def widened_box(window: Window, r_max: int, s_margin=None, f_margin=None) -> Win
     return Window(s=(window.s[0] - sm, window.s[1] + sm), f=(0, window.f[1] + fm), w=window.w)
 
 
-@dataclass(frozen=True)
 class Certified:
-    """The certified degrees of one page: a box minus the uncertified ones."""
+    """The certified degrees of one page: a box minus the degrees that
+    ``uncertified_from``, one map shared by every page of a run, sends to
+    this page or an earlier one.  The map sends a degree of the box to the
+    first page on which it is uncertified."""
 
-    box: Window
-    uncertified: FrozenSet[TriDegree] = frozenset()  # a subset of the box
+    __slots__ = ("box", "uncertified_from", "page")
+
+    def __init__(self, box: Window, uncertified_from: Dict[TriDegree, int], page: int) -> None:
+        self.box = box
+        self.uncertified_from = uncertified_from
+        self.page = page
 
     def __contains__(self, d: TriDegree) -> bool:
-        return d not in self.uncertified and self.box.contains(d)
+        return self.uncertified_from.get(d, self.page + 1) > self.page and self.box.contains(d)
 
     def __len__(self) -> int:
         (s0, s1), (f0, f1), (w0, w1) = self.box.s, self.box.f, self.box.w
-        return (s1 - s0 + 1) * (f1 - f0 + 1) * (w1 - w0 + 1) - len(self.uncertified)
+        lost = sum(1 for r in self.uncertified_from.values() if r <= self.page)
+        return (s1 - s0 + 1) * (f1 - f0 + 1) * (w1 - w0 + 1) - lost
 
     def __iter__(self) -> Iterator[TriDegree]:
-        return (d for d in self.box.degrees() if d not in self.uncertified)
+        since, r = self.uncertified_from, self.page
+        return (d for d in self.box.degrees() if since.get(d, r + 1) > r)
 
 
 @dataclass(eq=False)  # hashed by identity, so per-object memos can key on it
@@ -284,10 +292,8 @@ class PageGroup:
         return out
 
 
-def _f2_out_cols(
-    cols: Sequence[Dict[int, int]], col_idx: Sequence[int], tgt_orders: Sequence[int]
-) -> List[int]:
-    """Translate outgoing sparse columns col_idx into bit masks over the target.
+def _f2_out_cols(M: ColMat, col_idx: Sequence[int], tgt_orders: Sequence[int]) -> List[int]:
+    """Translate the columns col_idx of M into bit masks over the target.
 
     A map from an order 2 class into Z/o factors through the order 2
     subgroup, so each entry must be 0 or o/2 modulo o; into a free class it
@@ -296,7 +302,7 @@ def _f2_out_cols(
     masks = []
     for j in col_idx:
         mask = 0
-        for i, e in cols[j].items():
+        for i, e in M.col(j):
             o = tgt_orders[i]
             if o == 0:
                 raise LinearAlgebraError(
@@ -336,12 +342,10 @@ class SliceSS:
         for r, images in obj.schedule.items():
             validate_schedule(self.pres, images, r)
 
-        self._bases = self.pres.basis_window(self.box.s, self.box.f, self.box.w)
-        first: Dict[TriDegree, PageGroup] = {}
-        for d, monos in self._bases.items():
-            first[d] = PageGroup.basis(obj, d, monos)
+        bases = self.pres.basis_window(self.box.s, self.box.f, self.box.w)
+        first = {d: PageGroup.basis(obj, d, monos) for d, monos in bases.items()}
         self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: first}
-        self.valid: Dict[int, Certified] = {1: Certified(self.box)}
+        self.valid: Dict[int, Certified] = {1: Certified(self.box, {}, 1)}
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
         self._firing: Dict[int, Collection[TriDegree]] = {}  # non-empty groups d_r may leave
@@ -497,7 +501,12 @@ class SliceSS:
             if T is None:
                 raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
             row = {code(m): i for i, m in enumerate(T.monomials)}
-            mats[d] = ColMat([{row[k]: c for k, c in v.items()} for v in vals], len(T.orders))
+            ptr, rows, coeffs = [0], [], []
+            for v in vals:
+                rows.extend(map(row.__getitem__, v))
+                coeffs.extend(v.values())
+                ptr.append(len(rows))
+            mats[d] = ColMat.packed(ptr, rows, coeffs, len(T.orders))
         return mats, unknown
 
     def _pattern_matrices(
@@ -557,14 +566,16 @@ class SliceSS:
             elif d + shift not in valid:
                 lost.add(d)
         top = box.f[1] - shift.f  # a target above this leaves the box
-        lost.update(u + shift for u in valid.uncertified if u.f <= top and u.s > box.s[0])
+        since = valid.uncertified_from
+        lost.update(u + shift for u, q in since.items() if q <= r and u.f <= top and u.s > box.s[0])
         lost.update(
             TriDegree(box.s[1], f, w)
             for f in range(shift.f, box.f[1] + 1)
             for w in range(box.w[0], box.w[1] + 1)
         )
-        lost -= valid.uncertified
-        self.valid[r + 1] = Certified(box, valid.uncertified | lost)
+        for d in lost:
+            since.setdefault(d, r + 1)
+        self.valid[r + 1] = Certified(box, since, r + 1)
 
         # Only the ends of a differential turn; every other group is
         # carried as the same object, in the page's order.
@@ -599,14 +610,16 @@ class SliceSS:
             idx.append(i)
 
         # incoming columns must live in a single part each; each is kept
-        # with its source order and its odd entries as a mask over the part
-        in_by_part: Dict[str, List[Tuple[Dict[int, int], int, int]]] = {p: [] for p in part_idx}
+        # by its index, with its source order and its odd entries as a mask
+        # over the part
+        in_by_part: Dict[str, List[Tuple[int, int, int]]] = {p: [] for p in part_idx}
         if Min is not None:
-            for col, o in zip(Min.cols, srcG.orders):
-                if not col:
+            for j, o in enumerate(srcG.orders):
+                entries = Min.col(j)
+                first = next(entries, None)
+                if first is None:
                     continue
-                entries = iter(col.items())
-                i, c = next(entries)
+                i, c = first
                 p = gparts[i]
                 mask = (c & 1) << pos[i]
                 for i, c in entries:
@@ -616,12 +629,13 @@ class SliceSS:
                         )
                     if c & 1:
                         mask |= 1 << pos[i]
-                in_by_part[p].append((col, o, mask))
+                in_by_part[p].append((j, o, mask))
 
         # outgoing blocks may not share target rows
         parts_present = [p for p in PART_ORDER if p in part_idx]
         if Mout is not None and len(parts_present) == 2:
-            a, b = [set().union(*[Mout.cols[j] for j in part_idx[p]]) for p in parts_present]
+            ptr, rows = Mout.ptr, Mout.rows
+            a, b = [set().union(*[rows[ptr[j]:ptr[j + 1]] for j in part_idx[p]]) for p in parts_present]
             if not a.isdisjoint(b):
                 raise EngineError(
                     "outgoing differential at %s mixes the image splitting" % (G.degree,)
@@ -639,10 +653,10 @@ class SliceSS:
             cols_p = in_by_part[p]
             if sub_orders.count(2) == len(idx):
                 if Mout is not None:
-                    out_masks = _f2_out_cols(Mout.cols, idx, tgt_orders)
+                    out_masks = _f2_out_cols(Mout, idx, tgt_orders)
                 else:
                     out_masks = [0] * len(idx)
-                H = F2Homology(len(idx), [mask for _c, _o, mask in cols_p], out_masks)
+                H = F2Homology(len(idx), [mask for _j, _o, mask in cols_p], out_masks)
                 for gen in H.gen_masks:
                     acc: Element = {}
                     while gen:
@@ -651,12 +665,12 @@ class SliceSS:
                         gen ^= low
                     lifts.append(norm(acc))
             else:
-                d_in = ColMat([{pos[i]: c for i, c in col.items()} for col, _o, _m in cols_p], len(idx))
-                out_p = [Mout.cols[j] for j in idx] if Mout is not None else [{}] * len(idx)
+                d_in = ColMat([{pos[i]: c for i, c in Min.col(j)} for j, _o, _m in cols_p], len(idx))
+                out_p = [dict(Mout.col(j)) for j in idx] if Mout is not None else [{}] * len(idx)
                 H = homology(
                     d_in.dense(),
                     ColMat(out_p, len(tgt_orders)).dense(),
-                    [o for _c, o, _m in cols_p],
+                    [o for _j, o, _m in cols_p],
                     sub_orders,
                     tgt_orders,
                 )
@@ -708,11 +722,11 @@ class SliceSS:
     def differential_value(self, r: int, d: TriDegree, i: int) -> Element:
         """d_r of summand i at degree d, as an element of page 1 ({} if zero)."""
         M = self._ensure_diffs(r).get(d)
-        if M is None or not M.cols[i]:
+        if M is None or M.ptr[i] == M.ptr[i + 1]:
             return {}
         T = self.pages[r][d + page_shift(r)]
         acc: Element = {}
-        for k, c in M.cols[i].items():
+        for k, c in M.col(i):
             el_iadd(acc, T.lift(k), c)
         return self.pres.reduce_coefficients(acc)
 

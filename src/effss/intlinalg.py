@@ -22,7 +22,7 @@ columns, since on the fibers only about a tenth of their cells are nonzero.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .grading import EffssError
 
@@ -118,23 +118,47 @@ class Mat:
 
 
 class ColMat:
-    """A sparse m x n integer matrix: cols[j] maps a row to its nonzero
-    entry.  The Smith form routines work on the ``dense`` copy."""
+    """A sparse m x n integer matrix in compressed-column form (Davis,
+    *Direct Methods for Sparse Linear Systems*, 2.2): column j holds the
+    rows ``rows[ptr[j]:ptr[j + 1]]`` with the coefficients at the same
+    places of ``vals``.  ``ColMat(cols, m)`` packs a list of {row: nonzero
+    coefficient} mappings, keeping each mapping's order.  The Smith form
+    routines work on the ``dense`` copy."""
 
-    __slots__ = ("m", "n", "cols")
+    __slots__ = ("m", "n", "ptr", "rows", "vals")
 
-    def __init__(self, cols: List[Dict[int, int]], m: int):
-        self.cols = cols
+    def __init__(self, cols: Sequence[Mapping[int, int]], m: int):
+        ptr, rows, vals = [0], [], []
+        for col in cols:
+            rows.extend(col)
+            vals.extend(col.values())
+            ptr.append(len(rows))
+        self._pack(ptr, rows, vals, m)
+
+    @classmethod
+    def packed(cls, ptr: Sequence[int], rows: Sequence[int], vals: Sequence[int], m: int) -> "ColMat":
+        """The matrix of the given compressed-column arrays."""
+        M = cls.__new__(cls)
+        M._pack(ptr, rows, vals, m)
+        return M
+
+    def _pack(self, ptr, rows, vals, m) -> None:
+        self.ptr, self.rows, self.vals = tuple(ptr), tuple(rows), tuple(vals)
         self.m = m
-        self.n = len(cols)
+        self.n = len(ptr) - 1
+
+    def col(self, j: int) -> Iterator[Tuple[int, int]]:
+        """The (row, coefficient) pairs of column j, in stored order."""
+        a, b = self.ptr[j], self.ptr[j + 1]
+        return zip(self.rows[a:b], self.vals[a:b])
 
     def is_zero(self) -> bool:
-        return not any(self.cols)
+        return not self.rows
 
     def dense(self) -> Mat:
         rows = [[0] * self.n for _ in range(self.m)]
-        for j, col in enumerate(self.cols):
-            for i, c in col.items():
+        for j in range(self.n):
+            for i, c in self.col(j):
                 rows[i][j] = c
         return Mat(rows, self.m, self.n)
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import pytest
 
 from effss.cli import UsageError, _parse_range, _query_window, cli
-from effss.engine import Certified, NotCertifiedError, SliceSS, Window
+from effss.engine import NotCertifiedError, SliceSS, Window
 from effss.objects import get_object, spec_from_dict, spec_to_dict
 
 
@@ -301,9 +301,10 @@ COMPUTE_CASES = (
 def punch(ss):
     """Uncertify the user degrees of the window's second stem on every page,
     so that the dump has degrees to skip."""
-    band = {d for d in ss.window.degrees() if d.s == ss.window.s[0] + 1}
-    for r, valid in ss.valid.items():
-        ss.valid[r] = Certified(valid.box, valid.uncertified | band)
+    since = ss.valid[1].uncertified_from
+    for d in ss.window.degrees():
+        if d.s == ss.window.s[0] + 1:
+            since[d] = 1
 
 
 def compute_oracle(name, window, punched):

@@ -295,6 +295,7 @@ def sparse_columns(data, m):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_colmat_agrees_with_a_dense_oracle(data):
+    """Shape, dense copy, zero test and column reads of a packed ColMat."""
     m = data.draw(st.integers(0, 12))
     cols = sparse_columns(data, m)
     M = ColMat(cols, m)
@@ -303,6 +304,8 @@ def test_colmat_agrees_with_a_dense_oracle(data):
     D = M.dense()
     assert (D.m, D.n, D.rows) == (m, len(cols), want)
     assert M.is_zero() == (not any(cols))
+    for j, col in enumerate(cols):
+        assert list(M.col(j)) == list(col.items()), j
 
 def test_random_complexes_sanity():
     """Random two-step complexes with d_out * d_in = 0 by construction."""
