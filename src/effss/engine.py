@@ -19,7 +19,8 @@ only the weights it reads.
 
 Page turning is integer homology, done blockwise over the image/non-image
 splitting so that every summand of every page stays on one side of it.
-Differential blocks are sparse columns (``ColMat``) from the moment they are
+Differential blocks are compressed sparse columns (``ColMat``: column
+offsets, rows and coefficients in three tuples) from the moment they are
 built, and a turn reads only their nonzero entries; a block whose part is
 all order 2, almost every block, goes to the bitset ``F2Homology``.  A
 group is either a page 1 basis or such a homology group.  A turn re-turns
@@ -35,9 +36,11 @@ a differential) is normalized by its coefficients alone, with
 
 A window is widened internally to a box and a certified region is tracked page
 by page: a degree stays certified only while every differential that could
-reach it or leave it connects two certified degrees.  The region is stored
-as the box minus an explicit set of uncertified degrees per page, and
-``SliceSS.valid[r]`` is a view of it supporting ``in``, ``len`` and
+reach it or leave it connects two certified degrees, and once lost it stays
+lost.  The region is stored once per run, as one map from each uncertified
+degree of the box to the first page on which it is uncertified; a turn adds
+only the degrees it newly loses and copies nothing.  ``SliceSS.valid[r]`` is
+a view of the box, the map and the page supporting ``in``, ``len`` and
 iteration.  Results are only reported on the certified part, so boundary
 effects are visible instead of silent.
 """
@@ -299,16 +302,18 @@ def _f2_out_cols(M: ColMat, col_idx: Sequence[int], tgt_orders: Sequence[int]) -
     subgroup, so each entry must be 0 or o/2 modulo o; into a free class it
     must vanish.
     """
+    ptr, rows, vals = M.ptr, M.rows, M.vals
     masks = []
     for j in col_idx:
         mask = 0
-        for i, e in M.col(j):
+        for k in range(ptr[j], ptr[j + 1]):
+            i = rows[k]
             o = tgt_orders[i]
             if o == 0:
                 raise LinearAlgebraError(
                     "order 2 class maps nontrivially to a free class"
                 )
-            em = e % o
+            em = vals[k] % o
             if em == 0:
                 continue
             if o % 2 or em != o // 2:
@@ -565,16 +570,18 @@ class SliceSS:
                     lost.add(d + shift)
             elif d + shift not in valid:
                 lost.add(d)
+        # Later pages are not made yet, so every degree of the map is
+        # uncertified on this one.
         top = box.f[1] - shift.f  # a target above this leaves the box
         since = valid.uncertified_from
-        lost.update(u + shift for u, q in since.items() if q <= r and u.f <= top and u.s > box.s[0])
+        lost.update(u + shift for u in since if u.f <= top and u.s > box.s[0])
         lost.update(
             TriDegree(box.s[1], f, w)
             for f in range(shift.f, box.f[1] + 1)
             for w in range(box.w[0], box.w[1] + 1)
         )
-        for d in lost:
-            since.setdefault(d, r + 1)
+        lost.difference_update(since)
+        since.update(dict.fromkeys(lost, r + 1))
         self.valid[r + 1] = Certified(box, since, r + 1)
 
         # Only the ends of a differential turn; every other group is
@@ -614,20 +621,20 @@ class SliceSS:
         # over the part
         in_by_part: Dict[str, List[Tuple[int, int, int]]] = {p: [] for p in part_idx}
         if Min is not None:
+            ptr, rows, vals = Min.ptr, Min.rows, Min.vals
             for j, o in enumerate(srcG.orders):
-                entries = Min.col(j)
-                first = next(entries, None)
-                if first is None:
+                a, b = ptr[j], ptr[j + 1]
+                if a == b:
                     continue
-                i, c = first
-                p = gparts[i]
-                mask = (c & 1) << pos[i]
-                for i, c in entries:
+                p = gparts[rows[a]]
+                mask = 0
+                for k in range(a, b):
+                    i = rows[k]
                     if gparts[i] != p:
                         raise EngineError(
                             "incoming differential at %s mixes the image splitting" % (G.degree,)
                         )
-                    if c & 1:
+                    if vals[k] & 1:
                         mask |= 1 << pos[i]
                 in_by_part[p].append((j, o, mask))
 

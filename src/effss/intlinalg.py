@@ -16,7 +16,9 @@ group of one summand is solved in closed form, with no Smith form.
 
 Everything here is plain Python integers.  ``Mat`` is a dense list of rows,
 which the Smith form works on.  Differential blocks are ``ColMat``: sparse
-columns, since on the fibers only about a tenth of their cells are nonzero.
+columns, since on the fibers only about a tenth of their cells are nonzero,
+in compressed-column form (column offsets, rows and coefficients, each one
+tuple), which keeps a block of a few entries to a few small objects.
 """
 
 from __future__ import annotations
