@@ -262,13 +262,13 @@ def test_d1_matrices_match_per_monomial_oracle(name, window):
     assert unknown == want_unknown
 
 
-
 #: bytes the d1 blocks of L_LOW may retain per stored entry: 68 measured
 #: with compressed columns (Python 3.11), 198 with a dict per column
 D1_BYTES_PER_ENTRY = 90
 
 
 def test_d1_blocks_retain_little_per_entry():
+    """What the d1 build keeps alive, per stored entry, stays small."""
     ss = SliceSS(get_object("L", L_LOW), L_LOW)
     gc.collect()
     tracemalloc.start()
@@ -282,6 +282,7 @@ def test_d1_blocks_retain_little_per_entry():
     entries = sum(len(M.rows) for M in mats.values())
     assert entries > 10000
     assert kept / entries < D1_BYTES_PER_ENTRY, (kept, entries)
+
 
 def test_d1_orders_shrink_by_a_free_generator():
     """x is free with torsion 3 and d1(y) = z has order 2, so d1 vanishes on

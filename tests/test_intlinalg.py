@@ -280,7 +280,6 @@ def test_f2_homology_matches_generic_property(data):
     check_f2_matches_generic(n, out, data.draw(st.integers(0, 4)), pick)
 
 
-
 def sparse_columns(data, m):
     """0-8 columns, each a mapping from distinct rows below m to nonzero
     coefficients in -64..64; any of them may be empty."""
