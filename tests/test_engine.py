@@ -440,6 +440,37 @@ def test_lifts_are_normal_and_values_match_the_rewriting_route(small_runs):
         assert nonzero, ss.obj.name
 
 
+def scan_parts(page):
+    """The parts of a page's groups that are neither all order 2 nor a
+    single summand, as (degree, part, orders), and the number of single
+    parts that are not order 2."""
+    mixed, single = [], 0
+    for d, G in page.items():
+        for p in set(G.parts):
+            orders = [o for o, q in zip(G.orders, G.parts) if q == p]
+            if orders.count(2) < len(orders):
+                if len(orders) > 1:
+                    mixed.append((d, p, orders))
+                else:
+                    single += 1
+    return mixed, single
+
+
+def test_every_part_is_order_2_or_one_summand(small_runs):
+    """The invariant the page turn rests on: each part of each group is all
+    order 2 or one summand, on every page of the small runs and on page 1
+    of the default boxes of ko_C, ko and L_C."""
+    for ss in small_runs:
+        for r, page in ss.pages.items():
+            mixed, single = scan_parts(page)
+            assert not mixed, (ss.obj.name, r, mixed[:3])
+            assert single, (ss.obj.name, r)
+    for name in ("ko_C", "ko", "L_C"):
+        mixed, single = scan_parts(SliceSS(get_object(name)).pages[1])
+        assert not mixed, (name, mixed[:3])
+        assert single, name
+
+
 # -- refusals of the page turn, on hand-built blocks -------------------------
 
 #: where the toy's generators sit: A, and its d1 target A + page_shift(1)
