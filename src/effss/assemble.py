@@ -277,10 +277,6 @@ def _norm_coords(G, coords: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _coords_nonzero(coords: Sequence[int]) -> bool:
-    return any(coords)
-
-
 # ---------------------------------------------------------------------------
 # ledger expansion
 # ---------------------------------------------------------------------------
@@ -422,7 +418,7 @@ def expand_ledger(
                 tg, tcoords = infinity_coords(ss, ext.target)
             except NotCertifiedError:
                 continue
-            if not (_coords_nonzero(scoords) and _coords_nonzero(tcoords)):
+            if not (any(scoords) and any(tcoords)):
                 raise LedgerError(
                     "expanded %s row at %s has a dead endpoint"
                     % (ext.kind, sd)
@@ -510,7 +506,7 @@ def action(ss: SliceSS, index: _LedgerIndex, kind: str, cls: InfinityClass) -> I
         coords: Sequence[int] = []
         if prod:
             _T, coords = infinity_coords(ss, prod, td)
-        if _coords_nonzero(coords):
+        if any(coords):
             for j, x in enumerate(coords):
                 if x:
                     key = (td, j)

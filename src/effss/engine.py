@@ -21,11 +21,23 @@ Page turning is integer homology, done blockwise over the image/non-image
 splitting so that every summand of every page stays on one side of it.
 Differential blocks are compressed sparse columns (``ColMat``: column
 offsets, rows and coefficients in three tuples) from the moment they are
-built, and a turn reads only their nonzero entries; a block whose part is
-all order 2, almost every block, goes to the bitset ``F2Homology``.  A
-group is either a page 1 basis or such a homology group.  A turn re-turns
-only the degrees its differentials touch, their sources and targets; every
-other group is carried to the next page as the same object.
+built, and a turn reads only their nonzero entries.
+
+The turn rests on one invariant: on every page, each part (cokernel or
+image) of each group is either all order 2 or a single summand.  Every
+generator torsion is 0 or a power of 2, so a monomial with a torsion-2
+letter has order 2.  The others are tau^a v2^c (``ko_C``), tau2^a v2^c
+(``ko``), and tau2^a, tau2^a iv(2k) (``L``) or tau^a, tau^a iv(2k)
+(``L_C``); a degree holds at most one of them, alone in its part.  The
+invariant carries from page to page: an all order 2 part turns into order
+2 summands, a single summand into at most one, and a carried group does
+not change.  So a part that is all order 2, almost every one, goes to the
+bitset ``F2Homology``, a single summand to the closed-form ``homology``,
+and a turn refuses any other part.
+
+A group is either a page 1 basis or such a homology group.  A turn
+re-turns only the degrees its differentials touch, their sources and
+targets; every other group is carried to the next page as the same object.
 
 Every lift is a normal element with each coefficient reduced modulo its
 monomial's order: a page 1 lift is a basis monomial, and a later one is an
@@ -671,22 +683,22 @@ class SliceSS:
                         el_iadd(acc, G.lift(idx[low.bit_length() - 1]))
                         gen ^= low
                     lifts.append(norm(acc))
-            else:
-                d_in = ColMat([{pos[i]: c for i, c in Min.col(j)} for j, _o, _m in cols_p], len(idx))
-                out_p = [dict(Mout.col(j)) for j in idx] if Mout is not None else [{}] * len(idx)
+            elif len(idx) == 1:
+                (i,) = idx
                 H = homology(
-                    d_in.dense(),
-                    ColMat(out_p, len(tgt_orders)).dense(),
-                    [o for _j, o, _m in cols_p],
-                    sub_orders,
-                    tgt_orders,
+                    sub_orders[0],
+                    [(c, o) for j, o, _m in cols_p for _i, c in Min.col(j)],
+                    [(c, tgt_orders[k]) for k, c in Mout.col(i)] if Mout is not None else [],
                 )
-                for gen in H.gens:
+                for (c,) in H.gens:
                     acc = {}
-                    for j, c in enumerate(gen):
-                        if c:
-                            el_iadd(acc, G.lift(idx[j]), c)
+                    el_iadd(acc, G.lift(i), c)
                     lifts.append(norm(acc))
+            else:
+                raise EngineError(
+                    "%s part at %s has orders %s: neither all order 2 nor one summand"
+                    % (p, G.degree, sub_orders)
+                )
             blocks.append((p, tuple(idx), H))
             orders.extend(H.orders)
             parts.extend([p] * len(H.orders))

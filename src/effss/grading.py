@@ -205,16 +205,16 @@ class RingPresentation:
         rule_source: Optional[Callable[[Monomial], Optional[RewriteRule]]] = None,
     ) -> None:
         self.name = name
-        self.generators: Tuple[GeneratorSpec, ...] = tuple(generators)
+        self._generators: Tuple[GeneratorSpec, ...] = tuple(generators)
         self.global_torsion = int(global_torsion)
 
         self._index: Dict[str, int] = {}
-        for i, g in enumerate(self.generators):
+        for i, g in enumerate(self._generators):
             if g.name in self._index:
                 raise PresentationError("duplicate generator name %r" % g.name)
             self._index[g.name] = i
 
-        for g in self.generators:
+        for g in self._generators:
             if lam(g.degree) < 1:
                 raise PresentationError(
                     "generator %s has 2f + s - w = %d < 1; basis enumeration "
@@ -240,16 +240,16 @@ class RingPresentation:
 
         tails = [
             i
-            for i, g in enumerate(self.generators)
+            for i, g in enumerate(self._generators)
             if g.degree.s == 0 and g.degree.f == 0
         ]
         if len(tails) > 1:
             raise PresentationError(
                 "at most one pure-weight generator is supported, got %s"
-                % [self.generators[i].name for i in tails]
+                % [self._generators[i].name for i in tails]
             )
         self._tail: Optional[int] = tails[0] if tails else None
-        t = self.generators[self._tail] if tails else None
+        t = self._generators[self._tail] if tails else None
         # basis_window emits every power of the tail in range at its leaves,
         # which needs a weight-lowering tail with no cap or slot; it is the
         # free tau tower on every shipped object
@@ -266,7 +266,7 @@ class RingPresentation:
         # lowers the stem, innermost and halves the search on L and ko.
         runs: List[List[int]] = []
         shared: set = set()
-        for i, g in enumerate(self.generators):
+        for i, g in enumerate(self._generators):
             if i == self._tail:
                 continue
             if runs and shared & set(g.slots):
@@ -283,11 +283,11 @@ class RingPresentation:
         # generator, _reach[pos] bounds |stem change| per unit of filtration
         # over the levels from pos on (None when a level can change the
         # stem at no filtration cost).
-        self._f_monotone = all(g.degree.f >= 0 for g in self.generators)
+        self._f_monotone = all(g.degree.f >= 0 for g in self._generators)
         reach: Optional[int] = 0
         self._reach: List[Optional[int]] = [reach]
         for level in reversed(self._levels):
-            for d in (self.generators[i].degree for i in level):
+            for d in (self._generators[i].degree for i in level):
                 ok = reach is not None and self._f_monotone and d.f > 0
                 reach = max(reach, -(-abs(d.s) // d.f)) if ok else None
             self._reach.append(reach)
@@ -298,6 +298,12 @@ class RingPresentation:
         #: the box a materialized generator list covers; basis_window
         #: refuses boxes outside it.  None when the list is complete.
         self.cover = None
+
+    @property
+    def generators(self) -> Tuple[GeneratorSpec, ...]:
+        """The generators, read-only: the name index, search levels, stem
+        reach and tail above are derived from them at construction."""
+        return self._generators
 
     @property
     def tail(self) -> Optional[int]:
@@ -311,7 +317,7 @@ class RingPresentation:
         This asks the source about every violation the generators can
         form, so only serialization reads it; rewriting never does.
         """
-        top = tuple((i, (g.cap or 0) + 1) for i, g in enumerate(self.generators))
+        top = tuple((i, (g.cap or 0) + 1) for i, g in enumerate(self._generators))
         lhss = sorted(set(self._violations(top)), key=lambda v: (v[0][0], v[-1][0]))
         return tuple(r for r in map(self._rule, lhss) if r is not None)
 
@@ -324,7 +330,7 @@ class RingPresentation:
             raise PresentationError("no generator named %r in %s" % (name, self.name))
 
     def gen_name(self, i: int) -> str:
-        return self.generators[i].name
+        return self._generators[i].name
 
     def monomial(self, exps: Dict[str, int]) -> Monomial:
         """Build a monomial from a name -> exponent dict."""
@@ -337,7 +343,7 @@ class RingPresentation:
     def degree_of(self, m: Monomial) -> TriDegree:
         s = f = w = 0
         for g, e in m:
-            d = self.generators[g].degree
+            d = self._generators[g].degree
             s += e * d.s
             f += e * d.f
             w += e * d.w
@@ -347,7 +353,7 @@ class RingPresentation:
         """Additive order of the cyclic summand on monomial m (0 = free)."""
         o = self.global_torsion
         for g, _ in m:
-            o = math.gcd(o, self.generators[g].torsion)
+            o = math.gcd(o, self._generators[g].torsion)
         return o
 
     def degree_of_element(self, e: Element) -> Optional[TriDegree]:
@@ -378,7 +384,7 @@ class RingPresentation:
         """
         seen: Dict[str, List[int]] = {}
         for g, e in m:
-            spec = self.generators[g]
+            spec = self._generators[g]
             if spec.cap is not None and e > spec.cap:
                 yield ((g, spec.cap + 1),)
             for sl in spec.slots:
@@ -511,7 +517,7 @@ class RingPresentation:
             )
         lam_max = 2 * f1 + s1 - w0
 
-        gens = self.generators
+        gens = self._generators
         levels = self._levels
         reach = self._reach
         tail = self._tail
@@ -613,7 +619,7 @@ class RingPresentation:
             return "1"
         parts = []
         for g, e in m:
-            name = self.generators[g].name
+            name = self._generators[g].name
             parts.append(name if e == 1 else "%s^%d" % (name, e))
         return "*".join(parts)
 
@@ -684,7 +690,7 @@ class RingPresentation:
         return self.reduce(out)
 
     def mono_to_dict(self, m: Monomial) -> Dict[str, int]:
-        return {self.generators[g].name: e for g, e in m}
+        return {self._generators[g].name: e for g, e in m}
 
     def element_to_list(self, e: Element) -> List[List[object]]:
         items = sorted(e.items(), key=lambda mc: self.mono_key(mc[0]))
@@ -709,7 +715,7 @@ class RingPresentation:
                     "cap": g.cap,
                     "slots": list(g.slots),
                 }
-                for g in self.generators
+                for g in self._generators
             ],
             "rules": [
                 {

@@ -1,21 +1,20 @@
-"""Exact integer linear algebra: Smith form, kernels, homology of complexes.
+"""Exact integer linear algebra: Smith form and the homology of page turns.
 
 Page turning reduces to one computation: the homology of
 
     G_prev --d_in--> G --d_out--> G_next
 
 where each group is a finite direct sum of cyclic groups Z/o_i (o_i = 0 for a
-free summand) with a preferred basis.  ``homology`` returns the subquotient
-in invariant-factor form together with explicit generator vectors and a
-projection map, so that classes on the next page can be expressed in the old
-coordinates and old classes can be pushed forward.  The Smith form keeps
-the inverse of its row transform as it goes, so a Smith-path ``homology``
-costs three Smith forms: the cycle kernel, the cycle lattice basis K
-(which also solves for cycle coordinates) and the boundaries in K.  A
-group of one summand is solved in closed form, with no Smith form.
+free summand) with a preferred basis.  The engine only asks for it where G is
+a single summand, which ``homology`` solves in closed form, or all order 2,
+which ``F2Homology`` solves with bitsets.  Either returns the subquotient's
+orders, generators in the old coordinates and a projection onto it, so that
+classes on the next page can be expressed in the old coordinates and old
+classes can be pushed forward.
 
 Everything here is plain Python integers.  ``Mat`` is a dense list of rows,
-which the Smith form works on.  Differential blocks are ``ColMat``: sparse
+which the Smith form works on; it gives the invariant factors of assembled
+groups and of fiber splittings.  Differential blocks are ``ColMat``: sparse
 columns, since on the fibers only about a tenth of their cells are nonzero,
 in compressed-column form (column offsets, rows and coefficients, each one
 tuple), which keeps a block of a few entries to a few small objects.
@@ -101,9 +100,6 @@ class Mat:
             raise LinearAlgebraError("vector length mismatch")
         return [sum(self.rows[i][j] * x[j] for j in range(self.n)) for i in range(self.m)]
 
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.rows)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Mat)
@@ -124,8 +120,7 @@ class ColMat:
     *Direct Methods for Sparse Linear Systems*, 2.2): column j holds the
     rows ``rows[ptr[j]:ptr[j + 1]]`` with the coefficients at the same
     places of ``vals``.  ``ColMat(cols, m)`` packs a list of {row: nonzero
-    coefficient} mappings, keeping each mapping's order.  The Smith form
-    routines work on the ``dense`` copy."""
+    coefficient} mappings, keeping each mapping's order."""
 
     __slots__ = ("m", "n", "ptr", "rows", "vals")
 
@@ -165,27 +160,22 @@ class ColMat:
         return Mat(rows, self.m, self.n)
 
 
-def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat, Mat]:
-    """Return (D, U, V, W) with U @ M @ V = D diagonal, d_i | d_{i+1},
-    d_i >= 0, and W the inverse of U.
+def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat]:
+    """Return (D, U, V) with U @ M @ V = D diagonal, d_i | d_{i+1} and
+    d_i >= 0.
 
     U and V are unimodular.  Pivot choice is the smallest absolute value in
     the remaining block, scanned row-major, so the output is deterministic.
-    W is kept by undoing each row operation on the columns of W (Cohen,
-    GTM 138, 2.4): a swap swaps, row_dst += q row_src is col_src -= q col_dst,
-    a negation negates.
     """
     m, n = M.m, M.n
     A = [row[:] for row in M.rows]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Wt = [r[:] for r in U]  # the columns of W = U^-1
 
     def swap_rows(i, j):
         if i != j:
             A[i], A[j] = A[j], A[i]
             U[i], U[j] = U[j], U[i]
-            Wt[i], Wt[j] = Wt[j], Wt[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -200,10 +190,8 @@ def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat, Mat]:
         for j in range(n):
             Ad[j] += q * As[j]
         Ud, Us = U[dst], U[src]
-        Ws, Wd = Wt[src], Wt[dst]
         for j in range(m):
             Ud[j] += q * Us[j]
-            Ws[j] -= q * Wd[j]
 
     def addmul_col(dst, src, q):
         for r in A:
@@ -214,7 +202,6 @@ def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat, Mat]:
     def negate_row(i):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
-        Wt[i] = [-a for a in Wt[i]]
 
     t = 0
     while t < m and t < n:
@@ -271,145 +258,92 @@ def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat, Mat]:
             negate_row(t)
         t += 1
 
-    return Mat(A, m, n), Mat(U, m, m), Mat(V, n, n), Mat.from_cols(Wt, m)
+    return Mat(A, m, n), Mat(U, m, m), Mat(V, n, n)
 
 
 def diagonal(D: Mat) -> List[int]:
     return [D.rows[i][i] for i in range(min(D.m, D.n))]
 
 
-def kernel_basis(M: Mat) -> Mat:
-    """Columns form a lattice basis of the integer kernel of M."""
-    D, _U, V, _W = smith_normal_form(M)
-    dia = diagonal(D)
-    cols = []
-    for j in range(M.n):
-        if j >= len(dia) or dia[j] == 0:
-            cols.append(V.col(j))
-    return Mat.from_cols(cols, M.n)
-
-
-def solve(M: Mat, b: Sequence[int]) -> Optional[List[int]]:
-    """One integer solution of M x = b, or None when there is none.
-
-    Tests are its only callers; they use it to check that kernel and
-    lattice bases span the vectors they should.
-    """
-    if len(b) != M.m:
-        raise LinearAlgebraError("rhs length mismatch")
-    return _snf_solve(smith_normal_form(M)[:3], b)
-
-
-def _snf_solve(snf: Tuple[Mat, Mat, Mat], b: Sequence[int]) -> Optional[List[int]]:
-    """Solve M x = b given the Smith form (D, U, V) of M."""
-    D, U, V = snf
-    y = U.vec(list(b))
-    dia = diagonal(D)
-    z = [0] * D.n
-    for i in range(D.m):
-        d = dia[i] if i < len(dia) else 0
-        if d:
-            if y[i] % d:
-                return None
-            if i < D.n:
-                z[i] = y[i] // d
-        elif y[i]:
-            return None
-    return V.vec(z)
-
-
-def lattice_basis(P: Mat) -> Tuple[Mat, Optional[Tuple[Mat, Mat, Mat]]]:
-    """Independent columns K spanning the column span of P (a lattice
-    basis), with a Smith form of K for ``_snf_solve``, or None when P has
-    no columns.
-
-    With U @ P @ V = D and W = U^-1, K is W's first r columns times the
-    nonzero d_1..d_r, so U @ K is diag(d) over 0 and (that, U, I) is the
-    Smith form.
-    """
-    if P.n == 0:
-        return Mat.zeros(P.m, 0), None
-    D, U, _V, W = smith_normal_form(P)
-    dia = [d for d in diagonal(D) if d]
-    K = Mat.from_cols([[d * W.rows[i][j] for i in range(P.m)] for j, d in enumerate(dia)], P.m)
-    Dk = Mat([[d if i == j else 0 for j, d in enumerate(dia)] for i in range(P.m)], P.m, len(dia))
-    return K, (Dk, U, Mat.identity(len(dia)))
-
-
 # ---------------------------------------------------------------------------
-# homology of a two-step complex of finitely generated abelian groups
+# homology of a two-step complex at one summand, or at order 2 summands
 # ---------------------------------------------------------------------------
 
 
-def _check_well_defined(M: Mat, src_orders, tgt_orders, what: str) -> None:
-    for j, o in enumerate(src_orders):
-        if not o:
-            continue
-        for i, ot in enumerate(tgt_orders):
-            v = o * M.rows[i][j]
-            if (ot and v % ot) or (not ot and v):
-                raise LinearAlgebraError(
-                    "%s does not respect torsion at column %d row %d" % (what, j, i)
-                )
+def _vanishes(v: int, o: int) -> bool:
+    """True when v is 0 in Z/o (in Z when o = 0)."""
+    return v % o == 0 if o else v == 0
 
 
-class Homology:
-    """ker(d_out)/im(d_in) with generators and a projection back onto it.
+class CyclicHomology:
+    """ker(d_out)/im(d_in) at a single summand Z/o.
 
-    orders   invariant factors of the summands, 0 meaning a free summand,
-             entries 1 already dropped.
-    gens     one ambient coordinate vector per summand.
-    K_snf    Smith form of the cycle lattice basis K, or None when there
-             are no cycles.
+    The cycles are mZ (m = 0 when there are none), and the homology is
+    cyclic of order d, generated by m; it is 0 when d = 1.
     """
 
-    def __init__(self, ambient_rank, orders, gens, K_snf, Uy, kept, signs):
-        self.ambient_rank = ambient_rank
-        self.orders: List[int] = orders
-        self.gens: List[List[int]] = gens
-        self._K_snf = K_snf
-        self._Uy = Uy
-        self._kept = kept
-        self._signs = signs
+    __slots__ = ("orders", "gens", "_m")
 
-    @property
-    def is_zero(self) -> bool:
-        """True when the group is 0; tests are its only callers."""
-        return not self.orders
-
-    def cycle_coordinates(self, x: Sequence[int]) -> Optional[List[int]]:
-        """Coordinates of x in the cycle lattice, or None when x is no cycle."""
-        if self._K_snf is None:
-            return None
-        return _snf_solve(self._K_snf, x)
+    def __init__(self, o: int, m: int, d: int):
+        self._m = m
+        self.orders: List[int] = [] if d == 1 else [d]
+        self.gens: List[List[int]] = [] if d == 1 else [[m % o if o else m]]
 
     def project(self, x: Sequence[int]) -> List[int]:
-        """Express a cycle x as coefficients over the homology generators."""
-        if len(x) != self.ambient_rank:
+        """Express a cycle x, one coordinate, over the homology generator."""
+        if len(x) != 1:
             raise LinearAlgebraError("projection input has wrong length")
-        if self._K_snf is None:
-            if any(x):
-                raise LinearAlgebraError("nonzero vector in a zero group")
-            return []
-        z = self.cycle_coordinates(x)
-        if z is None:
+        m, v = self._m, x[0]
+        if not _vanishes(v, m):
             raise LinearAlgebraError("vector is not a cycle")
-        h = self._Uy.vec(z)
-        out = []
-        for i, d, sg in zip(self._kept, self.orders, self._signs):
-            v = sg * h[i]
-            out.append(v % d if d else v)
-        return out
+        if not self.orders:
+            return []
+        d = self.orders[0]
+        return [v // m % d if d else v // m]
 
-    def is_cycle(self, x: Sequence[int]) -> bool:
-        """True when d_out kills x; tests are its only callers."""
-        if self._K_snf is None:
-            return not any(x)
-        return self.cycle_coordinates(x) is not None
+
+def homology(
+    o: int,
+    incoming: Sequence[Tuple[int, int]],
+    outgoing: Sequence[Tuple[int, int]],
+) -> CyclicHomology:
+    """Homology of G_prev -> Z/o -> G_next at the middle spot, in closed form.
+
+    ``incoming`` holds one (coefficient, source order) pair per incoming
+    column and ``outgoing`` one (coefficient, target order) pair per entry
+    of the outgoing column; order 0 means a free summand.  Both maps are
+    verified to respect torsion, and the composite to vanish.
+
+    The cycles are mZ, with m the lcm over target rows Z/t (t > 0) of
+    t / gcd(t, c) for the row's coefficient c; a nonzero c into a free row
+    leaves no cycles.  Boundaries and torsion span gZ, with g the gcd of o
+    and the incoming coefficients, so the homology is cyclic of order g / m
+    and generated by m.
+    """
+    for c, t in outgoing:
+        if not _vanishes(o * c, t):
+            raise LinearAlgebraError("outgoing differential does not respect torsion")
+    for a, p in incoming:
+        if not _vanishes(p * a, o):
+            raise LinearAlgebraError("incoming differential does not respect torsion")
+        if any(not _vanishes(c * a, t) for c, t in outgoing):
+            raise LinearAlgebraError("composite of differentials is nonzero")
+
+    m = 1
+    for c, t in outgoing:
+        if t:
+            m = lcm(m, t // gcd(t, c))
+        elif c:
+            return CyclicHomology(o, 0, 1)
+    g = gcd(o, *[a for a, _p in incoming])
+    if g % m:
+        raise LinearAlgebraError("image of incoming differential is not a cycle")
+    return CyclicHomology(o, m, g // m)
 
 
 class F2Homology:
-    """Same interface as Homology, specialized to all-order-2 ambient groups.
+    """ker(d_out)/im(d_in) where every summand of the middle group has
+    order 2, with ``orders`` and ``project`` as on ``CyclicHomology``.
 
     Int bitsets stand in for vectors and for sets of generator indices, so
     kernel, image and quotient are a handful of xor reductions per class.
@@ -462,15 +396,6 @@ class F2Homology:
         return [2] * len(self._gens_masks)
 
     @property
-    def gens(self) -> List[List[int]]:
-        """One 0/1 coordinate vector per summand, computed on each read.
-
-        The engine reads ``gen_masks`` instead; this is the interface shared
-        with ``Homology``, which the tests compare."""
-        n = self.ambient_rank
-        return [[g >> i & 1 for i in range(n)] for g in self._gens_masks]
-
-    @property
     def gen_masks(self) -> Tuple[int, ...]:
         """One bitmask per summand: bit i set where coordinate i is 1."""
         return self._gens_masks
@@ -517,122 +442,3 @@ class F2Homology:
         if row & ((1 << n) - 1):
             raise LinearAlgebraError("cycle outside the recorded span")
         return [row >> (n + k) & 1 for k in range(len(self._gens_masks))]
-
-
-def _cyclic_homology(d_in: Mat, d_out: Mat, o: int, orders_next: Sequence[int]) -> Homology:
-    """``homology`` at a single summand Z/o, in closed form.
-
-    The cycles are mZ, with m the lcm over target rows Z/t (t > 0) of
-    t / gcd(t, c) for the row's coefficient c; a nonzero c into a free row
-    leaves no cycles.  Boundaries and torsion span gZ, with g the gcd of o
-    and the incoming entries, so the homology is cyclic of order g / m and
-    generated by m.  (diag(m), 1, 1) is the Smith form of the cycle basis.
-    """
-    m = 1
-    for (c,), t in zip(d_out.rows, orders_next):
-        if t:
-            m = lcm(m, t // gcd(t, c))
-        elif c:
-            return Homology(1, [], [], None, None, [], [])
-    g = gcd(o, *d_in.rows[0])
-    if g % m:
-        raise LinearAlgebraError("image of incoming differential is not a cycle")
-    d = g // m
-    orders, gens = ([], []) if d == 1 else ([d], [[m % o if o else m]])
-    one = Mat([[1]], 1, 1)
-    return Homology(1, orders, gens, (Mat([[m]], 1, 1), one, one), one, [0], [1])
-
-
-def homology(
-    d_in: Mat,
-    d_out: Mat,
-    orders_prev: Sequence[int],
-    orders: Sequence[int],
-    orders_next: Sequence[int],
-) -> Homology:
-    """Homology of G_prev -> G -> G_next at the middle spot.
-
-    The groups are given by their summand orders; the matrices act on the
-    corresponding preferred bases.  Both maps are verified to respect
-    torsion and the composite is verified to vanish.
-    """
-    n = len(orders)
-    if d_in.m != n or d_out.n != n:
-        raise LinearAlgebraError("differential shapes do not match the group")
-    if d_in.n != len(orders_prev) or d_out.m != len(orders_next):
-        raise LinearAlgebraError("differential shapes do not match neighbors")
-
-    _check_well_defined(d_out, orders, orders_next, "outgoing differential")
-    _check_well_defined(d_in, orders_prev, orders, "incoming differential")
-    comp = d_out @ d_in
-    for i, ot in enumerate(orders_next):
-        for j in range(comp.n):
-            v = comp.rows[i][j]
-            if (ot and v % ot) or (not ot and v):
-                raise LinearAlgebraError("composite of differentials is nonzero")
-
-    if n == 0:
-        return Homology(0, [], [], None, None, [], [])
-    if n == 1:
-        return _cyclic_homology(d_in, d_out, orders[0], orders_next)
-
-    # cycle lattice: x with d_out(x) = 0 in the target group
-    tors_cols = [
-        [orders_next[i] if r == i else 0 for r in range(len(orders_next))]
-        for i in range(len(orders_next))
-        if orders_next[i]
-    ]
-    stacked = d_out.hstack(Mat.from_cols(tors_cols, len(orders_next)))
-    big = kernel_basis(stacked)
-    proj = Mat([big.rows[i] for i in range(n)], n, big.n)
-    K, K_snf = lattice_basis(proj)
-    if K.n == 0:
-        return Homology(n, [], [], None, None, [], [])
-
-    # boundaries and ambient torsion, written in cycle coordinates
-    ycols = []
-    for j in range(d_in.n):
-        z = _snf_solve(K_snf, d_in.col(j))
-        if z is None:
-            raise LinearAlgebraError("image of incoming differential is not a cycle")
-        ycols.append(z)
-    for i, o in enumerate(orders):
-        if o:
-            z = _snf_solve(K_snf, [o if r == i else 0 for r in range(n)])
-            if z is None:
-                raise LinearAlgebraError("torsion relation is not a cycle")
-            ycols.append(z)
-    Y = Mat.from_cols(ycols, K.n)
-
-    Dy, Uy, _Vy, Uy_inv = smith_normal_form(Y)
-    dia = diagonal(Dy)
-    gen_mat = K @ Uy_inv
-
-    kept, dys, gens, signs = [], [], [], []
-    for i in range(K.n):
-        d = dia[i] if i < len(dia) else 0
-        if d == 1:
-            continue
-        kept.append(i)
-        dys.append(d)
-        g = gen_mat.col(i)
-        # fix the sign so the first nonzero coordinate is positive (free
-        # ambient summand) or in the lower half of its cyclic group
-        sign = 1
-        for gi, o in zip(g, orders):
-            v = gi % o if o else gi
-            if v == 0:
-                continue
-            if (o == 0 and v < 0) or (o and v > o - v):
-                sign = -1
-            break
-        if sign < 0:
-            g = [-x for x in g]
-        g = [
-            gi % o if o else gi
-            for gi, o in zip(g, orders)
-        ]
-        gens.append(g)
-        signs.append(sign)
-
-    return Homology(n, dys, gens, K_snf, Uy, kept, signs)

@@ -3,6 +3,7 @@ and the d1 build on all four objects against derive on every monomial."""
 
 import gc
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -23,8 +24,9 @@ from effss.engine import (
     validate_schedule,
 )
 from effss.grading import GeneratorSpec, RingPresentation, TriDegree, el_iadd, mono_mul
-from effss.intlinalg import ColMat, LinearAlgebraError, Mat, homology
+from effss.intlinalg import ColMat, LinearAlgebraError, Mat
 from effss.objects import get_object
+from smith_oracle import six_form_homology
 
 SMALL = Window(s=(-2, 10), f=(0, 8), w=(-4, 8))
 FIBER_SMALL = Window(s=(-2, 8), f=(0, 4), w=(-4, 6))  # SMALL of tests/test_fiber.py
@@ -332,9 +334,10 @@ def test_d1_orders_when_a_moving_generator_leaves_the_shift():
 @pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("ko", "L")])
 def test_page2_matches_generic_homology_on_oracle_blocks(name, window):
     """Route agreement for the first page turn: at every certified degree
-    that d1 touches, generic ``homology`` on the oracle's dense blocks,
-    restricted to each part of the image splitting, gives the orders the
-    engine reports on page 2 for that part."""
+    that d1 touches, the general Smith-form homology of ``smith_oracle`` on
+    the oracle's dense blocks, restricted to each part of the image
+    splitting, gives the orders the engine reports on page 2 for that
+    part."""
     ss = SliceSS(get_object(name, window), window).run(2)
     mats, _unknown = per_monomial_d1_matrices(ss)
     shift = page_shift(1)
@@ -343,21 +346,19 @@ def test_page2_matches_generic_homology_on_oracle_blocks(name, window):
         Min, Mout = mats.get(d - shift), mats.get(d)
         if (Min is None and Mout is None) or d not in ss.valid[2]:
             continue
-        src = ss.pages[1].get(d - shift)
         tgt = ss.pages[1].get(d + shift)
         H2 = ss.group(2, d)
         for p in set(G.parts):
             idx = [i for i, q in enumerate(G.parts) if q == p]
             d_in = Min or Mat.zeros(len(G.orders), 0)
             d_out = Mout or Mat.zeros(0, len(G.orders))
-            H = homology(
+            orders, _gens, _project = six_form_homology(
                 Mat([d_in.rows[i] for i in idx], len(idx), d_in.n),
                 Mat([[row[j] for j in idx] for row in d_out.rows], d_out.m, len(idx)),
-                src.orders if Min else [],
                 [G.orders[i] for i in idx],
                 tgt.orders if Mout else [],
             )
-            assert H.orders == [o for o, q in zip(H2.orders, H2.parts) if q == p], (d, p)
+            assert orders == [o for o, q in zip(H2.orders, H2.parts) if q == p], (d, p)
         checked += 1
     assert checked > 50
 
@@ -519,10 +520,26 @@ def turn_in(ss, row, values):
 
 def test_turn_refuses_an_incoming_column_across_the_splitting(toy):
     ss, row = toy
-    # t and u are hit, z and q survive
-    assert turn_in(ss, row, {"a": {"t": 1}, "b": {"u": 1}}).orders == [4, 0]
+    # on a group of q (cokernel, order 4) and u (image, order 2), a hits 2q
+    # and b hits u: Z/2 on q survives
+    pres = ss.pres
+    q, u = pres.monomial({"q": 1}), pres.monomial({"u": 1})
+    G = PageGroup(TOY_T, [4, 2], ["cokernel", "image"], lifts=[{q: 1}, {u: 1}])
+    cols = [{}, {}]
+    cols[row["a"]], cols[row["b"]] = {0: 2}, {1: 1}
+    H = ss._turn_group(G, ColMat(cols, 2), ss.pages[1][TOY_A], None, None)
+    assert (H.orders, H.parts, H.lift(0)) == ([2], ["cokernel"], {q: 1})
     with pytest.raises(EngineError, match="incoming differential at .* mixes the image splitting"):
         turn_in(ss, row, {"a": {"t": 1, "u": 1}})
+
+
+def test_turn_refuses_a_part_neither_order_2_nor_one_summand(toy):
+    ss, row = toy
+    # the cokernel part at TOY_T is q, z and t, of orders 4, 0 and 2
+    G = ss.pages[1][TOY_T]
+    assert [o for o, p in zip(G.orders, G.parts) if p == "cokernel"] == [4, 0, 2]
+    with pytest.raises(EngineError, match=re.escape("cokernel part at %s has orders [4, 0, 2]" % (TOY_T,))):
+        turn_in(ss, row, {"b": {"u": 1}})
 
 
 def test_turn_refuses_outgoing_parts_sharing_a_target_row(toy):

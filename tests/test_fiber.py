@@ -1,5 +1,6 @@
 """Fiber construction: carriers, generated rules, derived d1 and splitting."""
 
+import dataclasses
 import json
 import random
 
@@ -17,6 +18,7 @@ from effss.fiber import (
 from effss.grading import (
     PresentationError,
     RewriteRule,
+    RingPresentation,
     TriDegree,
     mono_mul,
     presentation_from_dict,
@@ -471,16 +473,19 @@ def test_splitting_report_small_windows(L, LC):
 
 
 def test_splitting_report_catches_a_wrong_order(L):
-    broken = build_fiber_object(load_data("L"), SMALL, r_max=2)
-    lay = broken.meta["layout"]
-    gens = list(broken.pres.generators)
-    i = broken.pres.gen("iv2")
-    gens[i] = gens[i].__class__(
-        name="iv2", degree=gens[i].degree, torsion=4, cap=1, slots=("fam",)
-    )
-    broken.pres.generators = tuple(gens)
+    """A presentation built anew with iv2 of order 4 instead of 8, planted
+    into the object in place of the right one, fails the report."""
+    obj = build_fiber_object(load_data("L"), SMALL, r_max=2)
+    gens = list(obj.pres.generators)
+    i = obj.pres.gen("iv2")
+    gens[i] = dataclasses.replace(gens[i], torsion=4)
+    pres = RingPresentation(obj.pres.name, gens)
+    pres.cover = obj.pres.cover
+    broken = dataclasses.replace(obj, pres=pres)
     with pytest.raises(FiberError):
         splitting_report(broken, snf_budget=4)
+    with pytest.raises(AttributeError):
+        obj.pres.generators = tuple(gens)
 
 
 # -- a first run through the engine ---------------------------------------

@@ -1,4 +1,5 @@
-"""Integer matrix routines and homology of complexes of cyclic-sum groups."""
+"""Integer matrix routines and the homology of page turns, against the
+general Smith-form route of ``smith_oracle``."""
 
 import random
 
@@ -13,11 +14,16 @@ from effss.intlinalg import (
     Mat,
     diagonal,
     homology,
+    smith_normal_form,
+    two_adic_valuation,
+)
+from smith_oracle import (
+    cycle_lattice,
     kernel_basis,
     lattice_basis,
-    smith_normal_form,
+    six_form_homology,
     solve,
-    two_adic_valuation,
+    unimodular_inverse,
 )
 
 
@@ -59,10 +65,9 @@ def test_two_adic_valuation():
 def test_snf_euclidean_oracle():
     # gcd of entries is 2 and |det| = 8, so the invariant factors are 2, 4.
     M = Mat([[2, 4], [6, 8]])
-    D, U, V, W = smith_normal_form(M)
+    D, U, V = smith_normal_form(M)
     assert diagonal(D) == [2, 4]
     assert U @ M @ V == D
-    assert U @ W == Mat.identity(2)
     assert abs(det(U)) == 1
     assert abs(det(V)) == 1
 
@@ -73,9 +78,8 @@ def test_snf_properties_random():
         m = rng.randint(0, 5)
         n = rng.randint(0, 5)
         M = Mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], m, n)
-        D, U, V, W = smith_normal_form(M)
+        D, U, V = smith_normal_form(M)
         assert U @ M @ V == D
-        assert U @ W == Mat.identity(m)
         dia = diagonal(D)
         for i in range(len(dia)):
             assert dia[i] >= 0
@@ -123,9 +127,8 @@ def test_solve():
 
 def test_lattice_basis():
     P = Mat.from_cols([[2, 0], [4, 0], [0, 3]], 2)
-    B, snf = lattice_basis(P)
+    B = lattice_basis(P)
     assert B.n == 2
-    assert snf[1] @ B @ snf[2] == snf[0]
     # span check in both directions
     for c in (P.col(j) for j in range(P.n)):
         assert solve(B, c) is not None
@@ -135,7 +138,7 @@ def test_lattice_basis():
 
 def test_homology_free_times_two():
     # Z --2--> Z --> 0 gives Z/2 at the middle
-    H = homology(Mat([[2]]), Mat.zeros(0, 1), [0], [0], [])
+    H = homology(0, [(2, 0)], [])
     assert H.orders == [2]
     assert H.gens == [[1]]
     assert H.project([1]) == [1]
@@ -145,13 +148,13 @@ def test_homology_free_times_two():
 
 def test_homology_diag_two_three():
     # Z^2 --diag(2,3)--> Z^2 --> 0 is Z/2 + Z/3 = Z/6 in invariant form
-    H = homology(Mat([[2, 0], [0, 3]]), Mat.zeros(0, 2), [0, 0], [0, 0], [])
-    assert H.orders == [6]
+    orders, _gens, _project = six_form_homology(Mat([[2, 0], [0, 3]]), Mat.zeros(0, 2), [0, 0], [])
+    assert orders == [6]
 
 
 def test_homology_torsion_quotient():
     # Z --2--> Z/4 --> 0 gives Z/2
-    H = homology(Mat([[2]]), Mat.zeros(0, 1), [0], [4], [])
+    H = homology(4, [(2, 0)], [])
     assert H.orders == [2]
     assert H.gens == [[1]]
     assert H.project([2]) == [0]
@@ -159,32 +162,35 @@ def test_homology_torsion_quotient():
 
 def test_homology_kernel_into_torsion():
     # Z --1--> Z/2: the kernel is 2Z, so homology is Z on generator 2x
-    H = homology(Mat.zeros(1, 0), Mat([[1]]), [], [0], [2])
+    H = homology(0, [], [(1, 2)])
     assert H.orders == [0]
-    assert [abs(a) for a in H.gens[0]] == [2]
-    assert not H.is_cycle([1])
-    assert H.is_cycle([2])
+    assert H.gens == [[2]]
+    with pytest.raises(LinearAlgebraError):
+        H.project([1])
+    assert H.project([2]) == [1]
 
 
 def test_homology_zero():
     # Z --2--> Z with free target has trivial kernel
-    H = homology(Mat.zeros(1, 0), Mat([[2]]), [], [0], [0])
-    assert H.is_zero
+    H = homology(0, [], [(2, 0)])
+    assert H.orders == [] and H.gens == []
     assert H.project([0]) == []
 
 
 def test_homology_mixed():
     # middle group Z/4{a} + Z{b}; d_out kills nothing, d_in hits 2a
-    H = homology(Mat([[2], [0]]), Mat.zeros(0, 2), [0], [4, 0], [])
-    assert sorted(H.orders) == [0, 2]
+    orders, _gens, _project = six_form_homology(Mat([[2], [0]]), Mat.zeros(0, 2), [4, 0], [])
+    assert sorted(orders) == [0, 2]
 
 
 def test_homology_projection_consistency():
     # generators must project to unit vectors
-    H = homology(Mat([[2, 0], [0, 3]]), Mat.zeros(0, 2), [0, 0], [0, 0], [])
-    for i, g in enumerate(H.gens):
-        p = H.project(g)
-        expected = [0] * len(H.orders)
+    for H in (homology(0, [(6, 0)], []), homology(8, [(4, 2)], [(2, 4)]), homology(0, [], [(3, 4)])):
+        assert H.orders and [H.project(g) for g in H.gens] == [[1]]
+    orders, gens, project = six_form_homology(Mat([[2, 0], [0, 3]]), Mat.zeros(0, 2), [0, 0], [])
+    for i, g in enumerate(gens):
+        p = project(g)
+        expected = [0] * len(orders)
         expected[i] = 1
         assert p == expected
 
@@ -192,16 +198,21 @@ def test_homology_projection_consistency():
 def test_homology_checks():
     with pytest.raises(LinearAlgebraError):
         # 1: Z/2 -> Z by 1 is not well defined
-        homology(Mat.zeros(1, 0), Mat([[1]]), [], [2], [0])
+        homology(2, [], [(1, 0)])
+    with pytest.raises(LinearAlgebraError):
+        # Z -> Z/2 by 1 is well defined, Z/2 -> Z/4 by 1 is not
+        homology(4, [(1, 2)], [])
     with pytest.raises(LinearAlgebraError):
         # composite 2 != 0: Z --1--> Z --2--> Z
-        homology(Mat([[1]]), Mat([[2]]), [0], [0], [0])
+        homology(0, [(1, 0)], [(2, 0)])
 
 
 def test_homology_non_cycle_rejected():
-    H = homology(Mat.zeros(1, 0), Mat([[2]]), [], [0], [0])
+    H = homology(0, [], [(2, 0)])
     with pytest.raises(LinearAlgebraError):
         H.project([1])
+    with pytest.raises(LinearAlgebraError):
+        homology(0, [], [(1, 2)]).project([1, 0])
 
 
 def test_f2_homology_basic():
@@ -217,7 +228,7 @@ def test_f2_homology_basic():
 
 
 def check_f2_matches_generic(n, out, n_bounds, pick):
-    """F2Homology against homology on one complex of order 2 classes.
+    """F2Homology against the oracle on one complex of order 2 classes.
 
     ``out`` is the outgoing map; the ``n_bounds`` boundaries and ten test
     cycles are sums ``pick(zmasks)`` of the mod 2 cycle basis, so both
@@ -233,14 +244,14 @@ def check_f2_matches_generic(n, out, n_bounds, pick):
 
     cols = [cycle() for _ in range(n_bounds)]
     fast = F2Homology(n, [sum((c[i] & 1) << i for i in range(n)) for c in cols], out_cols)
-    slow = homology(Mat.from_cols(cols, n), out, [2] * len(cols), [2] * n, [2] * mt)
-    assert len(fast.orders) == len(slow.orders)
-    assert all(o == 2 for o in slow.orders)
+    slow_orders, _gens, slow_project = six_form_homology(Mat.from_cols(cols, n), out, [2] * n, [2] * mt)
+    assert len(fast.orders) == len(slow_orders)
+    assert all(o == 2 for o in slow_orders)
     # same subgroup: vanishing of projections must agree on random cycles
     for _ in range(10):
         x = cycle()
         assert (fast.project(x) == [0] * len(fast.orders)) == (
-            slow.project(x) == [0] * len(slow.orders)
+            slow_project(x) == [0] * len(slow_orders)
         )
 
 
@@ -306,8 +317,11 @@ def test_colmat_agrees_with_a_dense_oracle(data):
     for j, col in enumerate(cols):
         assert list(M.col(j)) == list(col.items()), j
 
+
+
 def test_random_complexes_sanity():
-    """Random two-step complexes with d_out * d_in = 0 by construction."""
+    """The oracle on random two-step complexes with d_out * d_in = 0 by
+    construction."""
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 4)
@@ -318,112 +332,19 @@ def test_random_complexes_sanity():
         for _ in range(rng.randint(0, 2)):
             z = [rng.randint(-2, 2) for _ in range(K.n)]
             cols.append(K.vec(z))
-        d_in = Mat.from_cols(cols, n)
-        H = homology(d_in, d_out, [0] * d_in.n, [0] * n, [0, 0])
+        orders, gens, project = six_form_homology(Mat.from_cols(cols, n), d_out, [0] * n, [0, 0])
         # every generator is a cycle and projects to a unit vector
-        for i, g in enumerate(H.gens):
-            assert H.is_cycle(g)
-            p = H.project(g)
-            assert p == [1 if j == i else 0 for j in range(len(H.orders))]
+        for i, g in enumerate(gens):
+            assert d_out.vec(g) == [0, 0]
+            assert project(g) == [1 if j == i else 0 for j in range(len(orders))]
         # boundaries die
         for c in cols:
-            assert H.project(c) == [0] * len(H.orders)
+            assert project(c) == [0] * len(orders)
 
 
 # ---------------------------------------------------------------------------
 # route agreement: homology against the six-Smith-form route
 # ---------------------------------------------------------------------------
-
-
-def six_form_homology(d_in: Mat, d_out: Mat, orders, orders_next):
-    """Oracle: ``homology`` as it was built from six Smith forms per block.
-
-    The cycle lattice basis K comes from ``lattice_basis`` with its own
-    inverted row transform, cycles are solved through a fresh Smith form
-    of K, and the generators through the inverted row transform of Y.
-    Returns (orders, gens, project), project raising on a non-cycle.
-    """
-    n = len(orders)
-    tors = [[o if r == i else 0 for r in range(len(orders_next))]
-            for i, o in enumerate(orders_next) if o]
-    big = kernel_basis(d_out.hstack(Mat.from_cols(tors, len(orders_next))))
-    proj = Mat([big.rows[i] for i in range(n)], n, big.n)
-    if proj.n == 0:
-        return [], [], lambda x: [] if not any(x) else _raise()
-    Dp, Up, _Vp, _Wp = smith_normal_form(proj)
-    Wp = unimodular_inverse(Up)
-    dp = diagonal(Dp)
-    K = Mat.from_cols([[dp[i] * Wp.rows[r][i] for r in range(n)]
-                       for i in range(len(dp)) if dp[i]], n)
-    if K.n == 0:
-        return [], [], lambda x: [] if not any(x) else _raise()
-    K_snf = smith_normal_form(K)[:3]
-
-    def coords(x):
-        z = _oracle_solve(K_snf, x)
-        if z is None:
-            _raise()
-        return z
-
-    ycols = [coords(d_in.col(j)) for j in range(d_in.n)]
-    ycols += [coords([o if r == i else 0 for r in range(n)])
-              for i, o in enumerate(orders) if o]
-    Dy, Uy, _Vy, _Wy = smith_normal_form(Mat.from_cols(ycols, K.n))
-    dy = diagonal(Dy)
-    gen_mat = K @ unimodular_inverse(Uy)
-    kept, out_orders, gens, signs = [], [], [], []
-    for i in range(K.n):
-        d = dy[i] if i < len(dy) else 0
-        if d == 1:
-            continue
-        g = gen_mat.col(i)
-        sign = 1
-        for gi, o in zip(g, orders):
-            v = gi % o if o else gi
-            if v:
-                if (o == 0 and v < 0) or (o and v > o - v):
-                    sign = -1
-                break
-        kept.append(i)
-        out_orders.append(d)
-        gens.append([sign * gi % o if o else sign * gi for gi, o in zip(g, orders)])
-        signs.append(sign)
-
-    def project(x):
-        h = Uy.vec(coords(x))
-        return [sg * h[i] % d if d else sg * h[i]
-                for i, d, sg in zip(kept, out_orders, signs)]
-
-    return out_orders, gens, project
-
-
-def unimodular_inverse(U: Mat) -> Mat:
-    """Oracle: exact inverse of a unimodular matrix by a second Smith form."""
-    D, A, B, _W = smith_normal_form(U)
-    if diagonal(D) != [1] * U.m or U.m != U.n:
-        raise LinearAlgebraError("matrix is not unimodular")
-    return B @ A
-
-
-def _oracle_solve(snf, b):
-    D, U, V = snf
-    y = U.vec(list(b))
-    dia = diagonal(D)
-    z = [0] * D.n
-    for i in range(D.m):
-        d = dia[i] if i < len(dia) else 0
-        if d:
-            if y[i] % d:
-                return None
-            if i < D.n:
-                z[i] = y[i] // d
-        elif y[i]:
-            return None
-    return V.vec(z)
-
-
-def _raise():
-    raise LinearAlgebraError("not a cycle")
 
 
 ORDERS = st.sampled_from([0, 2, 4, 8])
@@ -432,45 +353,37 @@ ORDERS = st.sampled_from([0, 2, 4, 8])
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_homology_agrees_with_the_six_form_route(data):
-    n = data.draw(st.integers(1, 4))
-    orders = data.draw(st.lists(ORDERS, min_size=n, max_size=n))
-    orders[data.draw(st.integers(0, n - 1))] = 0  # at least one free summand
+    o = data.draw(ORDERS)
     orders_next = data.draw(st.lists(ORDERS, min_size=0, max_size=3))
     # a well-defined outgoing map: a torsion source hits only multiples of
     # the target order over its own, and nothing free
-    out = [[0] * n for _ in orders_next]
-    for i, ot in enumerate(orders_next):
-        for j, o in enumerate(orders):
-            c = data.draw(st.integers(-4, 4))
-            out[i][j] = c if not o else (0 if not ot else c * (ot // min(o, ot)))
-    d_out = Mat(out, len(orders_next), n)
-    tors = [[o if r == i else 0 for r in range(len(orders_next))]
-            for i, o in enumerate(orders_next) if o]
-    big = kernel_basis(d_out.hstack(Mat.from_cols(tors, len(orders_next))))
-    cycles = Mat([big.rows[i] for i in range(n)], n, big.n)
+    out = []
+    for ot in orders_next:
+        c = data.draw(st.integers(-4, 4))
+        out.append([c if not o else (0 if not ot else c * (ot // min(o, ot)))])
+    d_out = Mat(out, len(orders_next), 1)
+    cycles = cycle_lattice(d_out, orders_next)
 
     def cycle():
         return cycles.vec(data.draw(st.lists(st.integers(-3, 3), min_size=cycles.n,
                                              max_size=cycles.n)))
 
-    # 0-2 incoming columns, each a cycle; a torsion source of order o hits
-    # 8/o times a cycle with no free coordinate
+    # 0-2 incoming columns, each a cycle; a torsion source of order p hits
+    # 8/p times a cycle of a torsion summand
     cols, orders_prev = [], []
     for _ in range(data.draw(st.integers(0, 2))):
-        x, o = cycle(), data.draw(ORDERS)
-        if o and any(xi for xi, oi in zip(x, orders) if not oi):
-            o = 0
-        cols.append([(8 // o) * xi for xi in x] if o else x)
-        orders_prev.append(o)
-    d_in = Mat.from_cols(cols, n)
+        x, p = cycle(), data.draw(ORDERS) if o else 0
+        cols.append([(8 // p) * xi for xi in x] if p else x)
+        orders_prev.append(p)
+    d_in = Mat.from_cols(cols, 1)
 
-    H = homology(d_in, d_out, orders_prev, orders, orders_next)
-    want_orders, want_gens, want_project = six_form_homology(d_in, d_out, orders, orders_next)
+    H = homology(o, list(zip(d_in.rows[0], orders_prev)), [(row[0], t) for row, t in zip(out, orders_next)])
+    want_orders, want_gens, want_project = six_form_homology(d_in, d_out, [o], orders_next)
     assert H.orders == want_orders
     assert H.gens == want_gens
     for x in [cycle() for _ in range(4)] + cols + want_gens:
         assert H.project(x) == want_project(x)
-    x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    x = [data.draw(st.integers(-3, 3))]
     try:
         want = want_project(x)
     except LinearAlgebraError:
@@ -511,7 +424,8 @@ def test_one_summand_homology_agrees_with_the_six_form_route():
             k += 1
             d_out = Mat([[c] for _t, c in out], len(out), 1)
             d_in = Mat([[a for _p, a in ins]], 1, len(ins))
-            orders_prev, orders_next = [p for p, _a in ins], [t for t, _c in out]
+            orders_next = [t for t, _c in out]
+            incoming, outgoing = [(a, p) for p, a in ins], [(c, t) for t, c in out]
             ill_posed = (
                 any(o and not _vanishes(o * c, t) for t, c in out)
                 or any(p and not _vanishes(p * a, o) for p, a in ins)
@@ -519,9 +433,9 @@ def test_one_summand_homology_agrees_with_the_six_form_route():
             )
             if ill_posed:
                 with pytest.raises(LinearAlgebraError):
-                    homology(d_in, d_out, orders_prev, [o], orders_next)
+                    homology(o, incoming, outgoing)
                 continue
-            H = homology(d_in, d_out, orders_prev, [o], orders_next)
+            H = homology(o, incoming, outgoing)
             want_orders, want_gens, want_project = six_form_homology(d_in, d_out, [o], orders_next)
             assert (H.orders, H.gens) == (want_orders, want_gens), (o, out, ins)
             span = 2 * (o or 64) + 2
