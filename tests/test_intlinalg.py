@@ -2,9 +2,11 @@
 general Smith-form route of ``smith_oracle``."""
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effss.intlinalg import (
@@ -60,6 +62,46 @@ def test_two_adic_valuation():
     assert two_adic_valuation(2**40) == 40
     with pytest.raises(LinearAlgebraError):
         two_adic_valuation(0)
+
+
+def determinantal_factors(cols, m):
+    """Invariant factors of the m x len(cols) matrix from its determinantal
+    divisors: D_k is the gcd of all k x k minors, d_k = D_k / D_{k-1}, and
+    every d_k from the first zero D_k on is 0."""
+    r = min(m, len(cols))
+    out, prev = [], 1
+    for k in range(1, r + 1):
+        Dk = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(len(cols)), k):
+                Dk = gcd(Dk, det(Mat([[cols[j][i] for j in cs] for i in rs], k, k)))
+        if Dk == 0:
+            return out + [0] * (r - k + 1)
+        out.append(Dk // prev)
+        prev = Dk
+    return out
+
+
+@st.composite
+def small_matrices(draw):
+    """(m, cols): 0-4 rows and 0-4 columns with entries in -9..9, any row
+    or column possibly forced to zero."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    zero_rows = draw(st.sets(st.integers(0, 3), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 3), max_size=2))
+    entry = st.sampled_from(range(-9, 10))
+    return m, [[0 if i in zero_rows or j in zero_cols else draw(entry) for i in range(m)]
+               for j in range(n)]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(small_matrices())
+@example((2, [[2, 0], [0, 3]]))  # a diagonal that is no divisor chain: (1, 6)
+@example((3, [[0, 4, 0], [6, 0, 0]]))
+def test_invariant_factors_match_determinantal_divisors(matrix):
+    m, cols = matrix
+    got = diagonal(smith_normal_form(Mat.from_cols(cols, m))[0])
+    assert got == determinantal_factors(cols, m)
 
 
 def test_snf_euclidean_oracle():
