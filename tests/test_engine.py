@@ -264,6 +264,30 @@ def test_d1_matrices_match_per_monomial_oracle(name, window):
     assert unknown == want_unknown
 
 
+#: unreachable objects a build and run may leave while collection is
+#: paused: 21 on every SMALL_BOXES window, one reference cycle per
+#: ``basis_window`` call (its self-recursive ``rec`` and ``leaf`` closures)
+RUN_CYCLE_GARBAGE = 32
+
+
+@pytest.mark.parametrize("name,window", SMALL_BOXES)
+def test_a_run_leaves_almost_no_cyclic_garbage(name, window):
+    """A build and run makes almost no reference cycles, so the cyclic
+    collector finds next to nothing.  The object is built outside the
+    paused span, as it holds cycles of its own."""
+    obj = get_object(name, window)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ss = SliceSS(obj, window).run()
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert ss.pages and found <= RUN_CYCLE_GARBAGE, found
+
+
 #: bytes the d1 blocks of L_LOW may retain per stored entry: 68 measured
 #: with compressed columns (Python 3.11), 198 with a dict per column
 D1_BYTES_PER_ENTRY = 90
