@@ -43,13 +43,7 @@ from .grading import (
     TriDegree,
     el_scale,
 )
-from .intlinalg import (
-    LinearAlgebraError,
-    Mat,
-    diagonal,
-    smith_normal_form,
-    two_adic_valuation,
-)
+from .intlinalg import LinearAlgebraError, smith_normal_form, two_adic_valuation
 from .objects import load_data
 
 
@@ -605,10 +599,6 @@ class HomotopyGroup:
             parts.append("Z" if o == 0 else "Z/%d" % o)
         return " + ".join(parts)
 
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.orders) == 1
-
     def order(self) -> int:
         """Total order, 0 when a free summand makes it infinite."""
         n = 1
@@ -788,12 +778,8 @@ def _invariant_factors(n: int, relations) -> List[int]:
         cols.append(vec)
     if not cols:
         return [0] * n
-    D = smith_normal_form(Mat.from_cols(cols, n))[0]
-    dia = diagonal(D)
-    factors = [abs(x) for x in dia if abs(x) > 1]
-    rank = sum(1 for x in dia if x)
-    factors.sort()
-    return factors + [0] * (n - rank)
+    dia = smith_normal_form(cols, n)
+    return [x for x in dia if x > 1] + [0] * (n - sum(1 for x in dia if x))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ effects are visible instead of silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -523,7 +524,7 @@ class SliceSS:
                 rows.extend(map(row.__getitem__, v))
                 coeffs.extend(v.values())
                 ptr.append(len(rows))
-            mats[d] = ColMat.packed(ptr, rows, coeffs, len(T.orders))
+            mats[d] = ColMat(ptr, rows, coeffs, len(T.orders))
         return mats, unknown
 
     def _pattern_matrices(
@@ -556,7 +557,9 @@ class SliceSS:
                     )
                 unknown.add(d)
                 continue
-            mats[d] = ColMat([{0: 1} if p == "cokernel" else {} for p in G.parts], 1)
+            # one row: a 1 in each cokernel column
+            ptr = list(accumulate((p == "cokernel" for p in G.parts), initial=0))
+            mats[d] = ColMat(ptr, [0] * ptr[-1], [1] * ptr[-1], 1)
         return mats, unknown, firing
 
     def _turn(self, r: int) -> None:

@@ -66,11 +66,6 @@ def coweight(m: EtaMonomial) -> int:
     return m[0] + 2 * m[2] - m[3]
 
 
-def filtration(m: EtaMonomial) -> int:
-    """What is left of the tri-graded f after the h1 powers are dropped."""
-    return m[1] + m[3]
-
-
 def eta_mul(x: EtaMonomial, y: EtaMonomial) -> Optional[EtaMonomial]:
     if x[3] + y[3] > 1:  # iota^2 = 0
         return None
@@ -166,11 +161,6 @@ class EtaObject:
             return False
         return True
 
-    def check(self, el: Iterable[EtaMonomial]) -> None:
-        for m in el:
-            if not self.valid(m):
-                raise EtaError("%s is not a monomial of %s" % (render_eta(m), self.name))
-
     def alive(self, r: int, m: EtaMonomial) -> bool:
         """Does the monomial survive as a basis class of E_r?"""
         if r < 1:
@@ -186,14 +176,6 @@ class EtaObject:
         if e == 0:
             return r <= stop
         return b < stop or r <= stop
-
-    def alive_infty(self, m: EtaMonomial) -> bool:
-        a, b, mm, e = m
-        if a or mm % 2:
-            return False
-        if not self.has_family or mm == 0:
-            return True
-        return e == 1 and b < two_adic_valuation(mm) + 2
 
     def differential(self, r: int, m: EtaMonomial) -> EtaElement:
         """d_r on a page-r basis monomial; empty when it is a cycle."""
@@ -248,35 +230,6 @@ class EtaObject:
                 % (render_eta(m), r, self.name)
             )
         return frozenset(out)
-
-    def classes(
-        self,
-        r: Optional[int],
-        cw_range: Tuple[int, int],
-        f_max: int = 12,
-    ) -> Dict[int, List[EtaMonomial]]:
-        """Basis monomials of page r (None for E_infinity), by coweight.
-
-        rho^b carries coweight 0, so a filtration cap b + e <= f_max is
-        what makes each coweight finite.
-        """
-        out: Dict[int, List[EtaMonomial]] = {}
-        es = (0, 1) if self.has_iota else (0,)
-        for c in range(cw_range[0], cw_range[1] + 1):
-            hits: List[EtaMonomial] = []
-            for e in es:
-                t = c + e  # = a + 2m
-                if t < 0:
-                    continue
-                bs = range(0, f_max - e + 1) if self.has_rho else (0,)
-                for b in bs:
-                    for mm in range(0, t // 2 + 1):
-                        m = (t - 2 * mm, b, mm, e)
-                        keep = self.alive_infty(m) if r is None else self.alive(r, m)
-                        if keep:
-                            hits.append(m)
-            out[c] = sorted(hits)
-        return out
 
 
 def get_eta(name: str) -> EtaObject:
@@ -448,42 +401,3 @@ def compare(ss, eta_obj: Optional[EtaObject] = None, pages: Optional[int] = None
         "checked_per_page": per_page,
         "mismatches": mismatches,
     }
-
-
-def format_report(report: Dict) -> str:
-    """A readable summary of a ``compare`` report, one line per mismatch.
-
-    Tests are its only callers.  They check that it names the page of a
-    mismatch and says so when there is none; ``verify`` reports the first
-    mismatch itself.
-    """
-    lines = [
-        "compare %s against %s: %d classes over pages 1..%d (%d with an "
-        "uncertified differential skipped)"
-        % (
-            report["object"],
-            report["eta"],
-            report["checked"],
-            report["pages"],
-            report.get("skipped", 0),
-        )
-    ]
-    for mm in report["mismatches"]:
-        lines.append(
-            "  page %d at (%d, %d, %d) summand %d [%s]: %s; localize(d x) = %s, "
-            "d(localize x) = %s"
-            % (
-                mm["page"],
-                mm["degree"][0],
-                mm["degree"][1],
-                mm["degree"][2],
-                mm["index"],
-                mm["class"],
-                mm["kind"],
-                mm["localized d_r"],
-                mm["d_r localized"],
-            )
-        )
-    if not report["mismatches"]:
-        lines.append("  no mismatches")
-    return "\n".join(lines)

@@ -53,7 +53,7 @@ from .grading import (
     RingPresentation,
     TriDegree,
 )
-from .intlinalg import Mat, smith_normal_form, two_adic_valuation
+from .intlinalg import smith_normal_form, two_adic_valuation
 from .objects import load_data, spec_from_dict, window_from_dict
 
 
@@ -524,10 +524,10 @@ def splitting_report(
                     col = [0] * n
                     col[idx] = o
                     cols.append(col)
-            D = smith_normal_form(Mat.from_cols(cols, n))[0]
+            dia = smith_normal_form(cols, n)
             got = []
             for i in range(n):
-                v = D.rows[i][i] if i < D.n else 0
+                v = dia[i] if i < len(dia) else 0
                 if v == 0:
                     got.append(0)
                 else:

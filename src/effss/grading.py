@@ -595,18 +595,6 @@ class RingPresentation:
                 monos.sort(key=self.mono_key)
         return out
 
-    def basis_at(self, degree: TriDegree) -> List[Monomial]:
-        """The basis monomials of one degree.
-
-        Tests are its only callers.  They compare single degrees against
-        hand-written bases, and a reloaded presentation against the
-        original.
-        """
-        box = self.basis_window(
-            (degree.s, degree.s), (degree.f, degree.f), (degree.w, degree.w)
-        )
-        return box.get(degree, [])
-
     # -- printing and serialization ---------------------------------------
 
     def mono_key(self, m: Monomial):

@@ -12,18 +12,18 @@ orders, generators in the old coordinates and a projection onto it, so that
 classes on the next page can be expressed in the old coordinates and old
 classes can be pushed forward.
 
-Everything here is plain Python integers.  ``Mat`` is a dense list of rows,
-which the Smith form works on; it gives the invariant factors of assembled
-groups and of fiber splittings.  Differential blocks are ``ColMat``: sparse
-columns, since on the fibers only about a tenth of their cells are nonzero,
-in compressed-column form (column offsets, rows and coefficients, each one
-tuple), which keeps a block of a few entries to a few small objects.
+Everything here is plain Python integers.  ``smith_normal_form`` returns the
+Smith diagonal only: the invariant factors of assembled groups and of fiber
+splittings.  Differential blocks are ``ColMat``: sparse columns, since on the
+fibers only about a tenth of their cells are nonzero, in compressed-column
+form (column offsets, rows and coefficients, each one tuple), which keeps a
+block of a few entries to a few small objects.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .grading import EffssError
 
@@ -43,103 +43,15 @@ def two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-class Mat:
-    """A dense integer matrix with explicit shape, so 0 x n and n x 0 work."""
-
-    __slots__ = ("m", "n", "rows")
-
-    def __init__(self, rows: Sequence[Sequence[int]], m: Optional[int] = None, n: Optional[int] = None):
-        self.rows: List[List[int]] = [list(r) for r in rows]
-        self.m = len(self.rows) if m is None else m
-        if n is None:
-            n = len(self.rows[0]) if self.rows else 0
-        self.n = n
-        if len(self.rows) != self.m:
-            raise LinearAlgebraError("row count mismatch")
-        for r in self.rows:
-            if len(r) != self.n:
-                raise LinearAlgebraError("ragged matrix")
-
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "Mat":
-        return cls([[0] * n for _ in range(m)], m, n)
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n, n)
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int]], m: int) -> "Mat":
-        return cls([[col[i] for col in cols] for i in range(m)], m, len(cols))
-
-    def col(self, j: int) -> List[int]:
-        return [self.rows[i][j] for i in range(self.m)]
-
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.m != other.m:
-            raise LinearAlgebraError("hstack shape mismatch")
-        return Mat([self.rows[i] + other.rows[i] for i in range(self.m)], self.m, self.n + other.n)
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.n != other.m:
-            raise LinearAlgebraError("matmul shape mismatch")
-        out = [[0] * other.n for _ in range(self.m)]
-        for i in range(self.m):
-            ri = self.rows[i]
-            oi = out[i]
-            for k in range(self.n):
-                a = ri[k]
-                if a:
-                    rk = other.rows[k]
-                    for j in range(other.n):
-                        oi[j] += a * rk[j]
-        return Mat(out, self.m, other.n)
-
-    def vec(self, x: Sequence[int]) -> List[int]:
-        if len(x) != self.n:
-            raise LinearAlgebraError("vector length mismatch")
-        return [sum(self.rows[i][j] * x[j] for j in range(self.n)) for i in range(self.m)]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Mat)
-            and self.m == other.m
-            and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):  # pragma: no cover - Mats are not dict keys
-        raise TypeError("Mat is mutable, not hashable")
-
-    def __repr__(self) -> str:
-        return "Mat(%r)" % (self.rows,)
-
-
 class ColMat:
     """A sparse m x n integer matrix in compressed-column form (Davis,
     *Direct Methods for Sparse Linear Systems*, 2.2): column j holds the
     rows ``rows[ptr[j]:ptr[j + 1]]`` with the coefficients at the same
-    places of ``vals``.  ``ColMat(cols, m)`` packs a list of {row: nonzero
-    coefficient} mappings, keeping each mapping's order."""
+    places of ``vals``."""
 
     __slots__ = ("m", "n", "ptr", "rows", "vals")
 
-    def __init__(self, cols: Sequence[Mapping[int, int]], m: int):
-        ptr, rows, vals = [0], [], []
-        for col in cols:
-            rows.extend(col)
-            vals.extend(col.values())
-            ptr.append(len(rows))
-        self._pack(ptr, rows, vals, m)
-
-    @classmethod
-    def packed(cls, ptr: Sequence[int], rows: Sequence[int], vals: Sequence[int], m: int) -> "ColMat":
-        """The matrix of the given compressed-column arrays."""
-        M = cls.__new__(cls)
-        M._pack(ptr, rows, vals, m)
-        return M
-
-    def _pack(self, ptr, rows, vals, m) -> None:
+    def __init__(self, ptr: Sequence[int], rows: Sequence[int], vals: Sequence[int], m: int):
         self.ptr, self.rows, self.vals = tuple(ptr), tuple(rows), tuple(vals)
         self.m = m
         self.n = len(ptr) - 1
@@ -152,117 +64,51 @@ class ColMat:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def dense(self) -> Mat:
-        rows = [[0] * self.n for _ in range(self.m)]
-        for j in range(self.n):
-            for i, c in self.col(j):
-                rows[i][j] = c
-        return Mat(rows, self.m, self.n)
 
+def smith_normal_form(cols: Sequence[Sequence[int]], m: int) -> List[int]:
+    """The Smith diagonal d_1 | d_2 | ... (d_i >= 0, one per row or column
+    of the shorter side) of the m x len(cols) matrix with these columns.
 
-def smith_normal_form(M: Mat) -> Tuple[Mat, Mat, Mat]:
-    """Return (D, U, V) with U @ M @ V = D diagonal, d_i | d_{i+1} and
-    d_i >= 0.
-
-    U and V are unimodular.  Pivot choice is the smallest absolute value in
-    the remaining block, scanned row-major, so the output is deterministic.
+    A matrix and its transpose share their invariant factors, so the
+    columns are eliminated as rows, and no transform is kept (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 2.4.4).  Each pivot
+    is the smallest nonzero entry left.  Reducing its row and column by it
+    leaves remainders smaller than it, or clears both; a pivot with both
+    clear that divides every entry left is the next d_i, and leaves with
+    its row, its column and any row left zero.
     """
-    m, n = M.m, M.n
-    A = [row[:] for row in M.rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in A:
-                r[i], r[j] = r[j], r[i]
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst += q * row_src
-        Ad, As = A[dst], A[src]
-        for j in range(n):
-            Ad[j] += q * As[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(m):
-            Ud[j] += q * Us[j]
-
-    def addmul_col(dst, src, q):
-        for r in A:
-            r[dst] += q * r[src]
-        for r in V:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < m and t < n:
-        # locate the smallest nonzero entry of the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = abs(A[i][j])
-                if a and (best is None or a < best):
-                    best = a
-                    piv = (i, j)
+    size = min(m, len(cols))
+    A = [list(c) for c in cols if any(c)]
+    dia: List[int] = []
+    while True:
+        piv = min(((abs(a), i, j) for i, row in enumerate(A) for j, a in enumerate(row) if a), default=None)
         if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-
+            return dia + [0] * (size - len(dia))
+        _, i, j = piv
+        P = A[i]
+        p = P[j]
+        rest = A[:i] + A[i + 1:]
         while True:
-            # clear column t with row operations
-            restart = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    addmul_row(i, t, -q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    addmul_col(j, t, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-            if restart:
-                continue
-            # both clear; enforce divisibility of the rest of the block
-            d = A[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            for r in rest:
+                if r[j]:
+                    q = r[j] // p
+                    for c, a in enumerate(P):
+                        r[c] -= q * a
+            for c, a in enumerate(P):
+                if a and c != j:
+                    q = a // p
+                    for r in A:
+                        r[c] -= q * r[j]
+            if any(r[j] for r in rest) or any(a for c, a in enumerate(P) if c != j):
+                break  # a remainder is the smaller pivot
+            bad = next((r for r in rest if any(a % p for a in r)), None)
+            if bad is None:
+                dia.append(abs(p))
+                A = [r[:j] + r[j + 1:] for r in rest if any(r)]
                 break
-            addmul_row(t, offender, 1)
-
-        if A[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    return Mat(A, m, n), Mat(U, m, m), Mat(V, n, n)
-
-
-def diagonal(D: Mat) -> List[int]:
-    return [D.rows[i][i] for i in range(min(D.m, D.n))]
+            # keep d_i | d_{i+1}: a row p does not divide leaves a remainder
+            for c, a in enumerate(bad):
+                P[c] += a
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +274,6 @@ class F2Homology:
             acc ^= self._out_cols[low.bit_length() - 1]
             m ^= low
         return acc
-
-    def is_cycle(self, x: Sequence[int]) -> bool:
-        """True when the outgoing map kills x; tests are its only callers."""
-        return self._cycle_defect(self._to_mask(x)) == 0
 
     def project(self, x: Sequence[int]) -> List[int]:
         m = self._to_mask(x)

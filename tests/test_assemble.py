@@ -332,7 +332,7 @@ def test_stem_3_of_L_C_is_Z8(LC, LC_rows):
     assert [x.label for x in g.generators] == ["2*iv2", "tau*h1^3"]
     # the glue: four times the bottom class is the top class
     assert g.relations[0] == (0, 4, {1: 1})
-    assert g.order() == 8 and g.is_cyclic
+    assert g.order() == 8 and len(g.orders) == 1
 
 
 def test_stem_7_of_L_C_is_Z16(LC, LC_rows):

@@ -24,9 +24,9 @@ from effss.engine import (
     validate_schedule,
 )
 from effss.grading import GeneratorSpec, RingPresentation, TriDegree, el_iadd, mono_mul
-from effss.intlinalg import ColMat, LinearAlgebraError, Mat
+from effss.intlinalg import ColMat, LinearAlgebraError
 from effss.objects import get_object
-from smith_oracle import six_form_homology
+from smith_oracle import Mat, dense, pack_columns, six_form_homology
 
 SMALL = Window(s=(-2, 10), f=(0, 8), w=(-4, 8))
 FIBER_SMALL = Window(s=(-2, 8), f=(0, 4), w=(-4, 6))  # SMALL of tests/test_fiber.py
@@ -259,7 +259,7 @@ def test_d1_matrices_match_per_monomial_oracle(name, window):
     want, want_unknown = per_monomial_d1_matrices(ss)
     assert want and mats.keys() == want.keys()
     for d, M in want.items():
-        assert (mats[d].m, mats[d].n, mats[d].dense().rows) == (M.m, M.n, M.rows), d
+        assert (mats[d].m, mats[d].n, dense(mats[d]).rows) == (M.m, M.n, M.rows), d
         assert all(c for j in range(mats[d].n) for _i, c in mats[d].col(j)), d
     assert unknown == want_unknown
 
@@ -325,7 +325,7 @@ def test_d1_orders_shrink_by_a_free_generator():
     want, want_unknown = per_monomial_d1_matrices(ss)
     assert want and mats.keys() == want.keys() and unknown == want_unknown
     for d, M in want.items():
-        assert mats[d].dense().rows == M.rows, d
+        assert dense(mats[d]).rows == M.rows, d
     x = pres.gen("x")
     assert any(x in dict(m) for d in mats for m in ss.pages[1][d].monomials)
 
@@ -347,7 +347,7 @@ def test_d1_orders_when_a_moving_generator_leaves_the_shift():
     want, want_unknown = per_monomial_d1_matrices(ss)
     assert want and mats.keys() == want.keys() and unknown == want_unknown
     for d, M in want.items():
-        assert mats[d].dense().rows == M.rows, d
+        assert dense(mats[d]).rows == M.rows, d
     for e, survives in ((1, True), (3, False)):
         m = pres.monomial({"x": e})
         G = ss.pages[1][pres.degree_of(m)]
@@ -527,7 +527,7 @@ def toy_block(ss, row, values):
     cols = [{} for _ in G.monomials]
     for src, val in values.items():
         cols[row[src]] = {row[t]: c for t, c in val.items()}
-    return ColMat(cols, len(ss.pages[1][TOY_T]))
+    return ColMat(*pack_columns(cols), len(ss.pages[1][TOY_T]))
 
 
 def turn_out(ss, row, values):
@@ -551,7 +551,7 @@ def test_turn_refuses_an_incoming_column_across_the_splitting(toy):
     G = PageGroup(TOY_T, [4, 2], ["cokernel", "image"], lifts=[{q: 1}, {u: 1}])
     cols = [{}, {}]
     cols[row["a"]], cols[row["b"]] = {0: 2}, {1: 1}
-    H = ss._turn_group(G, ColMat(cols, 2), ss.pages[1][TOY_A], None, None)
+    H = ss._turn_group(G, ColMat(*pack_columns(cols), 2), ss.pages[1][TOY_A], None, None)
     assert (H.orders, H.parts, H.lift(0)) == ([2], ["cokernel"], {q: 1})
     with pytest.raises(EngineError, match="incoming differential at .* mixes the image splitting"):
         turn_in(ss, row, {"a": {"t": 1, "u": 1}})
@@ -598,11 +598,11 @@ def test_sums_of_lifts_are_reduced_modulo_their_orders(toy):
     t, q = pres.monomial({"t": 1}), pres.monomial({"q": 1})
     G = PageGroup(TOY_T, [2, 2], ["cokernel"] * 2, lifts=[{t: 1, q: 2}, {t: 1}])
     tgt = PageGroup(TOY_T + page_shift(1), [2], ["cokernel"], lifts=[{}])  # lift not read
-    H = ss._turn_group(G, None, None, ColMat([{0: 1}, {0: 1}], 1), tgt)
+    H = ss._turn_group(G, None, None, ColMat(*pack_columns([{0: 1}, {0: 1}]), 1), tgt)
     assert H.orders == [2] and H.lift(0) == {q: 2}
 
     planted = SliceSS(ss.obj, ss.window, r_max=2)
     planted.pages[2] = {TOY_A + page_shift(2): G}
-    planted.diffs[2] = {TOY_A: ColMat([{0: 1, 1: 1}, {}], 2)}
+    planted.diffs[2] = {TOY_A: ColMat(*pack_columns([{0: 1, 1: 1}, {}]), 2)}
     planted._ran_to = 2
     assert planted.differential_value(2, TOY_A, 0) == {q: 2}

@@ -15,8 +15,6 @@ from effss.eta import (
     eta_el_mul,
     eta_el_pow,
     eta_schedule,
-    filtration,
-    format_report,
     get_eta,
     localize,
     parse_eta,
@@ -221,7 +219,7 @@ def test_family_band_membership():
     assert eo.alive(3, (0, 3, 2, 1))
     assert not eo.alive(4, (0, 3, 2, 1))
     # below the band the iota classes live forever
-    assert eo.alive(4, (0, 2, 2, 1)) and eo.alive_infty((0, 2, 2, 1))
+    assert eo.alive(4, (0, 2, 2, 1)) and alive_infty(eo, (0, 2, 2, 1))
     # no family without rho and iota together
     assert get_eta("ko_eta").alive(9, (0, 7, 6, 0))
     assert get_eta("L_C_eta").alive(9, (0, 0, 6, 1))
@@ -235,7 +233,7 @@ def test_alive_infty_is_the_limit_of_alive():
                 for m in range(21):
                     for e in (0, 1) if eo.has_iota else (0,):
                         mono = (a, b, m, e)
-                        assert eo.alive(32, mono) == eo.alive_infty(mono), mono
+                        assert eo.alive(32, mono) == alive_infty(eo, mono), mono
 
 
 def test_reduce_drops_boundaries_and_refuses_non_cycles():
@@ -254,6 +252,36 @@ def test_reduce_drops_boundaries_and_refuses_non_cycles():
 # -- E1 description and the infinity profile ------------------------------
 
 
+def alive_infty(eo, m):
+    """Does the monomial survive to E_infinity?  In closed form: a = 0 and
+    m even, and on the rho-iota family m = 0, or e = 1 and b below
+    nu_2(m) + 2."""
+    a, b, mm, e = m
+    if a or mm % 2:
+        return False
+    if not eo.has_family or mm == 0:
+        return True
+    return e == 1 and b < two_adic_valuation(mm) + 2
+
+
+def page_classes(eo, r, cw_range, f_max):
+    """Basis monomials of page r (None for E_infinity) of an eta-local
+    object, by coweight.  rho^b carries coweight 0, so a filtration cap
+    b + e <= f_max is what makes each coweight finite."""
+    out = {}
+    for c in range(cw_range[0], cw_range[1] + 1):
+        hits = []
+        for e in (0, 1) if eo.has_iota else (0,):
+            t = c + e  # = a + 2m
+            for b in range(0, f_max - e + 1) if eo.has_rho else (0,):
+                for mm in range(0, t // 2 + 1):
+                    m = (t - 2 * mm, b, mm, e)
+                    if alive_infty(eo, m) if r is None else eo.alive(r, m):
+                        hits.append(m)
+        out[c] = sorted(hits)
+    return out
+
+
 def _e1_count(eo, c, f_max):
     total = 0
     for e in (0, 1) if eo.has_iota else (0,):
@@ -269,17 +297,17 @@ def test_E1_polynomial_description_by_coweight():
     f_max = 9
     for name in ("ko_eta", "L_eta", "L_C_eta"):
         eo = get_eta(name)
-        got = eo.classes(1, (-2, 40), f_max=f_max)
+        got = page_classes(eo, 1, (-2, 40), f_max=f_max)
         for c in range(-2, 41):
             assert len(got[c]) == _e1_count(eo, c, f_max), (name, c)
-    sample = get_eta("L_eta").classes(1, (3, 3), f_max=2)[3]
+    sample = page_classes(get_eta("L_eta"), 1, (3, 3), f_max=2)[3]
     assert (0, 0, 2, 1) in sample and (3, 2, 0, 0) in sample
     assert (0, 0, 1, 0) not in sample  # coweight 2
 
 
 def test_infinity_profile_L_eta():
     eo = get_eta("L_eta")
-    prof = eo.classes(None, (-1, 16), f_max=8)
+    prof = page_classes(eo, None, (-1, 16), f_max=8)
     assert prof[0] == [(0, b, 0, 0) for b in range(9)]  # F2[rho]
     assert prof[-1] == [(0, b, 0, 1) for b in range(8)]  # F2[rho] iota
     for c in range(2, 17, 2):
@@ -294,16 +322,16 @@ def test_infinity_profile_L_eta():
 
 def test_infinity_profile_ko_eta_and_L_C_eta():
     ko_eta = get_eta("ko_eta")
-    prof = ko_eta.classes(None, (0, 12), f_max=5)
+    prof = page_classes(ko_eta, None, (0, 12), f_max=5)
     for c in range(0, 13):
         if c % 4 == 0:
             assert prof[c] == [(0, b, c // 2, 0) for b in range(6)]
         else:
             assert prof[c] == []
     # E2 = E_infinity upstairs of the fiber
-    assert ko_eta.classes(2, (0, 12), f_max=5) == prof
+    assert page_classes(ko_eta, 2, (0, 12), f_max=5) == prof
 
-    lce = get_eta("L_C_eta").classes(None, (-1, 12), f_max=5)
+    lce = page_classes(get_eta("L_C_eta"), None, (-1, 12), f_max=5)
     assert lce[8] == [(0, 0, 4, 0)]
     assert lce[7] == [(0, 0, 4, 1)]
     assert lce[6] == [] and lce[5] == []
@@ -319,7 +347,6 @@ def test_compare_ko_default_window(ko):
     assert rep["mismatches"] == []
     assert rep["skipped"] == 0
     assert rep["checked"] > 5000
-    assert "no mismatches" in format_report(rep)
 
 
 def test_compare_ko_C_default_window():
@@ -358,7 +385,6 @@ def test_compare_flags_a_corrupted_image_table(ko):
     entry = rep["mismatches"][0]
     for key in ("page", "degree", "class", "kind", "localized d_r", "d_r localized"):
         assert key in entry
-    assert str(entry["page"]) in format_report(rep)
 
 
 # -- shipped eta presentations ---------------------------------------------
@@ -383,7 +409,6 @@ def test_render_parse_roundtrip():
     assert ETA_UNIT == parse_eta("1")
 
 
-def test_coweight_and_filtration():
+def test_coweight():
     assert coweight((1, 4, 3, 1)) == 1 + 6 - 1
-    assert filtration((1, 4, 3, 1)) == 5
     assert coweight((0, 0, 0, 0)) == 0

@@ -1,13 +1,27 @@
-"""Every name imported by a module of the package is used in that module.
+"""Stdlib stand-ins for a linter's unused-import and dead-code rules.
 
-A stdlib stand-in for a linter's unused-import rule.  ``__init__.py``
-re-exports names on purpose and is exempt.
+Every name imported by a module of the package is used in that module
+(``__init__.py`` re-exports names on purpose and is exempt).  Every
+function, class and method the package defines is used outside its own
+definition by the package or the code shipped beside it.  The Smith-form
+oracle of the tests imports nothing from the package it checks.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "effss"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "effss"
+#: the code that may use a name the package defines; tests may not
+USERS = (SRC, ROOT / "perfbench", ROOT / "demos", ROOT / "tools")
+#: definitions no code in USERS names, each with the reason it stays
+EXEMPT = {
+    # argparse calls it: the CLI's parser raises UsageError from it
+    "error",
+    # the tests' normal-form predicate over the private violation scan,
+    # which they hold every basis and product to
+    "is_normal",
+}
 
 
 def unused_imports(source):
@@ -37,3 +51,61 @@ def test_no_unused_imports_in_the_package():
             if bad:
                 found[path.name] = bad
     assert found == {}
+
+
+def definitions(tree):
+    """(name, first line, last line) of every function, class and method."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(n.name, n.lineno, n.end_lineno) for n in ast.walk(tree) if isinstance(n, kinds)]
+
+
+def uses(tree):
+    """(name, line) of every name read, attribute taken or name imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+
+
+def unused_definitions(sources, defining):
+    """The definitions in the ``defining`` files of ``sources`` (a map from
+    file to source text) that no file uses outside the definition itself."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    used = {}
+    for path, tree in trees.items():
+        for name, line in uses(tree):
+            used.setdefault(name, []).append((path, line))
+    found = []
+    for path in defining:
+        for name, lo, hi in definitions(trees[path]):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(p != path or not lo <= line <= hi for p, line in used.get(name, ())):
+                found.append((path, name))
+    return sorted(found)
+
+
+def test_unused_definitions_are_found():
+    lib = "def f():\n    return f()\n\nclass C:\n    def m(self): pass\n    def __len__(self): return 0\n"
+    assert unused_definitions({"lib": lib, "app": "C()\n"}, ["lib"]) == [("lib", "f"), ("lib", "m")]
+    assert unused_definitions({"lib": lib, "app": "from lib import f\nC().m()\n"}, ["lib"]) == []
+
+
+def test_every_definition_in_the_package_is_used():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for top in USERS for path in sorted(top.rglob("*.py"))
+    }
+    defining = [p for p in sources if p.startswith("src")]
+    found = [(p, name) for p, name in unused_definitions(sources, defining) if name not in EXEMPT]
+    assert found == []
+
+
+def test_the_smith_oracle_imports_nothing_from_the_package():
+    tree = ast.parse((ROOT / "tests" / "smith_oracle.py").read_text(encoding="utf-8"))
+    modules = [alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names]
+    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "effss"] == []

@@ -1,5 +1,6 @@
 """Integer matrix routines and the homology of page turns, against the
-general Smith-form route of ``smith_oracle``."""
+general Smith-form route of ``smith_oracle``, and that oracle's own Smith
+form."""
 
 import random
 from itertools import combinations
@@ -13,17 +14,21 @@ from effss.intlinalg import (
     ColMat,
     F2Homology,
     LinearAlgebraError,
-    Mat,
-    diagonal,
     homology,
     smith_normal_form,
     two_adic_valuation,
 )
 from smith_oracle import (
+    Mat,
     cycle_lattice,
+    dense,
+    diagonal,
+    is_cycle,
     kernel_basis,
     lattice_basis,
+    pack_columns,
     six_form_homology,
+    smith_form,
     solve,
     unimodular_inverse,
 )
@@ -100,14 +105,14 @@ def small_matrices(draw):
 @example((3, [[0, 4, 0], [6, 0, 0]]))
 def test_invariant_factors_match_determinantal_divisors(matrix):
     m, cols = matrix
-    got = diagonal(smith_normal_form(Mat.from_cols(cols, m))[0])
+    got = smith_normal_form(cols, m)
     assert got == determinantal_factors(cols, m)
 
 
 def test_snf_euclidean_oracle():
     # gcd of entries is 2 and |det| = 8, so the invariant factors are 2, 4.
     M = Mat([[2, 4], [6, 8]])
-    D, U, V = smith_normal_form(M)
+    D, U, V = smith_form(M)
     assert diagonal(D) == [2, 4]
     assert U @ M @ V == D
     assert abs(det(U)) == 1
@@ -120,7 +125,7 @@ def test_snf_properties_random():
         m = rng.randint(0, 5)
         n = rng.randint(0, 5)
         M = Mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], m, n)
-        D, U, V = smith_normal_form(M)
+        D, U, V = smith_form(M)
         assert U @ M @ V == D
         dia = diagonal(D)
         for i in range(len(dia)):
@@ -143,7 +148,7 @@ def test_unimodular_inverse():
     U = Mat([[3, 5], [1, 2]])  # det 1
     Ui = unimodular_inverse(U)
     assert U @ Ui == Mat.identity(2)
-    with pytest.raises(LinearAlgebraError):
+    with pytest.raises(ValueError):
         unimodular_inverse(Mat([[2, 0], [0, 1]]))
 
 
@@ -264,7 +269,7 @@ def test_f2_homology_basic():
     assert H.project([1, 0, 0]) == [1]
     assert H.project([0, 1, 0]) == [1]  # differs from e0 by a boundary
     assert H.project([1, 1, 0]) == [0]
-    assert not H.is_cycle([0, 0, 1])
+    assert not is_cycle(H, [0, 0, 1])
     with pytest.raises(LinearAlgebraError):
         H.project([0, 0, 1])
 
@@ -350,10 +355,10 @@ def test_colmat_agrees_with_a_dense_oracle(data):
     """Shape, dense copy, zero test and column reads of a packed ColMat."""
     m = data.draw(st.integers(0, 12))
     cols = sparse_columns(data, m)
-    M = ColMat(cols, m)
+    M = ColMat(*pack_columns(cols), m)
     want = [[col.get(i, 0) for col in cols] for i in range(m)]
     assert (M.m, M.n) == (m, len(cols))
-    D = M.dense()
+    D = dense(M)
     assert (D.m, D.n, D.rows) == (m, len(cols), want)
     assert M.is_zero() == (not any(cols))
     for j, col in enumerate(cols):
@@ -428,7 +433,7 @@ def test_homology_agrees_with_the_six_form_route(data):
     x = [data.draw(st.integers(-3, 3))]
     try:
         want = want_project(x)
-    except LinearAlgebraError:
+    except ValueError:
         with pytest.raises(LinearAlgebraError):
             H.project(x)
     else:
@@ -484,7 +489,7 @@ def test_one_summand_homology_agrees_with_the_six_form_route():
             for x in range(-span, span + 1):
                 try:
                     want = want_project([x])
-                except LinearAlgebraError:
+                except ValueError:
                     with pytest.raises(LinearAlgebraError):
                         H.project([x])
                 else:
