@@ -55,10 +55,21 @@ only the degrees it newly loses and copies nothing.  ``SliceSS.valid[r]`` is
 a view of the box, the map and the page supporting ``in``, ``len`` and
 iteration.  Results are only reported on the certified part, so boundary
 effects are visible instead of silent.
+
+A run builds hundreds of thousands of small containers and no reference
+cycles, so the page 1 build, the matrix builds and the turns run with
+automatic cyclic garbage collection paused (``collection_paused``); the
+collector would only rescan them.  That is safe because a run is acyclic
+by construction, which ``tests/test_engine.py`` holds it to: an object
+built, run and dropped with collection paused leaves nothing for the
+collector.  The pause is process-global, which is sound for this
+single-threaded library, and the caller's state comes back on every exit.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
@@ -92,6 +103,24 @@ class EngineError(EffssError):
 
 class NotCertifiedError(EngineError):
     """A degree outside the certified region was queried."""
+
+
+@contextmanager
+def collection_paused() -> Iterator[None]:
+    """Pause automatic cyclic garbage collection for the body.
+
+    Collection is switched off only if it was on at entry and switched
+    back on at every exit, so a nested pause changes nothing and a caller
+    that disabled collection keeps it disabled.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def page_shift(r: int) -> TriDegree:
@@ -360,13 +389,15 @@ class SliceSS:
         for r, images in obj.schedule.items():
             validate_schedule(self.pres, images, r)
 
-        bases = self.pres.basis_window(self.box.s, self.box.f, self.box.w)
-        first = {d: PageGroup.basis(obj, d, monos) for d, monos in bases.items()}
+        with collection_paused():
+            bases = self.pres.basis_window(self.box.s, self.box.f, self.box.w)
+            first = {d: PageGroup.basis(obj, d, monos) for d, monos in bases.items()}
         self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: first}
         self.valid: Dict[int, Certified] = {1: Certified(self.box, {}, 1)}
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
         self._firing: Dict[int, Collection[TriDegree]] = {}  # non-empty groups d_r may leave
+        self._by_valuation: Optional[Dict[int, List[TriDegree]]] = None  # page 1 degrees by v2(coweight)
         self._ran_to = 1
 
     # -- running --------------------------------------------------------
@@ -375,29 +406,23 @@ class SliceSS:
         r_to = r_to or self.r_max
         if r_to > self.r_max:
             raise EngineError("run beyond r_max; rebuild with a larger r_max")
-        while self._ran_to < r_to:
-            self._turn(self._ran_to)
+        with collection_paused():
+            while self._ran_to < r_to:
+                self._turn(self._ran_to)
         return self
-
-    def _may_fire(self, r: int, d: TriDegree, g: PageGroup) -> bool:
-        """Could the pattern's d_r, r >= 2, be nonzero out of the certified
-        group g at d?"""
-        cw = d.coweight
-        if cw == 0 or two_adic_valuation(cw) != r - 1:
-            return False
-        return "cokernel" in g.parts
 
     def _ensure_diffs(self, r: int) -> Dict[TriDegree, ColMat]:
         if r not in self.diffs:
-            if r > self._ran_to:
-                raise EngineError("page %d has not been reached yet" % r)
-            if r == 1:
-                mats, unknown = self._d1_matrices()
-                # page 1 holds non-empty basis groups only, and with a d1
-                # schedule each of them may support a d1
-                firing = self.pages[1].keys() if self.obj.schedule.get(1) else ()
-            else:
-                mats, unknown, firing = self._pattern_matrices(r)
+            with collection_paused():
+                if r > self._ran_to:
+                    raise EngineError("page %d has not been reached yet" % r)
+                if r == 1:
+                    mats, unknown = self._d1_matrices()
+                    # page 1 holds non-empty basis groups only, and with a d1
+                    # schedule each of them may support a d1
+                    firing = self.pages[1].keys() if self.obj.schedule.get(1) else ()
+                else:
+                    mats, unknown, firing = self._pattern_matrices(r)
             self.diffs[r] = mats
             self.unknown_out[r] = unknown
             self._firing[r] = firing
@@ -461,7 +486,7 @@ class SliceSS:
                 if c:
                     val[k] = c
 
-        torsion = [spec.torsion for spec in pres.generators]
+        torsion = pres.torsions
 
         def by_shift(S: Monomial) -> Tuple[int, int, list]:
             """The code and order of S, and (g, the code of S/g, e_g, the order
@@ -536,9 +561,19 @@ class SliceSS:
         firing: List[TriDegree] = []
         if not self.obj.has_pattern:
             return mats, unknown, firing
+        if self._by_valuation is None:
+            # each later page keeps page 1's degree order, so each list
+            # walks a page in its own order
+            self._by_valuation = {}
+            for d in self.pages[1]:
+                if d.coweight:
+                    self._by_valuation.setdefault(two_adic_valuation(d.coweight), []).append(d)
         page = self.pages[r]
-        for d, G in page.items():
-            if not self._may_fire(r, d, G):
+        # the pattern's d_r can leave only a group with a cokernel part at a
+        # degree whose coweight has 2-adic valuation r - 1
+        for d in self._by_valuation.get(r - 1, ()):
+            G = page.get(d)
+            if G is None or "cokernel" not in G.parts:
                 continue
             firing.append(d)
             tgt = d + shift

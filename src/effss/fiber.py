@@ -108,11 +108,13 @@ class FiberLayout:
     ``debase`` expands a fiber monomial to base exponents plus an iota
     count, ``translate_mono`` renormalizes a base monomial into the fiber
     basis, absorbing the v-power into the highest-priority letter present
-    (or into iota on the cokernel side).
+    (or into iota on the cokernel side).  ``pair_rule`` is the fiber
+    presentation's rule source.  The fiber presentation is passed to the
+    methods that rewrite in it rather than held here, so the presentation,
+    its rule source and this layout make no reference cycle.
     """
 
     base: RingPresentation
-    pres: RingPresentation
     b_tail: int
     b_v: int
     v_scale: int
@@ -123,6 +125,7 @@ class FiberLayout:
     ifam: Dict[int, int]
     back: Dict[int, Tuple[str, int, int]]
     family_max: int
+    v_slack: int
 
     def debase(self, m: Monomial) -> Tuple[Dict[int, int], int]:
         exps: Dict[int, int] = {}
@@ -178,15 +181,16 @@ class FiberLayout:
                 parts.append((self.letter_map[bl], e))
         return tuple(sorted(parts))
 
-    def translate(self, e: Element, iota: bool = False) -> Element:
+    def translate(self, pres: RingPresentation, e: Element, iota: bool = False) -> Element:
+        """A base element renormalized into the fiber presentation pres."""
         out: Element = {}
         for m, c in e.items():
             t = self.translate_mono(m, iota)
             out[t] = out.get(t, 0) + c
-        return self.pres.reduce(out)
+        return pres.reduce(out)
 
-    def product_via_base(self, ma: Monomial, mb: Monomial) -> Element:
-        """Multiply two fiber monomials through the base ring.
+    def product_via_base(self, pres: RingPresentation, ma: Monomial, mb: Monomial) -> Element:
+        """Multiply two fiber monomials of pres through the base ring.
 
         This is the fiber's one product route: the presentation's pair
         rules are this product of the two generators, made on first
@@ -200,7 +204,18 @@ class FiberLayout:
             ea[g] = ea.get(g, 0) + e
         bm = tuple(sorted((g, e) for g, e in ea.items() if e))
         bel = self.base.reduce({bm: 1})
-        return self.translate(bel, iota=bool(ia + ib))
+        return self.translate(pres, bel, iota=bool(ia + ib))
+
+    def pair_rule(self, pres: RingPresentation, lhs: Monomial) -> Optional[RewriteRule]:
+        """The rule for a carrier-pair violation: the pair's product in the
+        base.  Every violation here is a square over a cap of 1 or a pair
+        sharing a slot.  iota squares to zero; pairs too far out get none,
+        and rewriting refuses them."""
+        exps, iota = self.debase(lhs)
+        if iota < 2 and exps.get(self.b_v, 0) > self.family_max - self.v_slack:
+            return None
+        prod = self.product_via_base(pres, lhs, ())
+        return RewriteRule(lhs, tuple((prod[m], m) for m in sorted(prod, key=pres.mono_key)))
 
 
 def _carrier_order(v_scale: int, k: int) -> int:
@@ -348,23 +363,8 @@ def build_fiber_object(
             rhs_k = next((e for g, e in rm if g == b_v), 0)
             v_slack = max(v_slack, rhs_k - lhs_k)
 
-    # Pair rules.  Every violation here is a square over a cap of 1 or a
-    # pair sharing a slot, and its rule is the pair's product in the base.
-    # iota squares to zero; pairs too far out get none, and rewriting
-    # refuses them.
-    def pair_rule(lhs: Monomial) -> Optional[RewriteRule]:
-        exps, iota = layout.debase(lhs)
-        if iota < 2 and exps.get(b_v, 0) > family_max - v_slack:
-            return None
-        prod = layout.product_via_base(lhs, ())
-        return RewriteRule(lhs, tuple((prod[m], m) for m in sorted(prod, key=pres.mono_key)))
-
-    name = str(data["name"])
-    pres = RingPresentation(name, gens, rule_source=pair_rule)
-    pres.cover = cover
     layout = FiberLayout(
         base=bpres,
-        pres=pres,
         b_tail=b_tail,
         b_v=b_v,
         v_scale=v_scale,
@@ -375,7 +375,11 @@ def build_fiber_object(
         ifam=ifam,
         back=back,
         family_max=family_max,
+        v_slack=v_slack,
     )
+    name = str(data["name"])
+    pres = RingPresentation(name, gens, rule_source=layout.pair_rule)
+    pres.cover = cover
 
     base_d1 = base.schedule.get(1, {})
     images: Dict[int, Element] = {}
@@ -389,7 +393,7 @@ def build_fiber_object(
         else:
             bm = ((b_v, k),) if k else ()
         img = derive(bpres, bm, base_d1)
-        images[fi] = layout.translate(img, iota=(tag == "iota"))
+        images[fi] = layout.translate(pres, img, iota=(tag == "iota"))
 
     meta: Dict[str, object] = {
         "base": base.name,

@@ -190,7 +190,9 @@ class RingPresentation:
     lhs is exactly one violation (a generator one over its cap, or two
     generators sharing a slot), and no two rules share one.  Each rule is
     checked as it enters the rule dict: given rules at construction, and
-    rules from ``rule_source`` (violation -> rule or None) on first lookup.
+    rules from ``rule_source`` (presentation, violation -> rule or None) on
+    first lookup.  The source is handed the presentation rather than
+    holding it, so a presentation and its source make no reference cycle.
     The monomials without violations form an additive basis; ``multiply``
     and ``reduce`` rewrite products onto it with exact coefficients, and
     refuse a violation that no rule repairs.
@@ -202,10 +204,11 @@ class RingPresentation:
         generators: Sequence[GeneratorSpec],
         rules: Sequence[RewriteRule] = (),
         global_torsion: int = 0,
-        rule_source: Optional[Callable[[Monomial], Optional[RewriteRule]]] = None,
+        rule_source: Optional[Callable[["RingPresentation", Monomial], Optional[RewriteRule]]] = None,
     ) -> None:
         self.name = name
         self._generators: Tuple[GeneratorSpec, ...] = tuple(generators)
+        self._torsions: Tuple[int, ...] = tuple(g.torsion for g in self._generators)
         self.global_torsion = int(global_torsion)
 
         self._index: Dict[str, int] = {}
@@ -223,20 +226,16 @@ class RingPresentation:
             if g.torsion < 0 or g.cap is not None and g.cap < 1:
                 raise PresentationError("bad torsion or cap on %s" % g.name)
 
-        # Given rules are a dict source, looked up here so that a bad one
-        # is refused at construction; rule_source answers the rest.
-        given: Dict[Monomial, RewriteRule] = {}
+        # Given rules are checked here, so that a bad one is refused at
+        # construction; rule_source answers the rest.
+        self._rules: Dict[Monomial, Optional[RewriteRule]] = {}
         for r in rules:
-            if r.lhs in given:
+            if r.lhs in self._rules:
                 raise PresentationError(
                     "two rules rewrite %s" % self.render_monomial(r.lhs)
                 )
-            given[r.lhs] = r
-        self._rules: Dict[Monomial, Optional[RewriteRule]] = {}
-        self._source = given.get
-        for lhs in given:
-            self._rule(lhs)
-        self._source = rule_source or given.get
+            self._rules[r.lhs] = self._checked(r.lhs, r)
+        self._source = rule_source
 
         tails = [
             i
@@ -306,6 +305,11 @@ class RingPresentation:
         return self._generators
 
     @property
+    def torsions(self) -> Tuple[int, ...]:
+        """Each generator's torsion, by index."""
+        return self._torsions
+
+    @property
     def tail(self) -> Optional[int]:
         """Index of the pure-weight (tau power) generator, if there is one."""
         return self._tail
@@ -351,9 +355,10 @@ class RingPresentation:
 
     def order_of(self, m: Monomial) -> int:
         """Additive order of the cyclic summand on monomial m (0 = free)."""
+        t = self._torsions
         o = self.global_torsion
         for g, _ in m:
-            o = math.gcd(o, self._generators[g].torsion)
+            o = math.gcd(o, t[g])
         return o
 
     def degree_of_element(self, e: Element) -> Optional[TriDegree]:
@@ -393,17 +398,21 @@ class RingPresentation:
                     yield ((h, 1), (g, 1))
                 members.append(g)
 
+    def _checked(self, v: Monomial, rule: Optional[RewriteRule]) -> Optional[RewriteRule]:
+        """rule, refused unless it is None or its lhs is exactly violation v."""
+        # a pair sharing two slots yields itself twice, hence the set
+        if rule is not None and (rule.lhs != v or set(self._violations(v)) != {v}):
+            raise PresentationError(
+                "rule lhs %s is not exactly one cap or slot violation"
+                % self.render_monomial(rule.lhs)
+            )
+        return rule
+
     def _rule(self, v: Monomial) -> Optional[RewriteRule]:
         """The rule repairing violation v; the source is asked once per v."""
         if v not in self._rules:
-            rule = self._source(v)
-            # a pair sharing two slots yields itself twice, hence the set
-            if rule is not None and (rule.lhs != v or set(self._violations(v)) != {v}):
-                raise PresentationError(
-                    "rule lhs %s is not exactly one cap or slot violation"
-                    % self.render_monomial(rule.lhs)
-                )
-            self._rules[v] = rule
+            source = self._source
+            self._rules[v] = self._checked(v, source(self, v) if source else None)
         return self._rules[v]
 
     def reduce_monomial(self, m: Monomial) -> Element:
@@ -589,7 +598,10 @@ class RingPresentation:
                         new_slots,
                     )
 
-        rec(0, [], 0, 0, 0, 0, frozenset())
+        try:
+            rec(0, [], 0, 0, 0, 0, frozenset())
+        finally:
+            del rec  # rec reaches itself through its closure; unbind it to free both
         for monos in out.values():
             if len(monos) > 1:
                 monos.sort(key=self.mono_key)

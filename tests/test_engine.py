@@ -264,28 +264,163 @@ def test_d1_matrices_match_per_monomial_oracle(name, window):
     assert unknown == want_unknown
 
 
-#: unreachable objects a build and run may leave while collection is
-#: paused: 21 on every SMALL_BOXES window, one reference cycle per
-#: ``basis_window`` call (its self-recursive ``rec`` and ``leaf`` closures)
-RUN_CYCLE_GARBAGE = 32
+#: unreachable objects an object build, a run and their deletion may leave
+#: while collection is paused: 0 measured on every SMALL_BOXES window
+RUN_CYCLE_GARBAGE = 0
 
 
 @pytest.mark.parametrize("name,window", SMALL_BOXES)
 def test_a_run_leaves_almost_no_cyclic_garbage(name, window):
-    """A build and run makes almost no reference cycles, so the cyclic
-    collector finds next to nothing.  The object is built outside the
-    paused span, as it holds cycles of its own."""
-    obj = get_object(name, window)
+    """Building an object, running it and dropping both makes no reference
+    cycles, so the cyclic collector, which the engine pauses while it
+    works, has nothing to find."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        ss = SliceSS(obj, window).run()
+        ss = SliceSS(get_object(name, window), window).run()
         found = gc.collect()
+        assert ss.pages
+        del ss
+        found += gc.collect()
     finally:
         if enabled:
             gc.enable()
-    assert ss.pages and found <= RUN_CYCLE_GARBAGE, found
+    assert found <= RUN_CYCLE_GARBAGE, found
+
+
+@pytest.fixture
+def collecting():
+    """Automatic collection on for the test, and the caller's state after."""
+    enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not enabled:
+        gc.disable()
+
+
+def test_collection_comes_back_after_each_heavy_call(collecting):
+    obj = get_object("L", L_LOW)
+    ss = SliceSS(obj, L_LOW)
+    assert gc.isenabled()
+    d = TriDegree(L_LOW.s[0], L_LOW.f[0], L_LOW.w[0])
+    ss.differential_known(1, d)
+    assert gc.isenabled()
+    ss.run()
+    assert gc.isenabled()
+
+
+def test_collection_comes_back_after_an_engine_error(collecting, toy):
+    ss = SliceSS(get_object("ko_C"), SMALL)
+    with pytest.raises(EngineError, match="page 2 has not been reached"):
+        ss._ensure_diffs(2)
+    assert gc.isenabled()
+
+    # a run whose turn refuses a planted d1 block
+    toy_ss, row = toy
+    planted = SliceSS(toy_ss.obj, toy_ss.window, r_max=2)
+    planted.diffs[1] = {TOY_A: toy_block(planted, row, {"a": {"t": 1}, "b": {"t": 1}})}
+    planted.unknown_out[1], planted._firing[1] = set(), [TOY_A]
+    with pytest.raises(EngineError, match="outgoing differential at .* mixes the image splitting"):
+        planted.run()
+    assert gc.isenabled()
+
+
+def test_collection_a_caller_disabled_stays_disabled(collecting):
+    gc.disable()
+    ss = SliceSS(get_object("ko_C"), SMALL)
+    assert not gc.isenabled()
+    with pytest.raises(EngineError, match="page 3 has not been reached"):
+        ss._ensure_diffs(3)
+    assert not gc.isenabled()
+    ss.differential_known(1, TriDegree(0, 0, 0))
+    ss.run()
+    assert not gc.isenabled()
+
+
+def test_no_automatic_collection_inside_the_heavy_calls(collecting, monkeypatch):
+    """The page 1 build, the d1 build and the turns run with automatic
+    collection paused.  The one young collection that may follow a pause,
+    over what the paused call made, falls outside the calls watched."""
+    obj = get_object("L", L_LOW)
+    depth = [0]
+    started = []
+
+    def inside(fn):
+        def watched(*args, **kw):
+            depth[0] += 1
+            try:
+                return fn(*args, **kw)
+            finally:
+                depth[0] -= 1
+        return watched
+
+    def count(phase, info):
+        if phase == "start" and depth[0]:
+            started.append(info["generation"])
+
+    monkeypatch.setattr(obj.pres, "basis_window", inside(obj.pres.basis_window))
+    monkeypatch.setattr(PageGroup, "basis", classmethod(inside(PageGroup.basis.__func__)))
+    monkeypatch.setattr(SliceSS, "_d1_matrices", inside(SliceSS._d1_matrices))
+    monkeypatch.setattr(SliceSS, "_turn", inside(SliceSS._turn))
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        ss = SliceSS(obj, L_LOW)
+        ss.differential_known(1, TriDegree(0, 0, 0))
+        ss.run()
+    finally:
+        gc.callbacks.remove(count)
+    assert sum(map(len, ss.pages[1].values())) > 10000
+    assert started == []
+
+
+def full_scan_pattern_matrices(ss, r):
+    """The pattern's d_r blocks, r >= 2, by a scan of every group of page r:
+    the oracle for the engine's index of degrees by 2-adic valuation."""
+    shift = page_shift(r)
+    mats, unknown, firing = {}, set(), []
+    page = ss.pages[r]
+    for d, G in page.items():
+        cw = d.coweight
+        if cw == 0 or (cw & -cw).bit_length() != r or "cokernel" not in G.parts:
+            continue
+        firing.append(d)
+        tgt = d + shift
+        if tgt not in ss.valid[r]:
+            unknown.add(d)
+            continue
+        T = page.get(tgt)
+        if T is None or not T.orders:
+            continue
+        if T.orders != [2]:
+            assert not ss.window.contains(d)
+            unknown.add(d)
+            continue
+        mats[d] = pack_columns([{0: 1} if p == "cokernel" else {} for p in G.parts])
+    return mats, unknown, firing
+
+
+#: an L_C box on the iota-orders shape: most box degrees are empty
+LC_THIN = Window((-2, 40), (0, 2), (-4, 20))
+
+
+@pytest.mark.parametrize("name,window,kw", [b + ({},) for b in SMALL_BOXES if b[0] in ("L", "L_C")]
+                         + [("L_C", LC_THIN, {"f_margin": 4})])
+def test_pattern_pages_visit_the_degrees_a_full_scan_finds(name, window, kw):
+    ss = SliceSS(get_object(name, window), window, **kw).run()
+    assert ss.obj.has_pattern and ss.r_max > 2
+    seen = 0
+    for r in range(2, ss.r_max):
+        mats, unknown, firing = full_scan_pattern_matrices(ss, r)
+        got = ss.diffs[r]
+        assert list(ss._firing[r]) == firing, r
+        assert ss.unknown_out[r] == unknown, r
+        assert list(got) == list(mats), r
+        for d, (ptr, rows, vals) in mats.items():
+            assert (got[d].ptr, got[d].rows, got[d].vals, got[d].m) == (tuple(ptr), tuple(rows), tuple(vals), 1)
+        seen += len(firing)
+    assert seen
 
 
 #: bytes the d1 blocks of L_LOW may retain per stored entry: 68 measured

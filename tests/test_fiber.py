@@ -143,7 +143,7 @@ def test_random_products_agree_with_base_ring_route(L):
     rng = random.Random(7)
     for _ in range(300):
         a, b = rng.choice(monos), rng.choice(monos)
-        assert L.pres.multiply({a: 1}, {b: 1}) == lay.product_via_base(a, b)
+        assert L.pres.multiply({a: 1}, {b: 1}) == lay.product_via_base(L.pres, a, b)
 
 
 def test_pair_beyond_the_cover_refused(L):
@@ -156,7 +156,7 @@ def test_pair_beyond_the_cover_refused(L):
         p.multiply({a: 1}, {b: 1})
 
 
-def eager_pair_rules(layout):
+def eager_pair_rules(obj):
     """Every pair rule the fiber window needs, made up front.
 
     The oracle for the rule set a fiber presentation dumps: each
@@ -164,7 +164,7 @@ def eager_pair_rules(layout):
     pairs get the zero rule, and pairs whose v-powers add up past the
     family range (less the v-power base rewriting can add) get none.
     """
-    pres = layout.pres
+    layout, pres = obj.meta["layout"], obj.pres
     v_slack = 0
     for rule in layout.base.rules:
         lhs_k = next((e for g, e in rule.lhs if g == layout.b_v), 0)
@@ -187,7 +187,7 @@ def eager_pair_rules(layout):
                 continue
             if ki + kj > layout.family_max - v_slack or pres.is_normal(lhs):
                 continue
-            prod = layout.product_via_base(((i, 1),), ((j, 1),))
+            prod = layout.product_via_base(pres, ((i, 1),), ((j, 1),))
             rhs = tuple((c, m) for m, c in sorted(prod.items(), key=lambda mc: pres.mono_key(mc[0])))
             rules.append(RewriteRule(lhs=lhs, rhs=rhs))
     return rules
@@ -198,7 +198,7 @@ def test_dumped_rules_are_the_eager_pair_rules(L_tall, LC_thin):
         pres = obj.pres
         want = [
             {"lhs": pres.mono_to_dict(r.lhs), "rhs": [[c, pres.mono_to_dict(m)] for c, m in r.rhs]}
-            for r in eager_pair_rules(obj.meta["layout"])
+            for r in eager_pair_rules(obj)
         ]
         assert spec_to_dict(obj)["rules"] == want, obj.name
         assert len(want) > 1000
@@ -282,7 +282,7 @@ def closed_form_basis(obj, s_range, f_range, w_range):
     and slots that the generic search walks.
     """
     layout = obj.meta["layout"]
-    pres = layout.pres
+    pres = obj.pres
     gens = pres.generators
     tail = layout.f_tail
     tail_w = -gens[tail].degree.w
@@ -415,7 +415,7 @@ def test_pair_rules_agree_with_base_route_on_wide_boxes(wide_monomials, data):
     layout = obj.meta["layout"]
     a, b = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
     ab = p.multiply({a: 1}, {b: 1})
-    assert ab == layout.product_via_base(a, b)
+    assert ab == layout.product_via_base(p, a, b)
     assert all(p.is_normal(m) for m in ab)
 
     x, y, z = ({data.draw(st.sampled_from(low)): 1} for _ in range(3))
@@ -430,7 +430,7 @@ def base_route_d1(obj, m):
     base = get_object(obj.meta["base"])
     exps, iota = layout.debase(m)
     bm = tuple(sorted((g, e) for g, e in exps.items() if e))
-    return layout.translate(derive(layout.base, bm, base.schedule[1]), iota=bool(iota))
+    return layout.translate(obj.pres, derive(layout.base, bm, base.schedule[1]), iota=bool(iota))
 
 
 def test_fiber_d1_matches_base_route(L, LC):

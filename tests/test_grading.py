@@ -247,8 +247,9 @@ def test_rule_source_asked_once_per_violation():
     uab = pres.monomial({"u": 1, "a": 1, "b": 1})
     asked = []
 
-    def source(v):
+    def source(asker, v):
         asked.append(v)
+        assert asker is pres  # the presentation asking, not one the source holds
         return RewriteRule(ab, ()) if v == ab else None
 
     pres = RingPresentation("mini", gens, rules=[RewriteRule(a2, ())], rule_source=source)
@@ -262,7 +263,7 @@ def test_rule_source_asked_once_per_violation():
     assert asked == [ab, b2]
     assert pres.rules == (RewriteRule(a2, ()), RewriteRule(ab, ()))
 
-    wrong = RingPresentation("mini", gens, rule_source=lambda v: RewriteRule(uab, ()))
+    wrong = RingPresentation("mini", gens, rule_source=lambda _pres, v: RewriteRule(uab, ()))
     with pytest.raises(PresentationError, match="not exactly one"):
         wrong.reduce({ab: 1})
 

@@ -3,7 +3,9 @@
 Every name imported by a module of the package is used in that module
 (``__init__.py`` re-exports names on purpose and is exempt).  Every
 function, class and method the package defines is used outside its own
-definition by the package or the code shipped beside it.  The Smith-form
+definition by the package or the code shipped beside it; a method only
+through an attribute (``x.name``) or an import, not through a bare name
+that may be a local of the same name.  The Smith-form
 oracle of the tests imports nothing from the package it checks.
 """
 
@@ -54,20 +56,28 @@ def test_no_unused_imports_in_the_package():
 
 
 def definitions(tree):
-    """(name, first line, last line) of every function, class and method."""
+    """(name, first line, last line, whether a method) of every function,
+    class and method."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [(n.name, n.lineno, n.end_lineno) for n in ast.walk(tree) if isinstance(n, kinds)]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {
+        id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+        for n in c.body if isinstance(n, functions)
+    }
+    return [(n.name, n.lineno, n.end_lineno, id(n) in methods)
+            for n in ast.walk(tree) if isinstance(n, kinds)]
 
 
 def uses(tree):
-    """(name, line) of every name read, attribute taken or name imported."""
+    """(name, line, whether a bare name) of every name read, attribute
+    taken or name imported."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1], node.lineno
+            yield node.name.split(".")[-1], node.lineno, False
 
 
 def unused_definitions(sources, defining):
@@ -76,14 +86,15 @@ def unused_definitions(sources, defining):
     trees = {path: ast.parse(text) for path, text in sources.items()}
     used = {}
     for path, tree in trees.items():
-        for name, line in uses(tree):
-            used.setdefault(name, []).append((path, line))
+        for name, line, bare in uses(tree):
+            used.setdefault(name, []).append((path, line, bare))
     found = []
     for path in defining:
-        for name, lo, hi in definitions(trees[path]):
+        for name, lo, hi, method in definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if not any(p != path or not lo <= line <= hi for p, line in used.get(name, ())):
+            if not any((p != path or not lo <= line <= hi) and not (method and bare)
+                       for p, line, bare in used.get(name, ())):
                 found.append((path, name))
     return sorted(found)
 
@@ -92,6 +103,11 @@ def test_unused_definitions_are_found():
     lib = "def f():\n    return f()\n\nclass C:\n    def m(self): pass\n    def __len__(self): return 0\n"
     assert unused_definitions({"lib": lib, "app": "C()\n"}, ["lib"]) == [("lib", "f"), ("lib", "m")]
     assert unused_definitions({"lib": lib, "app": "from lib import f\nC().m()\n"}, ["lib"]) == []
+    # a local named like a method does not use it
+    mat = "class Mat:\n    def vec(self): pass\n"
+    local = "Mat()\nvec = [0]\nprint(vec)\n"
+    assert unused_definitions({"lib": mat, "app": local}, ["lib"]) == [("lib", "vec")]
+    assert unused_definitions({"lib": mat, "app": local + "Mat().vec()\n"}, ["lib"]) == []
 
 
 def test_every_definition_in_the_package_is_used():
