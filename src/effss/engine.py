@@ -566,12 +566,14 @@ class SliceSS:
             # walks a page in its own order
             self._by_valuation = {}
             for d in self.pages[1]:
-                if d.coweight:
-                    self._by_valuation.setdefault(two_adic_valuation(d.coweight), []).append(d)
+                v = two_adic_valuation(d.coweight) if d.coweight else 0
+                if 0 < v < self.r_max:
+                    self._by_valuation.setdefault(v, []).append(d)
         page = self.pages[r]
         # the pattern's d_r can leave only a group with a cokernel part at a
-        # degree whose coweight has 2-adic valuation r - 1
-        for d in self._by_valuation.get(r - 1, ()):
+        # degree whose coweight has 2-adic valuation r - 1; _ensure_diffs
+        # builds each page once, so its list is handed over, not kept
+        for d in self._by_valuation.pop(r - 1, ()):
             G = page.get(d)
             if G is None or "cokernel" not in G.parts:
                 continue
