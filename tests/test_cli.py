@@ -6,6 +6,7 @@ test at the bottom exercises the installed console script, another
 ``python -m effss``.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -263,6 +264,24 @@ def test_dump_presentation_round_trips(capsys):
     assert sorted(g["name"] for g in data["generators"]) == [
         "h1", "rho", "tau2", "th1", "v2"]
     assert spec_to_dict(spec_from_dict(data)) == data
+
+
+#: sha256 of ``dump-presentation --object X`` stdout on the default windows;
+#: the bytes hold each object's rules, d1 table, eta images and image
+#: generators, so a refactor of how they are built must leave them alone
+PRESENTATION_DIGESTS = {
+    "ko_C": "1dd7c9acbeeec172f9902743ca3584e63ab4d966b54805b987b6f9dad823167c",
+    "ko": "4952ddf669860146bc8c5ecbf55816acd6f6ae9e4d4f29f9c0956eaa96bc092d",
+    "L": "ed3e8af3dad7f460f728f721abc62b1734bb17388c217559ee5ba0185a6dbe3f",
+    "L_C": "c0e0fbaae332987003d9e219a3b9feafd37187c1f9f5079b99103f352a7cfbc7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATION_DIGESTS))
+def test_dump_presentation_bytes_are_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, "dump-presentation", "--object", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRESENTATION_DIGESTS[name]
 
 
 # -- console script --------------------------------------------------------
