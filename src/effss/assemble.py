@@ -202,9 +202,8 @@ def v14_mult(ss: SliceSS, e: Element, steps: int = 1) -> Element:
 
     On the base theories this is an honest ring multiplication by a
     power of v2.  The fiber presentations carry no bare v generator, so
-    there the shift is done through the carrier bookkeeping: expand each
-    monomial over the base, raise the v exponent, and renormalize.  A
-    monomial with no letter to absorb the extra v power (a bare tau
+    there the fiber layout makes the shift through the base
+    (``FiberLayout.times_v``).  A monomial with no letter to absorb the extra v power (a bare tau
     power) has no v1^4 translate in the fiber, and that failure is
     exactly why such rows are flagged not v1^4-periodic.
     """
@@ -215,14 +214,7 @@ def v14_mult(ss: SliceSS, e: Element, steps: int = 1) -> Element:
     if layout is None:
         v = pres.gen("v2")
         return pres.multiply(e, {((v, 2 * steps),): 1})
-    out: Element = {}
-    for m, c in e.items():
-        exps, iota = layout.debase(m)
-        exps[layout.b_v] = exps.get(layout.b_v, 0) + 2 * steps
-        bm = tuple(sorted((g, x) for g, x in exps.items() if x))
-        t = layout.translate_mono(bm, iota=bool(iota))
-        out[t] = out.get(t, 0) + c
-    return pres.reduce(out)
+    return layout.times_v(pres, e, 2 * steps)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +336,8 @@ def periodic_steps(
 def expand_ledger(
     ss: SliceSS,
     rows: Optional[Sequence[HiddenExtension]] = None,
-    window=None,
 ) -> List[HiddenExtension]:
-    """Materialize the tau^4 and v1^4 families of the base rows in a window.
+    """Materialize the tau^4 and v1^4 families of the base rows in the run's window.
 
     Every expanded endpoint is validated against the infinity page: rows
     whose endpoints leave the certified region are dropped, while an
@@ -357,12 +348,10 @@ def expand_ledger(
     pres = ss.pres
     if rows is None:
         _, rows = load_ledger(ss.obj.name, pres)
-    if window is None:
-        window = ss.window
 
     out: List[HiddenExtension] = []
     for row in rows:
-        for j, k, sd, td in periodic_steps(row, window):
+        for j, k, sd, td in periodic_steps(row, ss.window):
             try:
                 source = tau4_mult(ss, v14_mult(ss, row.source, k), j)
                 if row.special == "half-carrier-order":
@@ -559,6 +548,13 @@ def double(ss: SliceSS, index: _LedgerIndex, cls: InfinityClass) -> InfinityClas
 # ---------------------------------------------------------------------------
 
 
+def render_orders(orders: Sequence[int]) -> str:
+    """A direct sum of cyclic groups, 0 standing for Z: "Z/4 + Z"."""
+    if not orders:
+        return "0"
+    return " + ".join("Z" if o == 0 else "Z/%d" % o for o in orders)
+
+
 @dataclass(frozen=True)
 class PiGenerator:
     """One infinity summand contributing to a homotopy group."""
@@ -592,12 +588,7 @@ class HomotopyGroup:
     provenance: str
 
     def render(self) -> str:
-        if not self.orders:
-            return "0"
-        parts = []
-        for o in self.orders:
-            parts.append("Z" if o == 0 else "Z/%d" % o)
-        return " + ".join(parts)
+        return render_orders(self.orders)
 
     def order(self) -> int:
         """Total order, 0 when a free summand makes it infinite."""
@@ -790,7 +781,6 @@ def _invariant_factors(n: int, relations) -> List[int]:
 def order_pattern_check(
     ss: SliceSS,
     j: int,
-    stems: Optional[Sequence[int]] = None,
     ledger: Optional[Sequence[HiddenExtension]] = None,
 ) -> Dict[str, object]:
     """Survey the assembled groups in coweight 4j - 1.
@@ -806,8 +796,6 @@ def order_pattern_check(
     if ledger is None:
         ledger = expand_ledger(ss)
     index = _LedgerIndex(ss, ledger) if not isinstance(ledger, _LedgerIndex) else ledger
-    if stems is None:
-        stems = range(ss.window.s[0] + 2, ss.window.s[1] - 1)
     report: Dict[str, object] = {
         "object": ss.obj.name,
         "coweight": c,
@@ -818,7 +806,7 @@ def order_pattern_check(
         "skipped": [],
         "ok": True,
     }
-    for s in stems:
+    for s in range(ss.window.s[0] + 2, ss.window.s[1] - 1):
         w = s - c
         if not (ss.window.w[0] <= w <= ss.window.w[1]):
             continue

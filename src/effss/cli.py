@@ -23,7 +23,7 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .assemble import AssembleError, assemble
+from .assemble import AssembleError, assemble, render_orders
 from .charts import ChartError, ChartSpec, chart_data, emit_svg, render_chart_text
 from .engine import EngineError, NotCertifiedError, SliceSS, Window
 from .grading import EffssError
@@ -79,12 +79,6 @@ def _run_object(name: str, window: Window) -> SliceSS:
     return ss
 
 
-def _render_orders(orders: Sequence[int]) -> str:
-    if not orders:
-        return "0"
-    return " + ".join("Z" if o == 0 else "Z/%d" % o for o in orders)
-
-
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stems", help="stem range lo..hi (use --stems=-2..8 when lo is negative)")
     p.add_argument("--filtrations", help="filtration range lo..hi")
@@ -119,7 +113,7 @@ def _cmd_compute(args) -> int:
         for d, G in ss.groups(ss.r_max if r == "inf" else r):
             labels = ", ".join(ss.pres.render(G.lift(i)) for i in range(len(G.orders)))
             lines.append("  (%d,%d,%d)  %s  %s"
-                         % (d.s, d.f, d.w, _render_orders(G.orders), labels))
+                         % (d.s, d.f, d.w, render_orders(G.orders), labels))
     text = "\n".join(lines) + "\n"
     if args.out:
         path = os.path.join(_outdir(args), args.out)

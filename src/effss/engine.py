@@ -155,16 +155,15 @@ class Window:
                     yield TriDegree(s, f, w)
 
 
-def widened_box(window: Window, r_max: int, s_margin=None, f_margin=None) -> Window:
+def widened_box(window: Window, r_max: int, f_margin=None) -> Window:
     """The box a run over ``window`` up to page ``r_max`` computes on.
 
-    By default the margins are r_max stems on each side and 2 r_max + 2
+    The margins are r_max stems on each side and, by default, 2 r_max + 2
     filtrations above.  Fiber objects materialize their generators for
     this same box.
     """
-    sm = r_max if s_margin is None else s_margin
     fm = 2 * r_max + 2 if f_margin is None else f_margin
-    return Window(s=(window.s[0] - sm, window.s[1] + sm), f=(0, window.f[1] + fm), w=window.w)
+    return Window(s=(window.s[0] - r_max, window.s[1] + r_max), f=(0, window.f[1] + fm), w=window.w)
 
 
 class Certified:
@@ -373,7 +372,6 @@ class SliceSS:
         obj: ObjectSpec,
         window: Optional[Window] = None,
         r_max: Optional[int] = None,
-        s_margin: Optional[int] = None,
         f_margin: Optional[int] = None,
     ) -> None:
         if window is None:
@@ -384,7 +382,7 @@ class SliceSS:
         self.pres = obj.pres
         self.window = window
         self.r_max = r_max or obj.default_r_max or obj.stable_page + 1
-        self.box = widened_box(window, self.r_max, s_margin, f_margin)
+        self.box = widened_box(window, self.r_max, f_margin)
 
         for r, images in obj.schedule.items():
             validate_schedule(self.pres, images, r)
@@ -492,7 +490,7 @@ class SliceSS:
             """The code and order of S, and (g, the code of S/g, e_g, the order
             of S/g) for each g in S with d1(g) != 0, from the generators'
             torsions: S/g has the order of S unless e_g = 1."""
-            s, o = 0, pres.global_torsion
+            s, o = 0, 0
             for g, e in S:
                 s += e * unit[g]
                 o = gcd(o, torsion[g])
@@ -502,7 +500,7 @@ class SliceSS:
                     if e > 1:
                         og = o
                     else:
-                        og = gcd(pres.global_torsion, *[torsion[h] for h, _ in S if h != g])
+                        og = gcd(*[torsion[h] for h, _ in S if h != g])
                     moved.append((g, s - unit[g], e, og))
             return s, o, moved
 
@@ -789,32 +787,33 @@ class SliceSS:
             el_iadd(acc, T.lift(k), c)
         return self.pres.reduce_coefficients(acc)
 
-    def groups(self, r: int, user_only: bool = True) -> Iterator[Tuple[TriDegree, PageGroup]]:
-        """Yield (degree, group) for the certified non-empty groups of page r,
-        degree-sorted, which is the order of ``Window.degrees``."""
+    def groups(self, r: int) -> Iterator[Tuple[TriDegree, PageGroup]]:
+        """Yield (degree, group) for the certified non-empty groups of page r
+        in the user window, degree-sorted, which is the order of
+        ``Window.degrees``."""
         if r not in self.pages:
             raise EngineError("page %d not computed" % r)
         page, valid = self.pages[r], self.valid[r]
         for d in sorted(page):
-            if user_only and not self.window.contains(d):
+            if not self.window.contains(d):
                 continue
             G = page[d]
             if G.orders and d in valid:
                 yield d, G
 
-    def summands(self, r: int, user_only: bool = True) -> Iterator[Tuple[TriDegree, int, int, Element, str]]:
-        """Yield (degree, index, order, lift, part), degree-sorted."""
-        for d, G in self.groups(r, user_only):
+    def summands(self, r: int) -> Iterator[Tuple[TriDegree, int, int, Element, str]]:
+        """Yield (degree, index, order, lift, part) over ``groups(r)``."""
+        for d, G in self.groups(r):
             for i, o in enumerate(G.orders):
                 yield d, i, o, G.lift(i), G.parts[i]
 
-    def dump_lines(self, r: int, user_only: bool = True) -> Iterator[str]:
+    def dump_lines(self, r: int) -> Iterator[str]:
         """One line per summand:
 
         page {r} | {s} {f} {w} | {order} | {label} | d{r} -> {value}
         """
         have_diffs = r in self.diffs or r <= self._ran_to
-        for d, i, o, lift, _part in self.summands(r, user_only=user_only):
+        for d, i, o, lift, _part in self.summands(r):
             if have_diffs:
                 v = self.differential_value(r, d, i)
                 vtext = self.pres.render(v) if v else "-"

@@ -323,23 +323,21 @@ def eta_schedule(name: str = "L_eta", r_max: int = 9) -> Dict[int, Dict[EtaMonom
     return out
 
 
-def compare(ss, eta_obj: Optional[EtaObject] = None, pages: Optional[int] = None,
-            window=None) -> Dict:
+def compare(ss, pages: Optional[int] = None) -> Dict:
     """Check localize . d_r = d_r . localize, summand by summand.
 
     ``ss`` is a tri-graded run (it is run() if it has not been); the
-    eta-local side is looked up from the object's name unless given.
+    eta-local side is looked up from the object's name.
     Every certified summand in the user window is localized, reduced to
     its page-r class, and its differential is chased both ways.  The
     report lists each mismatch with both sides rendered, so a failure
     points at the exact class that moved.
     """
     obj = ss.obj
-    if eta_obj is None:
-        target = ETA_TARGET.get(obj.name)
-        if target is None:
-            raise EtaError("no eta-local companion for %s" % obj.name)
-        eta_obj = get_eta(target)
+    target = ETA_TARGET.get(obj.name)
+    if target is None:
+        raise EtaError("no eta-local companion for %s" % obj.name)
+    eta_obj = get_eta(target)
     ss.run()
     r_hi = ss.r_max if pages is None else min(pages, ss.r_max)
     checked = 0
@@ -363,8 +361,6 @@ def compare(ss, eta_obj: Optional[EtaObject] = None, pages: Optional[int] = None
 
     for r in range(1, r_hi + 1):
         for d, i, _o, lift, _part in ss.summands(r):
-            if window is not None and not window.contains(d):
-                continue
             if not ss.differential_known(r, d):
                 # the box certifies the class but not its outgoing d_r;
                 # nothing to compare against

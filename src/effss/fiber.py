@@ -38,11 +38,11 @@ usual way of writing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .engine import ObjectSpec, Window, derive, widened_box
-from .eta import eta_el_mul, eta_el_pow
+from .eta import ETA_UNIT, eta_el_mul, eta_el_pow
 from .grading import (
     Element,
     EffssError,
@@ -52,6 +52,7 @@ from .grading import (
     RewriteRule,
     RingPresentation,
     TriDegree,
+    mono_mul,
 )
 from .intlinalg import smith_normal_form, two_adic_valuation
 from .objects import load_data, spec_from_dict, window_from_dict
@@ -63,6 +64,9 @@ class FiberError(EffssError):
 
 #: degree of the connecting class iota in the fiber sequence
 IOTA_DEGREE = TriDegree(-1, 1, 0)
+
+#: iota's eta-local image
+_ETA_IOTA = frozenset({(0, 0, 0, 1)})
 
 #: short stems for carrier names; anything unlisted keeps its full name
 _PREFIX = {"rho": "r", "h1": "h", "th1": "th"}
@@ -104,57 +108,48 @@ def _diag_scalar(pres: RingPresentation, image: Element, g: int) -> int:
 class FiberLayout:
     """Bookkeeping between a base presentation and its materialized fiber.
 
-    The two directions of the letter-absorption bijection live here:
-    ``debase`` expands a fiber monomial to base exponents plus an iota
-    count, ``translate_mono`` renormalizes a base monomial into the fiber
-    basis, absorbing the v-power into the highest-priority letter present
-    (or into iota on the cokernel side).  ``pair_rule`` is the fiber
-    presentation's rule source.  The fiber presentation is passed to the
-    methods that rewrite in it rather than held here, so the presentation,
-    its rule source and this layout make no reference cycle.
+    ``back[i]`` is fiber generator i as (base monomial, iota count): a
+    letter or the tail is its base generator, a carrier is its letter times
+    a v-power, and an iota carrier is iota times a v-power.  ``gen_of`` is
+    the inverse, keyed by the same tuples.  ``debase`` expands a fiber
+    monomial through ``back``; ``translate_mono`` renormalizes a base
+    monomial into the fiber basis through ``gen_of``, absorbing the v-power
+    into the highest-priority letter present (or into iota on the cokernel
+    side).  ``pair_rule`` is the fiber presentation's rule source.  The
+    fiber presentation is passed to the methods that rewrite in it rather
+    than held here, so the presentation, its rule source and this layout
+    make no reference cycle.
     """
 
     base: RingPresentation
-    b_tail: int
     b_v: int
     v_scale: int
     priority: Tuple[int, ...]
-    letter_map: Dict[int, int]
-    f_tail: int
-    fam: Dict[Tuple[int, int], int]
-    ifam: Dict[int, int]
-    back: Dict[int, Tuple[str, int, int]]
+    back: Tuple[Tuple[Monomial, int], ...]
+    gen_of: Dict[Tuple[Monomial, int], int]
     family_max: int
     v_slack: int
 
-    def debase(self, m: Monomial) -> Tuple[Dict[int, int], int]:
-        exps: Dict[int, int] = {}
+    def debase(self, m: Monomial) -> Tuple[Monomial, int]:
+        """The base monomial under fiber monomial m, and its iota count."""
+        bm: Monomial = ()
         iota = 0
         for g, e in m:
-            tag, l, k = self.back[g]
-            if tag == "tail":
-                exps[self.b_tail] = exps.get(self.b_tail, 0) + e
-            elif tag == "letter":
-                exps[l] = exps.get(l, 0) + e
-            elif tag == "fam":
-                exps[l] = exps.get(l, 0) + e
-                if e * k:
-                    exps[self.b_v] = exps.get(self.b_v, 0) + e * k
-            else:
-                iota += e
-                if e * k:
-                    exps[self.b_v] = exps.get(self.b_v, 0) + e * k
-        return exps, iota
+            gm, gi = self.back[g]
+            if e > 1:
+                gm = tuple([(h, x * e) for h, x in gm])
+            bm = mono_mul(bm, gm)
+            iota += gi * e
+        return bm, iota
 
     def translate_mono(self, m: Monomial, iota: bool) -> Monomial:
-        exps = {g: e for g, e in m}
+        gen_of = self.gen_of
+        exps = dict(m)
         k = exps.pop(self.b_v, 0)
+        vk: Monomial = ((self.b_v, k),) if k else ()
         parts: List[Tuple[int, int]] = []
-        tail_e = exps.pop(self.b_tail, 0)
-        if tail_e:
-            parts.append((self.f_tail, tail_e))
         if iota:
-            carrier = self.ifam.get(k)
+            carrier = gen_of.get((vk, 1))
             if carrier is None:
                 raise PresentationError(
                     "iota carrier for v^%d is beyond the materialized window" % k
@@ -164,7 +159,7 @@ class FiberLayout:
             for bl in self.priority:
                 if exps.get(bl):
                     exps[bl] -= 1
-                    carrier = self.fam.get((bl, k))
+                    carrier = gen_of.get((mono_mul(((bl, 1),), vk), 0))
                     if carrier is None:
                         raise PresentationError(
                             "carrier %sv^%d is beyond the materialized window"
@@ -178,7 +173,7 @@ class FiberLayout:
                 )
         for bl, e in exps.items():
             if e:
-                parts.append((self.letter_map[bl], e))
+                parts.append((gen_of[((bl, 1),), 0], e))
         return tuple(sorted(parts))
 
     def translate(self, pres: RingPresentation, e: Element, iota: bool = False) -> Element:
@@ -189,6 +184,21 @@ class FiberLayout:
             out[t] = out.get(t, 0) + c
         return pres.reduce(out)
 
+    def times_v(self, pres: RingPresentation, e: Element, k: int) -> Element:
+        """e times v^k, for k >= 1, renormalized into pres.
+
+        The fiber carries no bare v generator, so each monomial is expanded
+        over the base, shifted and translated back.  A monomial with no
+        letter to absorb the v-power raises PresentationError.
+        """
+        vk = ((self.b_v, k),)
+        out: Element = {}
+        for m, c in e.items():
+            bm, iota = self.debase(m)
+            t = self.translate_mono(mono_mul(bm, vk), bool(iota))
+            out[t] = out.get(t, 0) + c
+        return pres.reduce(out)
+
     def product_via_base(self, pres: RingPresentation, ma: Monomial, mb: Monomial) -> Element:
         """Multiply two fiber monomials of pres through the base ring.
 
@@ -196,14 +206,11 @@ class FiberLayout:
         rules are this product of the two generators, made on first
         lookup and kept.
         """
-        ea, ia = self.debase(ma)
-        eb, ib = self.debase(mb)
+        ba, ia = self.debase(ma)
+        bb, ib = self.debase(mb)
         if ia + ib >= 2:
             return {}
-        for g, e in eb.items():
-            ea[g] = ea.get(g, 0) + e
-        bm = tuple(sorted((g, e) for g, e in ea.items() if e))
-        bel = self.base.reduce({bm: 1})
+        bel = self.base.reduce({mono_mul(ba, bb): 1})
         return self.translate(pres, bel, iota=bool(ia + ib))
 
     def pair_rule(self, pres: RingPresentation, lhs: Monomial) -> Optional[RewriteRule]:
@@ -211,8 +218,9 @@ class FiberLayout:
         base.  Every violation here is a square over a cap of 1 or a pair
         sharing a slot.  iota squares to zero; pairs too far out get none,
         and rewriting refuses them."""
-        exps, iota = self.debase(lhs)
-        if iota < 2 and exps.get(self.b_v, 0) > self.family_max - self.v_slack:
+        bm, iota = self.debase(lhs)
+        k = next((e for g, e in bm if g == self.b_v), 0)
+        if iota < 2 and k > self.family_max - self.v_slack:
             return None
         prod = self.product_via_base(pres, lhs, ())
         return RewriteRule(lhs, tuple((prod[m], m) for m in sorted(prod, key=pres.mono_key)))
@@ -293,63 +301,48 @@ def build_fiber_object(
         return tuple(names)
 
     gens: List[GeneratorSpec] = []
-    letter_map: Dict[int, int] = {}
-    fam: Dict[Tuple[int, int], int] = {}
-    ifam: Dict[int, int] = {}
-    back: Dict[int, Tuple[str, int, int]] = {}
-    f_tail = -1
+    back: List[Tuple[Monomial, int]] = []
 
+    def add(spec: GeneratorSpec, bm: Monomial, iota: int) -> None:
+        gens.append(spec)
+        back.append((bm, iota))
+
+    single = {i: ((i, 1),) for i in range(len(bpres.generators)) if i != b_v}
     for i, g in enumerate(bpres.generators):
         if i == b_v:
             continue
-        if i == b_tail:
-            f_tail = len(gens)
-            back[f_tail] = ("tail", i, 0)
-            gens.append(g)
-            continue
-        sl = letter_slot(i)
-        letter_map[i] = len(gens)
-        back[letter_map[i]] = ("letter", i, 0)
-        gens.append(
-            GeneratorSpec(
-                name=g.name,
-                degree=g.degree,
-                torsion=g.torsion,
-                cap=g.cap,
-                slots=(sl,) if sl else (),
-            )
-        )
+        if i != b_tail:
+            sl = letter_slot(i)
+            g = replace(g, slots=(sl,) if sl else ())
+        add(g, single[i], 0)
 
-    ifam[0] = len(gens)
-    back[ifam[0]] = ("iota", -1, 0)
-    gens.append(
-        GeneratorSpec(name="iv0", degree=IOTA_DEGREE, torsion=0, cap=1, slots=("fam",))
-    )
+    add(GeneratorSpec(name="iv0", degree=IOTA_DEGREE, torsion=0, cap=1, slots=("fam",)), (), 1)
 
     for k in range(1, family_max + 1):
+        vk = ((b_v, k),)
         for bl in letters:
             spec = bpres.generators[bl]
-            fam[(bl, k)] = len(gens)
-            back[fam[(bl, k)]] = ("fam", bl, k)
-            gens.append(
+            add(
                 GeneratorSpec(
                     name="%sv%d" % (_PREFIX.get(spec.name, spec.name), 2 * k),
                     degree=spec.degree + vdeg.scaled(k),
                     torsion=spec.torsion,
                     cap=1,
                     slots=carrier_slots(bl),
-                )
+                ),
+                mono_mul(single[bl], vk),
+                0,
             )
-        ifam[k] = len(gens)
-        back[ifam[k]] = ("iota", -1, k)
-        gens.append(
+        add(
             GeneratorSpec(
                 name="iv%d" % (2 * k),
                 degree=IOTA_DEGREE + vdeg.scaled(k),
                 torsion=_carrier_order(v_scale, k),
                 cap=1,
                 slots=("fam",),
-            )
+            ),
+            vk,
+            1,
         )
 
     # Rewriting in the base can raise the v-power (th1 squared picks one
@@ -363,17 +356,14 @@ def build_fiber_object(
             rhs_k = next((e for g, e in rm if g == b_v), 0)
             v_slack = max(v_slack, rhs_k - lhs_k)
 
+    rows = tuple(back)
     layout = FiberLayout(
         base=bpres,
-        b_tail=b_tail,
         b_v=b_v,
         v_scale=v_scale,
         priority=priority,
-        letter_map=letter_map,
-        f_tail=f_tail,
-        fam=fam,
-        ifam=ifam,
-        back=back,
+        back=rows,
+        gen_of={row: i for i, row in enumerate(rows)},
         family_max=family_max,
         v_slack=v_slack,
     )
@@ -382,18 +372,10 @@ def build_fiber_object(
     pres.cover = cover
 
     base_d1 = base.schedule.get(1, {})
-    images: Dict[int, Element] = {}
-    for fi, (tag, l, k) in back.items():
-        if tag == "tail":
-            bm: Monomial = ((b_tail, 1),)
-        elif tag == "letter":
-            bm = ((l, 1),)
-        elif tag == "fam":
-            bm = tuple(sorted(((l, 1), (b_v, k))))
-        else:
-            bm = ((b_v, k),) if k else ()
-        img = derive(bpres, bm, base_d1)
-        images[fi] = layout.translate(pres, img, iota=(tag == "iota"))
+    images = {
+        fi: layout.translate(pres, derive(bpres, bm, base_d1), iota=bool(iota))
+        for fi, (bm, iota) in enumerate(rows)
+    }
 
     meta: Dict[str, object] = {
         "base": base.name,
@@ -403,19 +385,14 @@ def build_fiber_object(
 
     base_eta = base.meta.get("etaImage")
     if base_eta is not None:
-        # carriers localize to the product of their parts: the letter's
-        # image times v's image to the k-th, iota staying iota
-        vloc = base_eta[b_v]
+        # each generator localizes to the product of its base parts' images,
+        # iota staying iota
         table = {}
-        for fi, (tag, l, k) in back.items():
-            if tag == "tail":
-                table[fi] = base_eta[b_tail]
-            elif tag == "letter":
-                table[fi] = base_eta[l]
-            elif tag == "fam":
-                table[fi] = eta_el_mul(base_eta[l], eta_el_pow(vloc, k))
-            else:
-                table[fi] = eta_el_mul(frozenset({(0, 0, 0, 1)}), eta_el_pow(vloc, k))
+        for fi, (bm, iota) in enumerate(rows):
+            img = _ETA_IOTA if iota else ETA_UNIT
+            for g, e in bm:
+                img = eta_el_mul(img, eta_el_pow(base_eta[g], e))
+            table[fi] = img
         meta["etaImage"] = table
 
     return ObjectSpec(
@@ -423,7 +400,7 @@ def build_fiber_object(
         pres=pres,
         schedule={1: images},
         has_pattern=bool(data.get("pattern", True)),
-        image_gens=frozenset(ifam.values()),
+        image_gens=frozenset(i for i, (_, iota) in enumerate(rows) if iota),
         stable_page=int(data.get("stablePage", 2)),
         default_window=window,
         default_r_max=r_max,
@@ -431,12 +408,9 @@ def build_fiber_object(
     )
 
 
-def splitting_report(
-    obj: ObjectSpec,
-    window: Optional[Window] = None,
-    snf_budget: int = 256,
-) -> Dict[str, int]:
-    """Check the kernel/cokernel splitting of a fiber first page on a window.
+def splitting_report(obj: ObjectSpec, snf_budget: int = 256) -> Dict[str, int]:
+    """Check the kernel/cokernel splitting of a fiber first page on its
+    default window.
 
     Route one is structural: the letter-absorption bijection must carry the
     non-image basis onto the kernel of psi^3 - 1 degree by degree and the
@@ -451,8 +425,7 @@ def splitting_report(
     layout: FiberLayout = obj.meta["layout"]  # type: ignore[assignment]
     pres = obj.pres
     bpres = layout.base
-    if window is None:
-        window = obj.default_window
+    window = obj.default_window
     base_box = Window(
         s=(window.s[0], window.s[1] + 1),
         f=(max(0, window.f[0] - 1), window.f[1]),
@@ -501,8 +474,7 @@ def splitting_report(
         if expect_kern != set(kern_side):
             raise FiberError("kernel side disagrees at %s" % (d,))
         for m in kern_side:
-            exps, it = layout.debase(m)
-            bm = tuple(sorted((g, e) for g, e in exps.items() if e))
+            bm, it = layout.debase(m)
             if it or pres.order_of(m) != bpres.order_of(bm):
                 raise FiberError("kernel class %s has the wrong order" % (m,))
         kernel_classes += len(kern_side)

@@ -21,8 +21,7 @@ module holds the shared machinery for that picture:
 
 Coefficients are reduced modulo the additive order of the monomial they sit
 on.  The order of a monomial is the gcd of the torsions of the generators
-appearing in it (torsion 0 means a free summand), further capped by the
-presentation-wide torsion if one is set.
+appearing in it (torsion 0 means a free summand).
 """
 
 from __future__ import annotations
@@ -203,13 +202,11 @@ class RingPresentation:
         name: str,
         generators: Sequence[GeneratorSpec],
         rules: Sequence[RewriteRule] = (),
-        global_torsion: int = 0,
         rule_source: Optional[Callable[["RingPresentation", Monomial], Optional[RewriteRule]]] = None,
     ) -> None:
         self.name = name
         self._generators: Tuple[GeneratorSpec, ...] = tuple(generators)
         self._torsions: Tuple[int, ...] = tuple(g.torsion for g in self._generators)
-        self.global_torsion = int(global_torsion)
 
         self._index: Dict[str, int] = {}
         for i, g in enumerate(self._generators):
@@ -222,6 +219,11 @@ class RingPresentation:
                 raise PresentationError(
                     "generator %s has 2f + s - w = %d < 1; basis enumeration "
                     "would not terminate" % (g.name, lam(g.degree))
+                )
+            if g.degree.f < 0:
+                raise PresentationError(
+                    "generator %s lowers the filtration; basis enumeration "
+                    "prunes on filtrations that never decrease" % g.name
                 )
             if g.torsion < 0 or g.cap is not None and g.cap < 1:
                 raise PresentationError("bad torsion or cap on %s" % g.name)
@@ -278,16 +280,14 @@ class RingPresentation:
             (tuple(run) for run in reversed(runs)), key=len, reverse=True
         )
 
-        # Stem pruning, validated rather than assumed.  With f >= 0 on every
-        # generator, _reach[pos] bounds |stem change| per unit of filtration
-        # over the levels from pos on (None when a level can change the
-        # stem at no filtration cost).
-        self._f_monotone = all(g.degree.f >= 0 for g in self._generators)
+        # Stem pruning.  With f >= 0 on every generator, _reach[pos] bounds
+        # |stem change| per unit of filtration over the levels from pos on
+        # (None when a level can change the stem at no filtration cost).
         reach: Optional[int] = 0
         self._reach: List[Optional[int]] = [reach]
         for level in reversed(self._levels):
             for d in (self._generators[i].degree for i in level):
-                ok = reach is not None and self._f_monotone and d.f > 0
+                ok = reach is not None and d.f > 0
                 reach = max(reach, -(-abs(d.s) // d.f)) if ok else None
             self._reach.append(reach)
         self._reach.reverse()
@@ -356,7 +356,7 @@ class RingPresentation:
     def order_of(self, m: Monomial) -> int:
         """Additive order of the cyclic summand on monomial m (0 = free)."""
         t = self._torsions
-        o = self.global_torsion
+        o = 0
         for g, _ in m:
             o = math.gcd(o, t[g])
         return o
@@ -506,10 +506,11 @@ class RingPresentation:
         slot is one "none or one of these" level, searched outermost.
         Normal forms are exactly the monomials passing caps and slots, so
         nothing emitted needs a rule lookup.  Total exponents are bounded
-        because 2f + s - w is at least 1 on every generator; when
-        filtrations never decrease, partial stems are pruned by the stem
-        reach per unit of filtration left.  The pure-weight generator (the
-        tau power) is peeled off into a closed-form range at the leaves.
+        because 2f + s - w is at least 1 on every generator, and partial
+        stems are pruned by the stem reach per unit of filtration left,
+        since no generator lowers the filtration.  The pure-weight
+        generator (the tau power) is peeled off into a closed-form range at
+        the leaves.
         """
         s0, s1 = s_range
         f0, f1 = f_range
@@ -563,12 +564,11 @@ class RingPresentation:
             lam_rem = lam_max - lam_used
             if lam_rem < 0:
                 return
-            if self._f_monotone:
-                if f > f1:
-                    return
-                r = reach[pos]
-                if r is not None and (s - r * (f1 - f) > s1 or s + r * (f1 - f) < s0):
-                    return
+            if f > f1:
+                return
+            r = reach[pos]
+            if r is not None and (s - r * (f1 - f) > s1 or s + r * (f1 - f) < s0):
+                return
             if pos == len(levels):
                 leaf(parts, s, f, w)
                 return
@@ -582,7 +582,7 @@ class RingPresentation:
                 emax = lam_rem // gl
                 if spec.cap is not None and emax > spec.cap:
                     emax = spec.cap
-                if self._f_monotone and d.f > 0:
+                if d.f > 0:
                     e_by_f = (f1 - f) // d.f
                     if emax > e_by_f:
                         emax = e_by_f
@@ -706,7 +706,7 @@ class RingPresentation:
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "globalTorsion": self.global_torsion,
+            "globalTorsion": 0,
             "generators": [
                 {
                     "name": g.name,
@@ -729,6 +729,10 @@ class RingPresentation:
 
 def presentation_from_dict(data: Dict[str, object]) -> RingPresentation:
     """Rebuild a RingPresentation from its ``to_dict`` form."""
+    if int(data.get("globalTorsion", 0)) != 0:  # type: ignore[arg-type]
+        raise PresentationError(
+            "globalTorsion must be 0; orders come from the generators' torsions"
+        )
     gens = []
     for g in data["generators"]:  # type: ignore[index]
         s, f, w = g["degree"]
@@ -747,5 +751,4 @@ def presentation_from_dict(data: Dict[str, object]) -> RingPresentation:
     for r in data.get("rules", ()):  # type: ignore[attr-defined]
         rhs = tuple((int(c), mono(dict(m))) for c, m in r["rhs"])
         rules.append(RewriteRule(lhs=mono(dict(r["lhs"])), rhs=rhs))
-    torsion = int(data.get("globalTorsion", 0))  # type: ignore[arg-type]
-    return RingPresentation(name, gens, rules=rules, global_torsion=torsion)
+    return RingPresentation(name, gens, rules=rules)

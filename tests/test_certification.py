@@ -67,7 +67,6 @@ ORACLE_RUNS = {
     "ko": ("ko", Window((0, 12), (0, 12), (-8, 16)), {}),
     "L_C-thin": ("L_C", Window((-2, 40), (0, 2), (-4, 20)), {"f_margin": 4}),
     "L-tall": ("L", Window((-4, 4), (0, 20), (-8, 16)), {}),
-    "L-s_margin": ("L", Window((0, 6), (0, 12), (-8, 16)), {"s_margin": 2}),
 }
 
 
@@ -97,12 +96,14 @@ def test_lifts_project_to_unit_vectors(key):
     ss = _oracle_run(key)
     seen = 0
     for r in sorted(ss.pages):
-        for d, i, _o, lift, _part in ss.summands(r, user_only=False):
-            G = ss.group(r, d)
-            got = [c % o if o else c
-                   for c, o in zip(G.project_element(ss.pres, lift), G.orders)]
-            assert got == [int(k == i) for k in range(len(G))], (key, r, d, i)
-            seen += 1
+        for d, G in sorted(ss.pages[r].items()):
+            if d not in ss.valid[r]:
+                continue
+            for i in range(len(G.orders)):
+                got = [c % o if o else c
+                       for c, o in zip(G.project_element(ss.pres, G.lift(i)), G.orders)]
+                assert got == [int(k == i) for k in range(len(G))], (key, r, d, i)
+                seen += 1
     assert seen
 
 

@@ -171,18 +171,21 @@ def eager_pair_rules(obj):
         for _, rm in rule.rhs:
             rhs_k = next((e for g, e in rm if g == layout.b_v), 0)
             v_slack = max(v_slack, rhs_k - lhs_k)
+    f_tail = layout.gen_of[((layout.base.tail, 1),), 0]
     rules = []
     ng = len(pres.generators)
     for i in range(ng):
-        if i == layout.f_tail:
+        if i == f_tail:
             continue
-        ti, _, ki = layout.back[i]
+        bi, ti = layout.back[i]
+        ki = dict(bi).get(layout.b_v, 0)
         for j in range(i, ng):
-            if j == layout.f_tail:
+            if j == f_tail:
                 continue
-            tj, _, kj = layout.back[j]
+            bj, tj = layout.back[j]
+            kj = dict(bj).get(layout.b_v, 0)
             lhs = ((i, 2),) if i == j else ((i, 1), (j, 1))
-            if ti == "iota" and tj == "iota":
+            if ti and tj:
                 rules.append(RewriteRule(lhs=lhs, rhs=()))
                 continue
             if ki + kj > layout.family_max - v_slack or pres.is_normal(lhs):
@@ -284,22 +287,30 @@ def closed_form_basis(obj, s_range, f_range, w_range):
     layout = obj.meta["layout"]
     pres = obj.pres
     gens = pres.generators
-    tail = layout.f_tail
+
+    def letter(bl):
+        return layout.gen_of[((bl, 1),), 0]
+
+    tail = letter(layout.base.tail)
     tail_w = -gens[tail].degree.w
     for bl in layout.priority:
-        d = gens[layout.letter_map[bl]].degree
+        d = gens[letter(bl)].degree
         assert d.f == 1 and abs(d.s) <= 1, "the stem prune needs letter-like letters"
 
-    fletters = tuple(layout.letter_map[b] for b in layout.priority)
+    fletters = tuple(letter(b) for b in layout.priority)
     branches = [(None, fletters)]
-    for (bl, k), fi in sorted(layout.fam.items(), key=lambda kv: kv[1]):
-        p = layout.priority.index(bl)
-        allowed = [layout.letter_map[b] for b in layout.priority[p:]]
-        if gens[layout.letter_map[bl]].cap is not None:
-            allowed.remove(layout.letter_map[bl])
-        branches.append((fi, tuple(allowed)))
-    for k in sorted(layout.ifam):
-        branches.append((layout.ifam[k], fletters))
+    iota_carriers = []
+    for fi, (bm, iota) in enumerate(layout.back):
+        if iota:
+            iota_carriers.append((fi, fletters))
+        elif len(bm) == 2:
+            (bl,) = (g for g, _ in bm if g != layout.b_v)
+            p = layout.priority.index(bl)
+            allowed = [letter(b) for b in layout.priority[p:]]
+            if gens[letter(bl)].cap is not None:
+                allowed.remove(letter(bl))
+            branches.append((fi, tuple(allowed)))
+    branches += iota_carriers
 
     s0, s1 = s_range
     f0, f1 = f_range
@@ -385,7 +396,7 @@ def test_basis_window_matches_closed_form_on_sub_boxes(L, LC, L_tall, LC_thin, d
 
 def v_power(layout, m):
     """The v-power a fiber monomial carries in the base ring."""
-    return layout.debase(m)[0].get(layout.b_v, 0)
+    return dict(layout.debase(m)[0]).get(layout.b_v, 0)
 
 
 @pytest.fixture(scope="module")
@@ -428,8 +439,7 @@ def base_route_d1(obj, m):
     """d1 of a fiber monomial computed in the base ring and translated back."""
     layout = obj.meta["layout"]
     base = get_object(obj.meta["base"])
-    exps, iota = layout.debase(m)
-    bm = tuple(sorted((g, e) for g, e in exps.items() if e))
+    bm, iota = layout.debase(m)
     return layout.translate(obj.pres, derive(layout.base, bm, base.schedule[1]), iota=bool(iota))
 
 

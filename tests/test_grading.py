@@ -285,6 +285,12 @@ def test_lambda_positivity_enforced():
         )
 
 
+def test_filtration_lowering_generator_refused():
+    # 2f + s - w = 1 passes the termination check; basis pruning needs f >= 0
+    with pytest.raises(PresentationError, match="lowers the filtration"):
+        RingPresentation("bad", [GeneratorSpec("x", TriDegree(3, -1, 0))])
+
+
 def test_single_tail_generator_enforced():
     with pytest.raises(PresentationError):
         RingPresentation(
@@ -363,6 +369,14 @@ def test_json_round_trip():
     assert clone.reduce({m4: 1}) == ko.reduce({ko.monomial({"th1": 4}): 1})
     d = TriDegree(5, 1, 0)
     assert basis_at(clone, d) == basis_at(ko, d)
+
+
+def test_global_torsion_refused():
+    data = make_ko().to_dict()
+    assert data["globalTorsion"] == 0
+    data["globalTorsion"] = 2
+    with pytest.raises(PresentationError, match="globalTorsion must be 0"):
+        presentation_from_dict(data)
 
 
 def test_element_list_round_trip():
