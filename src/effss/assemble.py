@@ -203,9 +203,10 @@ def v14_mult(ss: SliceSS, e: Element, steps: int = 1) -> Element:
     On the base theories this is an honest ring multiplication by a
     power of v2.  The fiber presentations carry no bare v generator, so
     there the fiber layout makes the shift through the base
-    (``FiberLayout.times_v``).  A monomial with no letter to absorb the extra v power (a bare tau
-    power) has no v1^4 translate in the fiber, and that failure is
-    exactly why such rows are flagged not v1^4-periodic.
+    (``FiberLayout.times_v``).  A monomial with no letter to absorb the
+    extra v power (a bare tau power) has no v1^4 translate in the fiber,
+    and that failure is exactly why such rows are flagged not
+    v1^4-periodic.
     """
     if steps == 0:
         return dict(e)
@@ -337,7 +338,8 @@ def expand_ledger(
     ss: SliceSS,
     rows: Optional[Sequence[HiddenExtension]] = None,
 ) -> List[HiddenExtension]:
-    """Materialize the tau^4 and v1^4 families of the base rows in the run's window.
+    """Materialize the tau^4 and v1^4 families of the base rows in the
+    run's window.
 
     Every expanded endpoint is validated against the infinity page: rows
     whose endpoints leave the certified region are dropped, while an

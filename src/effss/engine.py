@@ -163,7 +163,8 @@ def widened_box(window: Window, r_max: int, f_margin=None) -> Window:
     this same box.
     """
     fm = 2 * r_max + 2 if f_margin is None else f_margin
-    return Window(s=(window.s[0] - r_max, window.s[1] + r_max), f=(0, window.f[1] + fm), w=window.w)
+    s = (window.s[0] - r_max, window.s[1] + r_max)
+    return Window(s=s, f=(0, window.f[1] + fm), w=window.w)
 
 
 class Certified:
