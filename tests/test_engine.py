@@ -27,6 +27,7 @@ from effss.grading import GeneratorSpec, RingPresentation, TriDegree, el_iadd, m
 from effss.intlinalg import ColMat, LinearAlgebraError
 from effss.objects import get_object
 from smith_oracle import Mat, dense, pack_columns, six_form_homology
+from test_grading import dense_mono_key
 
 SMALL = Window(s=(-2, 10), f=(0, 8), w=(-4, 8))
 FIBER_SMALL = Window(s=(-2, 8), f=(0, 4), w=(-4, 6))  # SMALL of tests/test_fiber.py
@@ -564,6 +565,56 @@ def test_free_shift_identity(page1_monomials, data):
     if e:
         el_iadd(want, pres.multiply({mono_mul(power(e - 1), X): 1}, images.get(g) or {}), e)
     assert derive(pres, m, images) == pres.reduce(want)
+
+
+# -- page 1 as the basis search hands it out --------------------------------
+
+
+def page1_arrays(obj, box):
+    """Per degree of the box, page 1's monomials, orders and parts as the
+    engine builds them."""
+    out = {}
+    for d, monos in obj.pres.basis_window(*box).items():
+        G = PageGroup.basis(obj, d, monos)
+        out[d] = (G.monomials, G.orders, G.parts)
+    return out
+
+
+def check_page1(obj, box):
+    """Each degree's monomials lie in it and increase strictly under the
+    dense exponent vector, and their orders and parts are those of
+    ``order_of`` and ``ObjectSpec.part_of``."""
+    pres = obj.pres
+    arrays = page1_arrays(obj, box)
+    for d, (monos, orders, parts) in arrays.items():
+        assert monos and all(pres.degree_of(m) == d for m in monos), d
+        keys = [dense_mono_key(pres, m) for m in monos]
+        assert all(a < b for a, b in zip(keys, keys[1:])), d
+        assert list(orders) == [pres.order_of(m) for m in monos], d
+        assert list(parts) == [obj.part_of(m) for m in monos], d
+    return arrays
+
+
+@pytest.mark.parametrize("name,window", SMALL_BOXES)
+def test_page1_orders_parts_and_basis_order(name, window):
+    arrays = check_page1(get_object(name, window), (window.s, window.f, window.w))
+    assert sum(len(monos) for monos, _o, _p in arrays.values()) > 100
+
+
+@pytest.fixture(scope="module")
+def fiber_objects():
+    return [get_object(name, window) for name, window in SMALL_BOXES if name in ("L", "L_C")]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_page1_on_sub_boxes_of_each_fiber_cover(fiber_objects, data):
+    obj = data.draw(st.sampled_from(fiber_objects))
+    box = []
+    for lo, hi in (obj.pres.cover.s, obj.pres.cover.f, obj.pres.cover.w):
+        a, b = data.draw(st.integers(lo, hi)), data.draw(st.integers(lo, hi))
+        box.append((min(a, b), max(a, b)))
+    check_page1(obj, tuple(box))
 
 
 # -- lifts and differential values against the rewriting route --------------
