@@ -20,9 +20,9 @@ for g in pres.generators:
 # every tri-degree carries at most one monomial here; the interesting
 # part is the order: free once the h1 exponent is zero, else 2-torsion
 print("\nstems 0..8 in filtration <= 2, weights 0..4:")
-for d, monos in sorted(pres.basis_window((0, 8), (0, 2), (0, 4)).items()):
-    for m in monos:
-        o = pres.order_of(m)
+basis = pres.basis_window((0, 8), (0, 2), (0, 4))
+for d, (monos, orders, _marked, _codes) in sorted(basis.items()):
+    for m, o in zip(monos, orders):
         print("  (%d,%d,%d)  %-14s order %s"
               % (d.s, d.f, d.w, pres.render_monomial(m), o if o else "infinite"))
 
@@ -37,5 +37,6 @@ print("\nreduction in E1(ko): th1^2 =", ko.pres.render(ko.pres.reduce(x)))
 y = ko.pres.multiply(ko.pres.parse("h1 + rho"), ko.pres.parse("h1 + rho"))
 print("(h1 + rho)^2 =", ko.pres.render(y))
 
-count = sum(len(ms) for ms in ko.pres.basis_window((-4, 40), (0, 20), (-20, 24)).values())
+box = ko.pres.basis_window((-4, 40), (0, 20), (-20, 24))
+count = sum(len(ms) for ms in box.monomials.values())
 print("\n%d monomials of E1(ko) in the standard verification box" % count)

@@ -38,6 +38,17 @@ and a turn refuses any other part.
 A group is either a page 1 basis or such a homology group.  A turn
 re-turns only the degrees its differentials touch, their sources and
 targets; every other group is carried to the next page as the same object.
+A group's orders and parts are tuples, and page 1 shares one tuple between
+groups whose orders or parts are equal.
+
+Page 1 comes straight from the basis search, ``basis_window``, which
+carries each monomial's order, whether an image generator divides it, and
+its code down each search path.  The code is the int of
+``RingPresentation.code_layout``: one field per generator or slot run,
+generator 0 most significant, so int order is basis order and multiplying
+by a free generator adds its unit without a carry.  The d1 build reads the
+codes, keying its row maps, orbits and shifts by ints, and they are dropped
+with it; no group keeps them.
 
 Every lift is a normal element with each coefficient reduced modulo its
 monomial's order: a page 1 lift is a basis monomial, and a later one is an
@@ -76,6 +87,7 @@ from math import gcd
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .grading import (
+    Basis,
     Element,
     EffssError,
     Monomial,
@@ -264,7 +276,7 @@ class PageGroup:
 
     Two kinds of group share the class: page 1 groups carry their basis
     monomials, and homology groups carry the previous page's group and
-    the blockwise subquotient data.  A group that no differential touched
+    the blockwise subquotient data.  Orders and parts are tuples.  A group that no differential touched
     is carried to the next page as the same object.  A degree whose group
     died on an earlier page reads as an empty group with neither.
     """
@@ -282,19 +294,13 @@ class PageGroup:
 
     def __init__(self, degree, orders, parts, prev=None, monomials=None, blocks=None, lifts=None):
         self.degree = degree
-        self.orders: List[int] = orders
-        self.parts: List[str] = parts
+        self.orders: Tuple[int, ...] = orders
+        self.parts: Tuple[str, ...] = parts
         self.prev: Optional[PageGroup] = prev
         self.monomials: Optional[List[Monomial]] = monomials
         self.blocks = blocks
         self._lifts: Optional[List[Element]] = lifts
         self._mono_index: Optional[Dict[Monomial, int]] = None
-
-    @classmethod
-    def basis(cls, obj: ObjectSpec, degree: TriDegree, monomials: List[Monomial]) -> "PageGroup":
-        orders = [obj.pres.order_of(m) for m in monomials]
-        parts = [obj.part_of(m) for m in monomials]
-        return cls(degree, orders, parts, monomials=monomials)
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -389,15 +395,30 @@ class SliceSS:
             validate_schedule(self.pres, images, r)
 
         with collection_paused():
-            bases = self.pres.basis_window(self.box.s, self.box.f, self.box.w)
-            first = {d: PageGroup.basis(obj, d, monos) for d, monos in bases.items()}
-        self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: first}
+            basis = self.pres.basis_window(
+                self.box.s, self.box.f, self.box.w, marked=obj.image_gens, headroom=lam(page_shift(1))
+            )
+            self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: self._first_page(basis)}
+        self._basis: Optional[Basis] = basis  # for its codes, until the d1 build
         self.valid: Dict[int, Certified] = {1: Certified(self.box, {}, 1)}
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
         self._firing: Dict[int, Collection[TriDegree]] = {}  # non-empty groups d_r may leave
         self._by_valuation: Optional[Dict[int, List[TriDegree]]] = None  # page 1 degrees by v2(coweight)
         self._ran_to = 1
+
+    def _first_page(self, basis: Basis) -> Dict[TriDegree, PageGroup]:
+        """Page 1 straight from the basis search, which hands out each
+        monomial's order and whether an image generator divides it.  Groups
+        with equal orders or parts share one tuple."""
+        parts_of: Dict[Tuple[bool, ...], Tuple[str, ...]] = {}
+        first = {}
+        for d, (monos, orders, marks, _codes) in basis.items():
+            parts = parts_of.get(marks)
+            if parts is None:
+                parts = parts_of[marks] = tuple(["image" if mk else "cokernel" for mk in marks])
+            first[d] = PageGroup(d, orders, parts, monomials=monos)
+        return first
 
     # -- running --------------------------------------------------------
 
@@ -417,6 +438,7 @@ class SliceSS:
                     raise EngineError("page %d has not been reached yet" % r)
                 if r == 1:
                     mats, unknown = self._d1_matrices()
+                    self._basis = None  # only the d1 build reads its codes
                     # page 1 holds non-empty basis groups only, and with a d1
                     # schedule each of them may support a d1
                     firing = self.pages[1].keys() if self.obj.schedule.get(1) else ()
@@ -438,10 +460,17 @@ class SliceSS:
         each coefficient is reduced modulo the order of its monomial, and
         derive(X) and each d1(g) X are computed once per X.
 
-        Monomials are coded as ints: the id of X above the exponents of S,
-        packed in fields no exponent met here overflows, so multiplying by S
-        adds S's code.  Only d1 terms and the targets of nonzero columns are
-        coded.  Where the target lies outside the box, the first nonzero
+        Monomials are the ints of ``RingPresentation.code_layout``, at the
+        width of page 1's codes.  A free generator has a field of its own
+        holding its exponent, so a source's code masked to the free fields
+        is S's code, the rest is X's, and multiplying by S adds S's code.
+        No field carries: every monomial coded here, and every sum of codes
+        formed, has degree in the box or divides a monomial of degree
+        d + shift for some d in the box, so its 2f + s - w is at most the
+        box's top plus the shift's, which the width was chosen to hold, and
+        every generator has 2f + s - w >= 1.  A target degree's row map is
+        its codes, and X and S are spelled out only when an orbit or a shift
+        is new.  Where the target lies outside the box, the first nonzero
         column settles the degree.
         """
         images = self.obj.schedule.get(1, {})
@@ -449,27 +478,22 @@ class SliceSS:
         mats: Dict[TriDegree, ColMat] = {}
         unknown: Set[TriDegree] = set()
         pres = self.pres
-        free = [g for g, spec in enumerate(pres.generators) if spec.cap is None and not spec.slots]
-        # Each monomial coded below, and each sum of codes formed, has degree
-        # in the box or divides a monomial of degree d + shift for some d in
-        # the box, so its 2f + s - w is at most the box's top plus the shift's.
-        # Every generator has 2f + s - w >= 1, so that bounds each exponent,
-        # and no field carries.
         box = self.box
-        width = (lam(TriDegree(box.s[1], box.f[1], box.w[0])) + max(lam(shift), 0)).bit_length()
-        unit = {g: 1 << k * width for k, g in enumerate(free)}
-        high = len(free) * width
+        basis = self._basis
+        width = basis.width
+        unit, offset = pres.code_layout(width)
+        free = {g for g, spec in enumerate(pres.generators) if spec.cap is None and not spec.slots}
+        free_mask = sum([((1 << width) - 1) * unit[g] for g in free])
+        rest_mask = ~free_mask
         moving = {g for g in free if images.get(g)}  # free generators with d1 != 0
-        ids: Dict[Monomial, int] = {}  # X -> its id
-        orbits: Dict[Monomial, Tuple[Part, Dict[int, Part]]] = {}  # X -> d1(X), {g: d1(g) X}
-        shifts: Dict[Monomial, Tuple[int, int, list]] = {}  # S -> by_shift(S)
+        orbits: Dict[int, Tuple[Monomial, Part, Dict[int, Part]]] = {}  # code of X -> X, d1(X), {g: d1(g) X}
+        shifts: Dict[int, Tuple[int, list]] = {}  # code of S -> by_shift(S)
 
         def code(m: Monomial) -> int:
-            X = tuple([p for p in m if p[0] not in unit])
-            i = ids.get(X)
-            if i is None:
-                i = ids[X] = len(ids)
-            return (i << high) + sum([e * unit[g] for g, e in m if g in unit])
+            k = 0
+            for g, e in m:
+                k += offset[g] + e * unit[g]
+            return k
 
         def coded(e: Element) -> Part:
             return [(code(m), c, pres.order_of(m)) for m, c in e.items()]
@@ -487,13 +511,12 @@ class SliceSS:
 
         torsion = pres.torsions
 
-        def by_shift(S: Monomial) -> Tuple[int, int, list]:
-            """The code and order of S, and (g, the code of S/g, e_g, the order
-            of S/g) for each g in S with d1(g) != 0, from the generators'
-            torsions: S/g has the order of S unless e_g = 1."""
-            s, o = 0, 0
-            for g, e in S:
-                s += e * unit[g]
+        def by_shift(S: Monomial, s: int) -> Tuple[int, list]:
+            """The order of S, whose code is s, and (g, the code of S/g, e_g,
+            the order of S/g) for each g in S with d1(g) != 0, from the
+            generators' torsions: S/g has the order of S unless e_g = 1."""
+            o = 0
+            for g, _e in S:
                 o = gcd(o, torsion[g])
             moved = []
             for g, e in S:
@@ -503,22 +526,23 @@ class SliceSS:
                     else:
                         og = gcd(*[torsion[h] for h, _ in S if h != g])
                     moved.append((g, s - unit[g], e, og))
-            return s, o, moved
+            return o, moved
 
-        def d1(m: Monomial) -> Dict[int, int]:
-            """d1(m) as {code: nonzero coefficient}."""
-            X = tuple([p for p in m if p[0] not in unit])
-            orbit = orbits.get(X)
+        def d1(m: Monomial, k: int) -> Dict[int, int]:
+            """d1(m) as {code: nonzero coefficient}, k being m's code."""
+            x = k & rest_mask
+            orbit = orbits.get(x)
             if orbit is None:
-                orbit = orbits[X] = (coded(derive(pres, X, images)), {})
-            dX, dgX = orbit
+                X = tuple([p for p in m if p[0] not in free])
+                orbit = orbits[x] = (X, coded(derive(pres, X, images)), {})
+            X, dX, dgX = orbit
             if not (dX or moving):
                 return {}
-            S = tuple([p for p in m if p[0] in unit]) if X else m
-            info = shifts.get(S)
+            s = k & free_mask
+            info = shifts.get(s)
             if info is None:
-                info = shifts[S] = by_shift(S)
-            s, t, moved = info
+                info = shifts[s] = by_shift(tuple([p for p in m if p[0] in free]), s)
+            t, moved = info
             val: Dict[int, int] = {}
             if dX:
                 add(val, dX, s, 1, t)
@@ -528,27 +552,26 @@ class SliceSS:
                 add(val, dgX[g], sh, e, tg)
             return val
 
-        pages = self.pages[1]
         into_box = Window(*((lo - x, hi - x) for (lo, hi), x in zip((box.s, box.f, box.w), shift)))
-        for d, G in pages.items():
+        for d, (monos, _orders, _marks, codes) in basis.items():
             if not into_box.contains(d):  # one nonzero column settles d
-                if any(map(d1, G.monomials)):
+                if any(map(d1, monos, codes)):
                     unknown.add(d)
                 continue
-            vals = [d1(m) for m in G.monomials]
+            vals = list(map(d1, monos, codes))
             if not any(vals):
                 continue
             tgt = d + shift
-            T = pages.get(tgt)
-            if T is None:
+            if tgt not in basis:
                 raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
-            row = {code(m): i for i, m in enumerate(T.monomials)}
+            tgt_codes = basis[tgt][3]
+            row = dict(zip(tgt_codes, range(len(tgt_codes))))
             ptr, rows, coeffs = [0], [], []
             for v in vals:
                 rows.extend(map(row.__getitem__, v))
                 coeffs.extend(v.values())
                 ptr.append(len(rows))
-            mats[d] = ColMat(ptr, rows, coeffs, len(T.orders))
+            mats[d] = ColMat(ptr, rows, coeffs, len(tgt_codes))
         return mats, unknown
 
     def _pattern_matrices(
@@ -742,7 +765,7 @@ class SliceSS:
             orders.extend(H.orders)
             parts.extend([p] * len(H.orders))
 
-        return PageGroup(G.degree, orders, parts, prev=G, blocks=blocks, lifts=lifts)
+        return PageGroup(G.degree, tuple(orders), tuple(parts), prev=G, blocks=blocks, lifts=lifts)
 
     # -- reading results --------------------------------------------------
 
@@ -754,7 +777,7 @@ class SliceSS:
                 "degree %s is not certified on page %d for this window" % (d, r)
             )
         g = self.pages[r].get(d)
-        return g if g is not None else PageGroup(d, [], [], lifts=[])
+        return g if g is not None else PageGroup(d, (), (), lifts=[])
 
     def infinity(self, d: TriDegree) -> PageGroup:
         self.run()

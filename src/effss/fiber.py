@@ -431,8 +431,8 @@ def splitting_report(obj: ObjectSpec, snf_budget: int = 256) -> Dict[str, int]:
         f=(max(0, window.f[0] - 1), window.f[1]),
         w=window.w,
     )
-    base_bases = bpres.basis_window(base_box.s, base_box.f, base_box.w)
-    fiber_bases = pres.basis_window(window.s, window.f, window.w)
+    base_bases = bpres.basis_window(base_box.s, base_box.f, base_box.w).monomials
+    fiber_bases = pres.basis_window(window.s, window.f, window.w).monomials
 
     def chi(bm: Monomial) -> int:
         k = 0

@@ -29,7 +29,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
 class EffssError(Exception):
@@ -174,6 +185,27 @@ class GeneratorSpec:
     slots: Tuple[str, ...] = ()
 
 
+class Basis(dict):
+    """``RingPresentation.basis_window``'s result, by non-empty degree.
+
+    Each degree holds four parallel arrays in basis order: its normal
+    monomials (a list), their orders (a tuple), whether a marked generator
+    divides each (a tuple of bools) and their codes (a list of ints) under
+    ``RingPresentation.code_layout(width)``.  A plain tuple per degree, as
+    a record type would cost more to build than the rest of a degree on
+    windows of one-monomial degrees.
+    """
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    @property
+    def monomials(self) -> Dict[TriDegree, List[Monomial]]:
+        """Each degree's monomials alone."""
+        return {d: monos for d, (monos, _o, _k, _c) in self.items()}
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     """lhs -> sum of (coeff, monomial), lhs being one cap or slot violation."""
@@ -260,24 +292,26 @@ class RingPresentation:
                 "with no cap or slot" % t.name
             )
 
-        # Search levels for basis_window.  A maximal run of consecutive
-        # generators sharing a slot admits at most one of its members, so
-        # it is one level; those runs go outermost.  The rest follow in
+        # A maximal run of consecutive generators sharing a slot admits at
+        # most one of its members.  Each run is one field of a monomial's
+        # code (code_layout) and, but for the tail, one search level of
+        # basis_window.  The longer runs go outermost; the rest follow in
         # reverse declaration order, which puts rho, the one letter that
         # lowers the stem, innermost and halves the search on L and ko.
         runs: List[List[int]] = []
         shared: set = set()
         for i, g in enumerate(self._generators):
-            if i == self._tail:
-                continue
             if runs and shared & set(g.slots):
                 runs[-1].append(i)
                 shared &= set(g.slots)
             else:
                 runs.append([i])
                 shared = set(g.slots)
+        self._runs: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, runs))
         self._levels: List[Tuple[int, ...]] = sorted(
-            (tuple(run) for run in reversed(runs)), key=len, reverse=True
+            (run for run in reversed(self._runs) if run != (self._tail,)),
+            key=len,
+            reverse=True,
         )
 
         # Stem pruning.  With f >= 0 on every generator, _reach[pos] bounds
@@ -493,13 +527,48 @@ class RingPresentation:
 
     # -- basis enumeration ----------------------------------------------
 
+    def code_layout(self, width: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Each generator's unit and offset in the order-preserving code of
+        a monomial, code(m) = sum of offset[g] + e * unit[g] over g^e in m.
+
+        Fields follow generator index, generator 0 most significant.  A
+        lone generator's field holds its exponent in ``width`` bits.  A run
+        of R > 1 consecutive generators g_0 < ... < g_(R-1) sharing a slot
+        holds at most one of them, so it is one field, holding
+        (R - k) * 2^width + e for g_k^e and 0 when no member is present.
+
+        While every exponent stays below 2^width no field carries, so codes
+        compare as the dense exponent vectors do, which is the order of
+        ``mono_key``: fields compare most significant first, and within a
+        run a present member outranks every later one and an absent run.
+        For the same reason multiplying by a lone generator g adds
+        e * unit[g]: code(S * X) = code(S) + code(X) for a product S of
+        lone generators.
+        """
+        n = len(self._generators)
+        unit = [0] * n
+        offset = [0] * n
+        at = 0
+        for run in reversed(self._runs):
+            r = len(run)
+            for k, g in enumerate(run):
+                unit[g] = 1 << at
+                if r > 1:
+                    offset[g] = (r - k) << (at + width)
+            at += width + (r.bit_length() if r > 1 else 0)
+        return tuple(unit), tuple(offset)
+
     def basis_window(
         self,
         s_range: Tuple[int, int],
         f_range: Tuple[int, int],
         w_range: Tuple[int, int],
-    ) -> Dict[TriDegree, List[Monomial]]:
-        """All normal monomials with degree in the closed box, by degree.
+        marked: Collection[int] = frozenset(),
+        headroom: int = 0,
+    ) -> Basis:
+        """All normal monomials with degree in the closed box, by degree,
+        with each one's order, whether a ``marked`` generator divides it,
+        and its code.
 
         Runs a depth-first search over exponent vectors, one level per
         generator, except that a run of consecutive generators sharing a
@@ -511,12 +580,23 @@ class RingPresentation:
         since no generator lowers the filtration.  The pure-weight
         generator (the tau power) is peeled off into a closed-form range at
         the leaves.
+
+        Each path carries the gcd of its torsions, whether a marked
+        generator has appeared, and the code of its monomial under
+        ``code_layout(width)``; a step adds a generator's offset and its
+        unit times the exponent, and the leaf adds e * unit(tail).  width
+        is the bit length of the box's top 2f + s - w plus ``headroom``, so
+        no field carries for a monomial up to ``headroom`` above the box
+        either.  Codes are distinct within a degree and ordered as
+        ``mono_key`` orders monomials, so each degree is sorted by code.
         """
         s0, s1 = s_range
         f0, f1 = f_range
         w0, w1 = w_range
+        lam_max = 2 * f1 + s1 - w0
+        width = max(lam_max + headroom, 0).bit_length()
         if s0 > s1 or f0 > f1 or w0 > w1:
-            return {}
+            return Basis(width)
         c = self.cover
         if c is not None and not (
             c.s[0] <= s0 and s1 <= c.s[1] and f1 <= c.f[1] and c.w[0] <= w0 and w1 <= c.w[1]
@@ -525,32 +605,50 @@ class RingPresentation:
                 "%s was materialized for a smaller window; rebuild the object "
                 "with the window you want to enumerate" % self.name
             )
-        lam_max = 2 * f1 + s1 - w0
 
         gens = self._generators
         levels = self._levels
         reach = self._reach
+        torsion = self._torsions
+        unit, offset = self.code_layout(width)
         tail = self._tail
         tail_w = -gens[tail].degree.w if tail is not None else 0
-        out: Dict[TriDegree, List[Monomial]] = {}
+        tail_unit = unit[tail] if tail is not None else 0
+        tail_marked = tail in marked
+        # degree -> [monomials, orders, marks, codes], in search order
+        out: Dict[TriDegree, Tuple[List[Monomial], List[int], List[bool], List[int]]] = {}
 
-        def leaf(parts: List[Tuple[int, int]], s: int, f: int, w: int) -> None:
+        def leaf(parts: List[Tuple[int, int]], s: int, f: int, w: int, code: int, o: int, mk: bool) -> None:
             if not (s0 <= s <= s1 and f0 <= f <= f1):
                 return
             m = tuple(sorted(parts))
             if tail is None:
-                if w0 <= w <= w1:
-                    out.setdefault(TriDegree(s, f, w), []).append(m)
-                return
-            # solve w - e * tail_w in [w0, w1] for e >= 0
-            lo = -(-(w - w1) // tail_w)  # ceil
-            hi = (w - w0) // tail_w
-            if lo < 0:
-                lo = 0
-            cut = bisect_left(m, (tail, 0))
+                lo = hi = 0
+                if not w0 <= w <= w1:
+                    return
+            else:
+                # solve w - e * tail_w in [w0, w1] for e >= 0
+                lo = -(-(w - w1) // tail_w)  # ceil
+                hi = (w - w0) // tail_w
+                if lo < 0:
+                    lo = 0
+                cut = bisect_left(m, (tail, 0))
+                tmk = mk or tail_marked
             for e in range(lo, hi + 1):
-                mm = m[:cut] + ((tail, e),) + m[cut:] if e else m
-                out.setdefault(TriDegree(s, f, w - e * tail_w), []).append(mm)
+                d = TriDegree(s, f, w - e * tail_w)
+                arrays = out.get(d)
+                if arrays is None:
+                    arrays = out[d] = ([], [], [], [])
+                monos, orders, marks, codes = arrays
+                orders.append(o)
+                if e:
+                    monos.append(m[:cut] + ((tail, e),) + m[cut:])
+                    marks.append(tmk)
+                    codes.append(code + e * tail_unit)
+                else:
+                    monos.append(m)
+                    marks.append(mk)
+                    codes.append(code)
 
         def rec(
             pos: int,
@@ -560,6 +658,9 @@ class RingPresentation:
             w: int,
             lam_used: int,
             slots: frozenset,
+            code: int,
+            o: int,
+            mk: bool,
         ) -> None:
             lam_rem = lam_max - lam_used
             if lam_rem < 0:
@@ -570,9 +671,9 @@ class RingPresentation:
             if r is not None and (s - r * (f1 - f) > s1 or s + r * (f1 - f) < s0):
                 return
             if pos == len(levels):
-                leaf(parts, s, f, w)
+                leaf(parts, s, f, w, code, o, mk)
                 return
-            rec(pos + 1, parts, s, f, w, lam_used, slots)
+            rec(pos + 1, parts, s, f, w, lam_used, slots, code, o, mk)
             for gi in levels[pos]:
                 spec = gens[gi]
                 if slots and not slots.isdisjoint(spec.slots):
@@ -587,7 +688,12 @@ class RingPresentation:
                     if emax > e_by_f:
                         emax = e_by_f
                 new_slots = slots | frozenset(spec.slots) if spec.slots else slots
+                go = math.gcd(o, torsion[gi])
+                gmk = mk or gi in marked
+                u = unit[gi]
+                k = code + offset[gi]
                 for e in range(1, emax + 1):
+                    k += u
                     rec(
                         pos + 1,
                         parts + [(gi, e)],
@@ -596,16 +702,31 @@ class RingPresentation:
                         w + e * d.w,
                         lam_used + e * gl,
                         new_slots,
+                        k,
+                        go,
+                        gmk,
                     )
 
         try:
-            rec(0, [], 0, 0, 0, 0, frozenset())
+            rec(0, [], 0, 0, 0, 0, frozenset(), 0, 0, False)
         finally:
             del rec  # rec reaches itself through its closure; unbind it to free both
-        for monos in out.values():
-            if len(monos) > 1:
-                monos.sort(key=self.mono_key)
-        return out
+        # one orders tuple and one marks tuple per distinct value
+        shared_orders: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        shared_marks: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
+        basis = Basis(width)
+        for d, (monos, orders, marks, codes) in out.items():
+            if len(codes) > 1:
+                # basis order is code order, as codes are distinct in a degree
+                perm = sorted(range(len(codes)), key=codes.__getitem__)
+                monos = [monos[i] for i in perm]
+                orders = [orders[i] for i in perm]
+                marks = [marks[i] for i in perm]
+                codes = [codes[i] for i in perm]
+            o = tuple(orders)
+            k = tuple(marks)
+            basis[d] = (monos, shared_orders.setdefault(o, o), shared_marks.setdefault(k, k), codes)
+        return basis
 
     # -- printing and serialization ---------------------------------------
 

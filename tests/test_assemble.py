@@ -315,7 +315,7 @@ def test_L_C_family_lands_on_the_predicted_targets(LC, LC_rows):
 def test_boundary_projects_to_nothing(LC):
     # tau*h1^4 dies on page 2, and its whole degree dies with it
     G, coords = infinity_coords(LC, LC.pres.parse("tau*h1^4"))
-    assert coords == [] and G.orders == []
+    assert coords == [] and G.orders == ()
 
 
 def test_non_cycle_does_not_survive(LC):

@@ -101,23 +101,23 @@ def orders_at(ss, r, s, f, w):
 
 def test_ko_C_second_page_frozen(koc):
     # unit and tau towers survive as free classes
-    assert orders_at(koc, 2, 0, 0, 0) == [0]
-    assert orders_at(koc, 2, 0, 0, -1) == [0]
+    assert orders_at(koc, 2, 0, 0, 0) == (0,)
+    assert orders_at(koc, 2, 0, 0, -1) == (0,)
     # eta towers: on the Milnor-Witt diagonal they live, tau multiples die
-    assert orders_at(koc, 2, 1, 1, 1) == [2]
-    assert orders_at(koc, 2, 2, 2, 2) == [2]
-    assert orders_at(koc, 2, 3, 3, 3) == [2]
-    assert orders_at(koc, 2, 6, 6, 6) == [2]
-    assert orders_at(koc, 2, 3, 3, 2) == []
-    assert orders_at(koc, 2, 6, 6, 5) == []
+    assert orders_at(koc, 2, 1, 1, 1) == (2,)
+    assert orders_at(koc, 2, 2, 2, 2) == (2,)
+    assert orders_at(koc, 2, 3, 3, 3) == (2,)
+    assert orders_at(koc, 2, 6, 6, 6) == (2,)
+    assert orders_at(koc, 2, 3, 3, 2) == ()
+    assert orders_at(koc, 2, 6, 6, 5) == ()
     # v-power column: v2 supports d1, so only twice the generator survives
-    assert orders_at(koc, 2, 4, 0, 2) == [0]
-    assert orders_at(koc, 2, 4, 0, 1) == [0]
+    assert orders_at(koc, 2, 4, 0, 2) == (0,)
+    assert orders_at(koc, 2, 4, 0, 1) == (0,)
     # v2^2 has d1 = 0 by Leibniz and survives on the nose
-    assert orders_at(koc, 2, 8, 0, 4) == [0]
-    assert orders_at(koc, 2, 5, 1, 3) == []
-    assert orders_at(koc, 2, 7, 3, 4) == []
-    assert orders_at(koc, 2, 7, 3, 5) == []
+    assert orders_at(koc, 2, 8, 0, 4) == (0,)
+    assert orders_at(koc, 2, 5, 1, 3) == ()
+    assert orders_at(koc, 2, 7, 3, 4) == ()
+    assert orders_at(koc, 2, 7, 3, 5) == ()
 
 
 def test_ko_C_lifts(koc):
@@ -160,13 +160,13 @@ def test_group_dead_since_an_earlier_page(koc):
     # no longer stored on page 3, yet stays certified
     d = TriDegree(3, 3, 0)
     e = koc.pages[1][d].lift(0)
-    assert koc.pages[2][d].orders == []
+    assert koc.pages[2][d].orders == ()
     assert d not in koc.pages[3] and koc.certified(d, 3)
     assert koc.group(3, d).project_element(koc.pres, e) == []
     G, coords = infinity_coords(koc, e)
-    assert G.orders == [] and coords == []
+    assert G.orders == () and coords == []
     G, coords = _project(koc, 3, e, d)
-    assert G.orders == [] and coords == []
+    assert G.orders == () and coords == []
 
 
 def test_not_certified_raises(koc):
@@ -176,14 +176,14 @@ def test_not_certified_raises(koc):
 
 def test_ko_second_page_spot_checks(ko):
     # the tau2 tower dies except at the bottom: d1(tau2^d) = d * tau2^(d-1) rho^2 th1
-    assert orders_at(ko, 2, 0, 0, -2) == [0]  # 2 tau2 survives as kernel
+    assert orders_at(ko, 2, 0, 0, -2) == (0,)  # 2 tau2 survives as kernel
     g = ko.group(2, TriDegree(0, 0, -2))
     assert g.lift(0) == {ko.pres.monomial({"tau2": 1}): 2}
     # rho tower is permanent
-    assert orders_at(ko, 2, -1, 1, -1) == [2]
-    assert orders_at(ko, 2, -2, 2, -2) == [2]
+    assert orders_at(ko, 2, -1, 1, -1) == (2,)
+    assert orders_at(ko, 2, -2, 2, -2) == (2,)
     # eta stays
-    assert orders_at(ko, 2, 1, 1, 1) == [2]
+    assert orders_at(ko, 2, 1, 1, 1) == (2,)
 
 
 def test_ko_stability(ko):
@@ -361,7 +361,7 @@ def test_no_automatic_collection_inside_the_heavy_calls(collecting, monkeypatch)
             started.append(info["generation"])
 
     monkeypatch.setattr(obj.pres, "basis_window", inside(obj.pres.basis_window))
-    monkeypatch.setattr(PageGroup, "basis", classmethod(inside(PageGroup.basis.__func__)))
+    monkeypatch.setattr(SliceSS, "_first_page", inside(SliceSS._first_page))
     monkeypatch.setattr(SliceSS, "_d1_matrices", inside(SliceSS._d1_matrices))
     monkeypatch.setattr(SliceSS, "_turn", inside(SliceSS._turn))
     gc.collect()
@@ -394,7 +394,7 @@ def full_scan_pattern_matrices(ss, r):
         T = page.get(tgt)
         if T is None or not T.orders:
             continue
-        if T.orders != [2]:
+        if T.orders != (2,):
             assert not ss.window.contains(d)
             unknown.add(d)
             continue
@@ -535,7 +535,7 @@ def page1_monomials():
     out = []
     for name, window in SMALL_BOXES:
         obj = get_object(name, window)
-        monos = obj.pres.basis_window(window.s, window.f, window.w).values()
+        monos = obj.pres.basis_window(window.s, window.f, window.w).monomials.values()
         out.append((obj, sorted({m for ms in monos for m in ms})))
     return out
 
@@ -570,35 +570,40 @@ def test_free_shift_identity(page1_monomials, data):
 # -- page 1 as the basis search hands it out --------------------------------
 
 
-def page1_arrays(obj, box):
-    """Per degree of the box, page 1's monomials, orders and parts as the
-    engine builds them."""
-    out = {}
-    for d, monos in obj.pres.basis_window(*box).items():
-        G = PageGroup.basis(obj, d, monos)
-        out[d] = (G.monomials, G.orders, G.parts)
-    return out
-
-
 def check_page1(obj, box):
-    """Each degree's monomials lie in it and increase strictly under the
-    dense exponent vector, and their orders and parts are those of
-    ``order_of`` and ``ObjectSpec.part_of``."""
+    """The basis search's arrays on a box, checked per degree: the
+    monomials lie in it and increase strictly under the dense exponent
+    vector, their orders and marks are those of ``order_of`` and
+    ``ObjectSpec.part_of``, and their codes are distinct and increase
+    with them.  Multiplying by a power of a free generator adds that many
+    of its units to the code whenever the product lies in the box."""
     pres = obj.pres
-    arrays = page1_arrays(obj, box)
-    for d, (monos, orders, parts) in arrays.items():
-        assert monos and all(pres.degree_of(m) == d for m in monos), d
+    basis = pres.basis_window(*box, marked=obj.image_gens)
+    code_of = {}
+    for d, (monos, orders, marked, codes) in basis.items():
+        assert monos and len(monos) == len(orders) == len(marked) == len(codes), d
+        assert all(pres.degree_of(m) == d for m in monos), d
         keys = [dense_mono_key(pres, m) for m in monos]
         assert all(a < b for a, b in zip(keys, keys[1:])), d
+        assert all(a < b for a, b in zip(codes, codes[1:])), d
         assert list(orders) == [pres.order_of(m) for m in monos], d
-        assert list(parts) == [obj.part_of(m) for m in monos], d
-    return arrays
+        assert [("image" if mk else "cokernel") for mk in marked] == [obj.part_of(m) for m in monos], d
+        code_of.update(zip(monos, codes))
+    unit, _offset = pres.code_layout(basis.width)
+    free = [g for g, spec in enumerate(pres.generators) if spec.cap is None and not spec.slots]
+    for m, k in code_of.items():
+        for g in free:
+            for e in (1, 2, 3):
+                mg = mono_mul(m, ((g, e),))
+                if mg in code_of:
+                    assert code_of[mg] == k + e * unit[g], (m, g, e)
+    return basis
 
 
 @pytest.mark.parametrize("name,window", SMALL_BOXES)
 def test_page1_orders_parts_and_basis_order(name, window):
-    arrays = check_page1(get_object(name, window), (window.s, window.f, window.w))
-    assert sum(len(monos) for monos, _o, _p in arrays.values()) > 100
+    basis = check_page1(get_object(name, window), (window.s, window.f, window.w))
+    assert sum(map(len, basis.monomials.values())) > 100
 
 
 @pytest.fixture(scope="module")
@@ -738,7 +743,7 @@ def test_turn_refuses_an_incoming_column_across_the_splitting(toy):
     cols = [{}, {}]
     cols[row["a"]], cols[row["b"]] = {0: 2}, {1: 1}
     H = ss._turn_group(G, ColMat(*pack_columns(cols), 2), ss.pages[1][TOY_A], None, None)
-    assert (H.orders, H.parts, H.lift(0)) == ([2], ["cokernel"], {q: 1})
+    assert (H.orders, H.parts, H.lift(0)) == ((2,), ("cokernel",), {q: 1})
     with pytest.raises(EngineError, match="incoming differential at .* mixes the image splitting"):
         turn_in(ss, row, {"a": {"t": 1, "u": 1}})
 
@@ -754,7 +759,7 @@ def test_turn_refuses_a_part_neither_order_2_nor_one_summand(toy):
 
 def test_turn_refuses_outgoing_parts_sharing_a_target_row(toy):
     ss, row = toy
-    assert turn_out(ss, row, {"a": {"t": 1}, "b": {"u": 1}}).orders == []
+    assert turn_out(ss, row, {"a": {"t": 1}, "b": {"u": 1}}).orders == ()
     with pytest.raises(EngineError, match="outgoing differential at .* mixes the image splitting"):
         turn_out(ss, row, {"a": {"t": 1}, "b": {"t": 1}})
 
@@ -768,7 +773,7 @@ def test_turn_refuses_an_order_2_class_mapping_to_a_free_class(toy):
 def test_turn_refuses_an_ill_defined_map_from_an_order_2_class(toy):
     ss, row = toy
     # into Z/4 an order 2 class may only hit twice the generator
-    assert turn_out(ss, row, {"a": {"q": 2}}).orders == [2]
+    assert turn_out(ss, row, {"a": {"q": 2}}).orders == (2,)
     with pytest.raises(LinearAlgebraError, match="map from order 2 class is ill defined"):
         turn_out(ss, row, {"a": {"q": 1}})
 
@@ -785,7 +790,7 @@ def test_sums_of_lifts_are_reduced_modulo_their_orders(toy):
     G = PageGroup(TOY_T, [2, 2], ["cokernel"] * 2, lifts=[{t: 1, q: 2}, {t: 1}])
     tgt = PageGroup(TOY_T + page_shift(1), [2], ["cokernel"], lifts=[{}])  # lift not read
     H = ss._turn_group(G, None, None, ColMat(*pack_columns([{0: 1}, {0: 1}]), 1), tgt)
-    assert H.orders == [2] and H.lift(0) == {q: 2}
+    assert H.orders == (2,) and H.lift(0) == {q: 2}
 
     planted = SliceSS(ss.obj, ss.window, r_max=2)
     planted.pages[2] = {TOY_A + page_shift(2): G}

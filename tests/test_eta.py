@@ -109,7 +109,7 @@ def fiber_page1(L, LC):
     """(object, its page 1 monomials on a small box) for L and L_C."""
     out = []
     for obj in (L, LC):
-        monos = obj.pres.basis_window((-2, 16), (0, 6), (-4, 9)).values()
+        monos = obj.pres.basis_window((-2, 16), (0, 6), (-4, 9)).monomials.values()
         out.append((obj, sorted({m for ms in monos for m in ms})))
     return out
 
@@ -147,7 +147,7 @@ def test_localize_is_a_ring_map_on_sampled_pairs(L, ko):
     rng = random.Random(23)
     for obj in (ko, L):
         pool = []
-        for _d, monos in obj.pres.basis_window((-2, 10), (0, 4), (-4, 6)).items():
+        for _d, monos in obj.pres.basis_window((-2, 10), (0, 4), (-4, 6)).monomials.items():
             pool.extend(monos)
         for _ in range(120):
             x = {rng.choice(pool): rng.randrange(1, 8)}

@@ -24,7 +24,7 @@ from effss.objects import get_object
 
 def basis_at(pres, degree):
     """The basis monomials of one degree."""
-    return pres.basis_window(*[(x, x) for x in degree]).get(degree, [])
+    return pres.basis_window(*[(x, x) for x in degree]).monomials.get(degree, [])
 
 
 def make_ko():
@@ -152,7 +152,7 @@ def brute_force_ko_C(s_range, f_range, w_range):
 
 def test_basis_window_against_brute_force():
     koc, expected = brute_force_ko_C((0, 8), (0, 5), (-6, 6))
-    got = koc.basis_window((0, 8), (0, 5), (-6, 6))
+    got = koc.basis_window((0, 8), (0, 5), (-6, 6)).monomials
     assert got == expected
 
 
@@ -175,7 +175,7 @@ def test_basis_at_frozen_examples():
 
 def test_basis_window_respects_cap():
     ko = make_ko()
-    box = ko.basis_window((2, 2), (2, 2), (0, 0))
+    box = ko.basis_window((2, 2), (2, 2), (0, 0)).monomials
     # th1^2 has degree (2, 2, 0) but cap 1 keeps it out; rho*h1*tau2^0... the
     # survivors are the normal monomials only.
     for m in box.get(TriDegree(2, 2, 0), []):
@@ -420,7 +420,7 @@ def page1_monomials():
     out = []
     for name, w in (("ko_C", small), ("ko", small), ("L", fiber_small), ("L_C", fiber_small)):
         pres = get_object(name, w).pres
-        monos = pres.basis_window(w.s, w.f, w.w).values()
+        monos = pres.basis_window(w.s, w.f, w.w).monomials.values()
         out.append((pres, sorted({m for ms in monos for m in ms})))
     return out
 
