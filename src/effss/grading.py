@@ -615,8 +615,10 @@ class RingPresentation:
         tail_w = -gens[tail].degree.w if tail is not None else 0
         tail_unit = unit[tail] if tail is not None else 0
         tail_marked = tail in marked
-        # degree -> [monomials, orders, marks, codes], in search order
-        out: Dict[TriDegree, Tuple[List[Monomial], List[int], List[bool], List[int]]] = {}
+        # degree -> code, monomial, order and mark of each monomial in turn:
+        # one flat list per degree, since on thin windows most degrees hold
+        # one monomial, and a list per array would outweigh it
+        out: Dict[TriDegree, list] = {}
 
         def leaf(parts: List[Tuple[int, int]], s: int, f: int, w: int, code: int, o: int, mk: bool) -> None:
             if not (s0 <= s <= s1 and f0 <= f <= f1):
@@ -636,19 +638,13 @@ class RingPresentation:
                 tmk = mk or tail_marked
             for e in range(lo, hi + 1):
                 d = TriDegree(s, f, w - e * tail_w)
-                arrays = out.get(d)
-                if arrays is None:
-                    arrays = out[d] = ([], [], [], [])
-                monos, orders, marks, codes = arrays
-                orders.append(o)
+                flat = out.get(d)
+                if flat is None:
+                    flat = out[d] = []
                 if e:
-                    monos.append(m[:cut] + ((tail, e),) + m[cut:])
-                    marks.append(tmk)
-                    codes.append(code + e * tail_unit)
+                    flat += (code + e * tail_unit, m[:cut] + ((tail, e),) + m[cut:], o, tmk)
                 else:
-                    monos.append(m)
-                    marks.append(mk)
-                    codes.append(code)
+                    flat += (code, m, o, mk)
 
         def rec(
             pos: int,
@@ -715,17 +711,15 @@ class RingPresentation:
         shared_orders: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         shared_marks: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
         basis = Basis(width)
-        for d, (monos, orders, marks, codes) in out.items():
-            if len(codes) > 1:
-                # basis order is code order, as codes are distinct in a degree
-                perm = sorted(range(len(codes)), key=codes.__getitem__)
-                monos = [monos[i] for i in perm]
-                orders = [orders[i] for i in perm]
-                marks = [marks[i] for i in perm]
-                codes = [codes[i] for i in perm]
-            o = tuple(orders)
-            k = tuple(marks)
-            basis[d] = (monos, shared_orders.setdefault(o, o), shared_marks.setdefault(k, k), codes)
+        for d in list(out):
+            flat = out.pop(d)  # freed as its degree's arrays are made
+            if len(flat) > 4:
+                # basis order is code order, and codes are distinct in a degree
+                flat = [x for row in sorted(zip(*[iter(flat)] * 4)) for x in row]
+            o = tuple(flat[2::4])
+            k = tuple(flat[3::4])
+            o = shared_orders.setdefault(o, o)
+            basis[d] = (flat[1::4], o, shared_marks.setdefault(k, k), flat[0::4])
         return basis
 
     # -- printing and serialization ---------------------------------------

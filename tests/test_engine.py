@@ -590,9 +590,8 @@ def check_page1(obj, box):
         assert [("image" if mk else "cokernel") for mk in marked] == [obj.part_of(m) for m in monos], d
         code_of.update(zip(monos, codes))
     unit, _offset = pres.code_layout(basis.width)
-    free = [g for g, spec in enumerate(pres.generators) if spec.cap is None and not spec.slots]
     for m, k in code_of.items():
-        for g in free:
+        for g in free_generators(pres):
             for e in (1, 2, 3):
                 mg = mono_mul(m, ((g, e),))
                 if mg in code_of:
@@ -604,6 +603,18 @@ def check_page1(obj, box):
 def test_page1_orders_parts_and_basis_order(name, window):
     basis = check_page1(get_object(name, window), (window.s, window.f, window.w))
     assert sum(map(len, basis.monomials.values())) > 100
+
+
+def test_page1_shares_one_tuple_per_distinct_value():
+    """Page 1 groups with equal orders, or equal parts, hold the same
+    tuple, and every page holds tuples."""
+    ss = SliceSS(get_object("L_C", FIBER_SMALL), FIBER_SMALL).run()
+    first = ss.pages[1].values()
+    for attr in ("orders", "parts"):
+        values = [getattr(G, attr) for G in first]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values), attr
+    groups = [G for page in ss.pages.values() for G in page.values()]
+    assert all(type(G.orders) is tuple and type(G.parts) is tuple for G in groups)
 
 
 @pytest.fixture(scope="module")
