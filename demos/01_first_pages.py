@@ -37,6 +37,6 @@ print("\nreduction in E1(ko): th1^2 =", ko.pres.render(ko.pres.reduce(x)))
 y = ko.pres.multiply(ko.pres.parse("h1 + rho"), ko.pres.parse("h1 + rho"))
 print("(h1 + rho)^2 =", ko.pres.render(y))
 
-box = ko.pres.basis_window((-4, 40), (0, 20), (-20, 24))
-count = sum(len(ms) for ms in box.monomials.values())
+ko_basis = ko.pres.basis_window((-4, 40), (0, 20), (-20, 24))
+count = sum(len(ms) for ms in ko_basis.monomials.values())
 print("\n%d monomials of E1(ko) in the standard verification box" % count)

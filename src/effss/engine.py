@@ -276,9 +276,10 @@ class PageGroup:
 
     Two kinds of group share the class: page 1 groups carry their basis
     monomials, and homology groups carry the previous page's group and
-    the blockwise subquotient data.  Orders and parts are tuples.  A group that no differential touched
-    is carried to the next page as the same object.  A degree whose group
-    died on an earlier page reads as an empty group with neither.
+    the blockwise subquotient data.  Orders and parts are tuples.  A group
+    that no differential touched is carried to the next page as the same
+    object.  A degree whose group died on an earlier page reads as an
+    empty group with neither.
     """
 
     __slots__ = (
