@@ -283,6 +283,29 @@ def test_half_carrier_order_rejects_a_wrong_stored_multiple(L):
         expand_ledger(L, rows=[bad])
 
 
+def test_a_source_spread_over_two_summands_is_refused(L):
+    # both terms survive, each in its own infinity summand at (-1, 3, -1)
+    p = L.pres
+    row = HiddenExtension(
+        kind="h",
+        source=p.parse("rho*th1*iv0 + rho^2*h1"),
+        target=p.parse("rho^3*h1^2"),
+        degree=TriDegree(-1, 3, -1),
+        coweight=0,
+        tau4=False,
+        v14=False,
+    )
+    with pytest.raises(LedgerError, match="spreads over several summands"):
+        assemble(L, -1, -1, ledger=expand_ledger(L, rows=[row]))
+
+
+def test_a_base_row_listed_twice_is_refused(L):
+    _col, rows = load_ledger("L", L.pres)
+    row = next(r for r in rows if r.kind == "h" and L.pres.render(r.source) == "4*iv2")
+    with pytest.raises(LedgerError, match="two h rows share the source"):
+        assemble(L, 3, 2, ledger=expand_ledger(L, rows=[row, row]))
+
+
 def test_highest_filtration_target_climbs_with_tau4(L, L_rows):
     p = L.pres
     rows = [r for r in L_rows if r.special == "highest-filtration"]
