@@ -11,8 +11,10 @@ groups.  Recovering the groups themselves takes two more inputs:
 The ledger rows ship as data files (hidden_ko.json and friends) in the
 same normal forms the printed tables use.  Almost every row generates an
 infinite family under tau^4- and v1^4-periodicity; expand_ledger
-materializes those families inside a window.  Three rows deviate from
-plain periodicity and carry flags saying how:
+materializes those families inside a window and returns them as one
+``Ledger``, keyed by the infinity summand and multiple each source
+projects to, which assembly, the order check and the charts all read.
+Three rows deviate from plain periodicity and carry flags saying how:
 
 * the eta extension on 2*tau2 stops at v1^0, because 2*tau2 times a
   positive power of v1^4 is not a permanent cycle;
@@ -131,17 +133,13 @@ def check_extension(pres: RingPresentation, ext: HiddenExtension) -> None:
         )
 
 
-def load_ledger(name: str, pres: Optional[RingPresentation] = None):
+def load_ledger(name: str, pres: RingPresentation):
     """Parse data/hidden_<name>.json into validated base rows.
 
     Returns (degree_column, rows).  degree_column records whether the
     printed table's degree column refers to sources or to targets; the
     parsed rows always store the source degree.
     """
-    if pres is None:
-        from .objects import get_object
-
-        pres = get_object(name).pres
     data = load_data("hidden_" + name)
     if data.get("object") != name:
         raise LedgerError("ledger file is for %r, not %r" % (data.get("object"), name))
@@ -247,26 +245,20 @@ def infinity_coords(ss: SliceSS, e: Element, degree: Optional[TriDegree] = None)
         )
 
 
-def _norm_coords(G, coords: Sequence[int]) -> Tuple[int, ...]:
-    """Canonical form for summand coordinates, for dictionary keys.
-
-    Torsion entries are reduced modulo their orders.  Free entries keep
-    their integers, but the overall sign is normalized so that the same
-    class and its negative are not told apart; every hidden extension
-    here has a 2-torsion target, so that loss is harmless.
-    """
-    out = [c % o if o else c for c, o in zip(coords, G.orders)]
-    for c in out:
-        if c:
-            if c < 0:
-                out = [-x if not o else (-x) % o for x, o in zip(out, G.orders)]
-            break
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # ledger expansion
 # ---------------------------------------------------------------------------
+
+#: The expanded rows of a run keyed by (kind, source degree, summand index,
+#: multiple).  Each source sits in a single infinity summand, which keeps
+#: the action computation honest when it works one summand at a time; it
+#: holds for every shipped row because the page homology routine always
+#: returns the boundary-canceling combination as one summand.  The
+#: multiple is the source's coordinate there, reduced modulo the summand's
+#: order, or its absolute value on a free summand: a class and its
+#: negative are not told apart, which is harmless because every hidden
+#: extension here has a 2-torsion target.
+Ledger = Dict[Tuple[str, TriDegree, int, int], HiddenExtension]
 
 
 def _highest_filtration_class(ss: SliceSS, s: int, w: int, above_f: int) -> Element:
@@ -337,21 +329,23 @@ def periodic_steps(
 def expand_ledger(
     ss: SliceSS,
     rows: Optional[Sequence[HiddenExtension]] = None,
-) -> List[HiddenExtension]:
-    """Materialize the tau^4 and v1^4 families of the base rows in the
-    run's window.
+) -> Ledger:
+    """Materialize the tau^4 and v1^4 families of the base rows (the
+    object's shipped ledger by default) in the run's window, keyed by
+    source as ``Ledger`` says.
 
     Every expanded endpoint is validated against the infinity page: rows
     whose endpoints leave the certified region are dropped, while an
     endpoint that is certified but dead is a ledger error, since the
-    printed periodicity statements promise it survives.
+    printed periodicity statements promise it survives.  So is a source
+    spread over several summands, and a key that two rows share.
     """
     ss.run()
     pres = ss.pres
     if rows is None:
         _, rows = load_ledger(ss.obj.name, pres)
 
-    out: List[HiddenExtension] = []
+    out: Ledger = {}
     for row in rows:
         for j, k, sd, td in periodic_steps(row, ss.window):
             try:
@@ -399,8 +393,8 @@ def expand_ledger(
             )
             check_extension(pres, ext)
             try:
-                _, scoords = infinity_coords(ss, ext.source, sd)
-                tg, tcoords = infinity_coords(ss, ext.target)
+                G, scoords = infinity_coords(ss, ext.source, sd)
+                _, tcoords = infinity_coords(ss, ext.target)
             except NotCertifiedError:
                 continue
             if not (any(scoords) and any(tcoords)):
@@ -408,40 +402,21 @@ def expand_ledger(
                     "expanded %s row at %s has a dead endpoint"
                     % (ext.kind, sd)
                 )
-            out.append(ext)
-    return out
-
-
-class _LedgerIndex:
-    """Expanded rows keyed by (kind, source degree, source coordinates).
-
-    Each source must sit in a single infinity summand; that keeps the
-    action computation honest when it works one summand at a time, and
-    it holds for every shipped row because the page homology routine
-    always returns the boundary-canceling combination as one summand.
-    """
-
-    def __init__(self, ss: SliceSS, rows: Sequence[HiddenExtension]):
-        self.ss = ss
-        self._map: Dict[Tuple[str, TriDegree, Tuple[int, ...]], HiddenExtension] = {}
-        for ext in rows:
-            G, coords = infinity_coords(ss, ext.source, ext.degree)
-            if sum(1 for c in coords if c) != 1:
+            hits = [i for i, c in enumerate(scoords) if c]
+            if len(hits) != 1:
                 raise LedgerError(
                     "source %s spreads over several summands at %s"
-                    % (ss.pres.render(ext.source), ext.degree)
+                    % (pres.render(ext.source), sd)
                 )
-            key = (ext.kind, ext.degree, _norm_coords(G, coords))
-            if key in self._map:
+            i = hits[0]
+            c, o = scoords[i], G.orders[i]
+            key = (ext.kind, sd, i, c % o if o else abs(c))
+            if key in out:
                 raise LedgerError(
-                    "two %s rows share the source at %s" % (ext.kind, ext.degree)
+                    "two %s rows share the source at %s" % (ext.kind, sd)
                 )
-            self._map[key] = ext
-
-    def lookup(
-        self, kind: str, degree: TriDegree, G, coords: Sequence[int]
-    ) -> Optional[HiddenExtension]:
-        return self._map.get((kind, degree, _norm_coords(G, coords)))
+            out[key] = ext
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +434,7 @@ def _gen_element(pres: RingPresentation, name: str) -> Optional[Element]:
         return None
 
 
-def action(ss: SliceSS, index: _LedgerIndex, kind: str, cls: InfinityClass) -> InfinityClass:
+def action(ss: SliceSS, ledger: Ledger, kind: str, cls: InfinityClass) -> InfinityClass:
     """Apply rho, eta, or h to an infinity class, one summand at a time.
 
     The page product is used whenever it is nonzero in the target degree;
@@ -497,9 +472,7 @@ def action(ss: SliceSS, index: _LedgerIndex, kind: str, cls: InfinityClass) -> I
                     key = (td, j)
                     out[key] = out.get(key, 0) + x
             continue
-        vec = [0] * len(G.orders)
-        vec[i] = c
-        row = index.lookup(kind, d, G, vec)
+        row = ledger.get((kind, d, i, c if o else abs(c)))
         if row is None:
             continue
         _T, coords = infinity_coords(ss, row.target)
@@ -521,7 +494,7 @@ def _trim(ss: SliceSS, cls: InfinityClass) -> InfinityClass:
     return out
 
 
-def double(ss: SliceSS, index: _LedgerIndex, cls: InfinityClass) -> InfinityClass:
+def double(ss: SliceSS, ledger: Ledger, cls: InfinityClass) -> InfinityClass:
     """Multiply an infinity class by 2, using 2 = rho*eta + h when needed.
 
     Doubling inside a cyclic summand stays on the page until it hits the
@@ -538,9 +511,9 @@ def double(ss: SliceSS, index: _LedgerIndex, cls: InfinityClass) -> InfinityClas
             out[(d, i)] = out.get((d, i), 0) + t
             continue
         term = {(d, i): c}
-        for key, x in action(ss, index, "h", term).items():
+        for key, x in action(ss, ledger, "h", term).items():
             out[key] = out.get(key, 0) + x
-        for key, x in action(ss, index, "rho", action(ss, index, "eta", term)).items():
+        for key, x in action(ss, ledger, "rho", action(ss, ledger, "eta", term)).items():
             out[key] = out.get(key, 0) + x
     return _trim(ss, out)
 
@@ -592,15 +565,6 @@ class HomotopyGroup:
     def render(self) -> str:
         return render_orders(self.orders)
 
-    def order(self) -> int:
-        """Total order, 0 when a free summand makes it infinite."""
-        n = 1
-        for o in self.orders:
-            if o == 0:
-                return 0
-            n *= o
-        return n
-
 
 def _provenance(name: str, coweight: int) -> str:
     """The charts exhibit the patterns up to coweights 15 mod 32."""
@@ -614,7 +578,7 @@ def assemble(
     ss: SliceSS,
     s: int,
     w: int,
-    ledger: Optional[Sequence[HiddenExtension]] = None,
+    ledger: Optional[Ledger] = None,
 ) -> HomotopyGroup:
     """Assemble the homotopy group at one (stem, weight) from the column.
 
@@ -635,7 +599,6 @@ def assemble(
     pres = ss.pres
     if ledger is None:
         ledger = expand_ledger(ss)
-    index = ledger if isinstance(ledger, _LedgerIndex) else _LedgerIndex(ss, ledger)
 
     gens: List[PiGenerator] = []
     key_to_idx: Dict[Tuple[TriDegree, int], int] = {}
@@ -655,7 +618,7 @@ def assemble(
         k = two_adic_valuation(gen.order)
         cls: InfinityClass = {(gen.degree, gen.index): 1}
         for _ in range(k):
-            cls = double(ss, index, cls)
+            cls = double(ss, ledger, cls)
         value: Dict[int, int] = {}
         for key, c in cls.items():
             ti = key_to_idx.get(key)
@@ -674,9 +637,9 @@ def assemble(
         base: InfinityClass = {(gen.degree, gen.index): 1}
         vals = {}
         for kind in ("rho", "h", "eta"):
-            vals[kind] = action(ss, index, kind, base)
+            vals[kind] = action(ss, ledger, kind, base)
             actions[kind].append(_render_class(ss, vals[kind]))
-        _check_two_identity(ss, index, gen, base, vals)
+        _check_two_identity(ss, ledger, gen, base, vals)
 
     orders = _invariant_factors(len(gens), relations)
     return HomotopyGroup(
@@ -702,7 +665,7 @@ def _render_class(ss: SliceSS, cls: InfinityClass) -> str:
     return " + ".join(parts)
 
 
-def _check_two_identity(ss, index, gen, base, vals) -> None:
+def _check_two_identity(ss, ledger, gen, base, vals) -> None:
     """2 = rho*eta + h, checked at the leading filtration.
 
     Infinity coordinates only see a homotopy element through its top
@@ -710,9 +673,9 @@ def _check_two_identity(ss, index, gen, base, vals) -> None:
     the lowest filtration terms of both sides must agree, and the right
     side must not reach below the left.
     """
-    two = double(ss, index, dict(base))
+    two = double(ss, ledger, dict(base))
     rhs: InfinityClass = dict(vals["h"])
-    for key, x in action(ss, index, "rho", vals["eta"]).items():
+    for key, x in action(ss, ledger, "rho", vals["eta"]).items():
         rhs[key] = rhs.get(key, 0) + x
     rhs = _trim(ss, rhs)
     if not two:
@@ -783,7 +746,7 @@ def _invariant_factors(n: int, relations) -> List[int]:
 def order_pattern_check(
     ss: SliceSS,
     j: int,
-    ledger: Optional[Sequence[HiddenExtension]] = None,
+    ledger: Optional[Ledger] = None,
 ) -> Dict[str, object]:
     """Survey the assembled groups in coweight 4j - 1.
 
@@ -797,7 +760,6 @@ def order_pattern_check(
     expected = 1 << (two_adic_valuation(j) + 3)
     if ledger is None:
         ledger = expand_ledger(ss)
-    index = _LedgerIndex(ss, ledger) if not isinstance(ledger, _LedgerIndex) else ledger
     report: Dict[str, object] = {
         "object": ss.obj.name,
         "coweight": c,
@@ -813,7 +775,7 @@ def order_pattern_check(
         if not (ss.window.w[0] <= w <= ss.window.w[1]):
             continue
         try:
-            grp = assemble(ss, s, w, ledger=index)
+            grp = assemble(ss, s, w, ledger=ledger)
         except (AssembleError, NotCertifiedError) as exc:
             report["skipped"].append((s, str(exc)))
             continue

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .assemble import expand_ledger, infinity_coords
+from .assemble import expand_ledger
 from .engine import NotCertifiedError, SliceSS
 from .grading import EffssError, Element, TriDegree
 from .intlinalg import LinearAlgebraError
@@ -177,11 +177,10 @@ def _project(ss: SliceSS, r: int, e: Element, d: TriDegree):
         G = ss.group(r, d)
     except NotCertifiedError:
         return None, None
-    red = ss.pres.reduce(e)
-    if not red:
+    if not e:
         return G, [0] * len(G.orders)
     try:
-        return G, G.project_element(ss.pres, red)
+        return G, G.project_element(ss.pres, e)
     except LinearAlgebraError:
         return G, None
 
@@ -209,7 +208,7 @@ def chart_data(ss: SliceSS, spec: ChartSpec) -> List[ChartDatum]:
         for m in members:
             by_w.setdefault(m.w, []).append(m)
         for m in members:
-            shifted = pres.reduce(pres.multiply(m.lift, tau))
+            shifted = pres.multiply(m.lift, tau)
             for m2 in by_w.get(m.w - p, ()):
                 if m2.parent is None and m2.order == m.order and m2.lift == shifted:
                     m.child = m2
@@ -265,7 +264,7 @@ def _family_stops(ss, spec, r, s, f, end, p) -> bool:
         G = ss.group(r, d)
     except NotCertifiedError:
         return False
-    shifted = ss.pres.reduce(ss.pres.multiply(end.lift, _tau_step(ss, p)))
+    shifted = ss.pres.multiply(end.lift, _tau_step(ss, p))
     return not any(
         G.orders[i] == end.order and G.lift(i) == shifted for i in range(len(G.orders))
     )
@@ -285,7 +284,7 @@ def _product_tokens(ss, spec, r, s, f, m, cols) -> List[str]:
         if not coords or not any(coords):
             continue
         tok = kind
-        if kind == "rho" and _tau_divisible(ss, pres.reduce(value)):
+        if kind == "rho" and _tau_divisible(ss, value):
             tok += "-dashed"
         if not (spec.stems[0] <= td.s <= spec.stems[1] and td.f <= spec.f_cap):
             tok += "-arrow"
@@ -310,16 +309,11 @@ def _hidden_by_source(ss, spec, r):
     """Map (source degree, summand) -> hidden line descriptors."""
     if not spec.hidden or (spec.page is not None and spec.page < ss.r_max):
         return {}
-    rows = expand_ledger(ss)
     out: Dict[Tuple[TriDegree, int], List[Tuple[str, int, bool]]] = {}
-    for row in rows:
-        _G, coords = infinity_coords(ss, row.source, row.degree)
-        hits = [i for i, c in enumerate(coords) if c]
-        if len(hits) != 1:
-            continue
+    for (kind, d, i, _c), row in expand_ledger(ss).items():
         tf = ss.pres.degree_of_element(row.target).f
-        out.setdefault((row.degree, hits[0]), []).append(
-            (row.kind, tf, _tau_divisible(ss, row.target))
+        out.setdefault((d, i), []).append(
+            (kind, tf, _tau_divisible(ss, row.target))
         )
     return out
 

@@ -837,13 +837,9 @@ class SliceSS:
 
         page {r} | {s} {f} {w} | {order} | {label} | d{r} -> {value}
         """
-        have_diffs = r in self.diffs or r <= self._ran_to
         for d, i, o, lift, _part in self.summands(r):
-            if have_diffs:
-                v = self.differential_value(r, d, i)
-                vtext = self.pres.render(v) if v else "-"
-            else:
-                vtext = "-"
+            v = self.differential_value(r, d, i)
+            vtext = self.pres.render(v) if v else "-"
             yield "page %d | %d %d %d | %d | %s | d%d -> %s" % (
                 r, d.s, d.f, d.w, o, self.pres.render(lift), r, vtext,
             )

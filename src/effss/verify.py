@@ -502,7 +502,7 @@ def check_hidden_ledger() -> str:
         raise CheckFailure("expected one non-v-periodic eta row, found %d"
                            % len(frozen_eta))
     base_s = frozen_eta[0].degree.s
-    stuck = [r for r in expand_ledger(ss_L, frozen_eta) if r.degree.s != base_s]
+    stuck = [r for r in expand_ledger(ss_L, frozen_eta).values() if r.degree.s != base_s]
     if stuck:
         raise CheckFailure("the non-v-periodic eta row moved in stems: %s"
                            % stuck[:2])

@@ -5,7 +5,9 @@ Every name imported by a module of the package is used in that module
 function, class and method the package defines is used outside its own
 definition by the package or the code shipped beside it; a method only
 through an attribute (``x.name``) or an import, not through a bare name
-that may be a local of the same name.  The Smith-form
+that may be a local of the same name, and a method named like an
+annotated field of a package class only through a call (``x.name(...)``),
+since reading the field spells the same attribute.  The Smith-form
 oracle of the tests imports nothing from the package it checks.
 """
 
@@ -56,28 +58,36 @@ def test_no_unused_imports_in_the_package():
 
 
 def definitions(tree):
-    """(name, first line, last line, whether a method) of every function,
-    class and method."""
+    """(name, first line, last line, whether a method, whether a property)
+    of every function, class and method."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     methods = {
         id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
         for n in c.body if isinstance(n, functions)
     }
-    return [(n.name, n.lineno, n.end_lineno, id(n) in methods)
+    return [(n.name, n.lineno, n.end_lineno, id(n) in methods,
+             any(isinstance(d, ast.Name) and d.id == "property" for d in n.decorator_list))
             for n in ast.walk(tree) if isinstance(n, kinds)]
 
 
+def fields(tree):
+    """The names of the annotated fields of every class."""
+    return {n.target.id for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+            for n in c.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+
+
 def uses(tree):
-    """(name, line, whether a bare name) of every name read, attribute
-    taken or name imported."""
+    """(name, line, whether a bare name, whether called) of every name
+    read, attribute taken or name imported."""
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno, True
+            yield node.id, node.lineno, True, id(node) in called
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno, False
+            yield node.attr, node.lineno, False, id(node) in called
         elif isinstance(node, ast.alias):
-            yield node.name.split(".")[-1], node.lineno, False
+            yield node.name.split(".")[-1], node.lineno, False, False
 
 
 def unused_definitions(sources, defining):
@@ -86,15 +96,18 @@ def unused_definitions(sources, defining):
     trees = {path: ast.parse(text) for path, text in sources.items()}
     used = {}
     for path, tree in trees.items():
-        for name, line, bare in uses(tree):
-            used.setdefault(name, []).append((path, line, bare))
+        for name, line, bare, called in uses(tree):
+            used.setdefault(name, []).append((path, line, bare, called))
+    field_names = set().union(*(fields(trees[path]) for path in defining))
     found = []
     for path in defining:
-        for name, lo, hi, method in definitions(trees[path]):
+        for name, lo, hi, method, prop in definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
+            only_called = method and not prop and name in field_names
             if not any((p != path or not lo <= line <= hi) and not (method and bare)
-                       for p, line, bare in used.get(name, ())):
+                       and (called or not only_called)
+                       for p, line, bare, called in used.get(name, ())):
                 found.append((path, name))
     return sorted(found)
 
@@ -108,6 +121,13 @@ def test_unused_definitions_are_found():
     local = "Mat()\nvec = [0]\nprint(vec)\n"
     assert unused_definitions({"lib": mat, "app": local}, ["lib"]) == [("lib", "vec")]
     assert unused_definitions({"lib": mat, "app": local + "Mat().vec()\n"}, ["lib"]) == []
+    # reading a field does not use a method of the same name; a property
+    # named like a field is used by reading it
+    grp = ("class Gen:\n    order: int\n\nclass Grp:\n    def order(self): pass\n"
+           "    @property\n    def size(self): return 0\n\nclass Box:\n    size: int\n")
+    read = "Gen().order\nGrp().size\nBox()\n"
+    assert unused_definitions({"lib": grp, "app": read}, ["lib"]) == [("lib", "order")]
+    assert unused_definitions({"lib": grp, "app": read + "Grp().order()\n"}, ["lib"]) == []
 
 
 def test_every_definition_in_the_package_is_used():
