@@ -27,6 +27,7 @@ from effss.grading import GeneratorSpec, RingPresentation, TriDegree, el_iadd, m
 from effss.intlinalg import ColMat, LinearAlgebraError
 from effss.objects import get_object
 from smith_oracle import Mat, dense, pack_columns, six_form_homology
+from test_fiber import closed_form_basis
 from test_grading import dense_mono_key
 
 SMALL = Window(s=(-2, 10), f=(0, 8), w=(-4, 8))
@@ -575,10 +576,12 @@ def check_page1(obj, box):
     monomials lie in it and increase strictly under the dense exponent
     vector, their orders and marks are those of ``order_of`` and
     ``ObjectSpec.part_of``, and their codes are distinct and increase
-    with them.  Multiplying by a power of a free generator adds that many
-    of its units to the code whenever the product lies in the box."""
+    with them, and decoding each code gives back its monomial.  Multiplying
+    by a power of a free generator adds that many of its units to the code
+    whenever the product lies in the box."""
     pres = obj.pres
     basis = pres.basis_window(*box, marked=obj.image_gens)
+    decode = pres.coding(basis.width).decode
     code_of = {}
     for d, (monos, orders, marked, codes) in basis.items():
         assert monos and len(monos) == len(orders) == len(marked) == len(codes), d
@@ -588,6 +591,7 @@ def check_page1(obj, box):
         assert all(a < b for a, b in zip(codes, codes[1:])), d
         assert list(orders) == [pres.order_of(m) for m in monos], d
         assert [("image" if mk else "cokernel") for mk in marked] == [obj.part_of(m) for m in monos], d
+        assert list(map(decode, codes)) == monos, d
         code_of.update(zip(monos, codes))
     unit, _offset = pres.code_layout(basis.width)
     for m, k in code_of.items():
@@ -631,6 +635,40 @@ def test_page1_on_sub_boxes_of_each_fiber_cover(fiber_objects, data):
         a, b = data.draw(st.integers(lo, hi)), data.draw(st.integers(lo, hi))
         box.append((min(a, b), max(a, b)))
     check_page1(obj, tuple(box))
+
+
+@pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("L", "L_C")])
+def test_page1_lifts_are_the_closed_form_basis_in_order(name, window):
+    """Each page 1 lift is one basis monomial with coefficient 1: the i-th
+    monomial of the fiber's closed-form enumeration, an oracle sharing no
+    code with the basis search."""
+    obj = get_object(name, window)
+    ss = SliceSS(obj, window)
+    want = closed_form_basis(obj, ss.box.s, ss.box.f, ss.box.w)
+    assert ss.pages[1].keys() == want.keys()
+    for d, G in ss.pages[1].items():
+        assert [G.lift(i) for i in range(len(G))] == [{m: 1} for m in want[d]], d
+    assert sum(map(len, want.values())) > 500
+
+
+def test_coords_refuse_a_monomial_outside_the_basis():
+    """coords refuses a monomial of another degree, and one whose h1
+    exponent overflows its code field into tau's: that monomial's code is
+    a basis monomial's, so only its exponents tell the two apart."""
+    ss = SliceSS(get_object("ko_C"), SMALL)
+    pres, G = ss.pres, ss.pages[1][TriDegree(4, 0, 1)]
+    (m,) = G.lift(0)
+    assert m == pres.monomial({"tau": 1, "v2": 1})
+    width = ss._basis.width
+    unit, offset = pres.code_layout(width)
+    tau, h1 = pres.gen("tau"), pres.gen("h1")
+    assert unit[tau] == unit[h1] << width
+    alias = pres.monomial({"h1": 1 << width, "v2": 1})
+    assert sum(offset[g] + e * unit[g] for g, e in alias) == sum(offset[g] + e * unit[g] for g, e in m)
+    assert G.coords(pres, {m: 1}) == {0: 1}
+    for bad in (alias, pres.monomial({"v2": 1})):
+        with pytest.raises(EngineError, match="not supported on the window basis"):
+            G.coords(pres, {m: 1, bad: 1})
 
 
 # -- lifts and differential values against the rewriting route --------------
