@@ -21,8 +21,9 @@ for g in pres.generators:
 # part is the order: free once the h1 exponent is zero, else 2-torsion
 print("\nstems 0..8 in filtration <= 2, weights 0..4:")
 basis = pres.basis_window((0, 8), (0, 2), (0, 4))
-for d, (monos, orders, _marked, _codes) in sorted(basis.items()):
-    for m, o in zip(monos, orders):
+for d, (orders, _marked, codes) in sorted(basis.items()):
+    for k, o in zip(codes, orders):
+        m = basis.coding.decode(k)  # page 1 keeps each monomial as its code
         print("  (%d,%d,%d)  %-14s order %s"
               % (d.s, d.f, d.w, pres.render_monomial(m), o if o else "infinite"))
 

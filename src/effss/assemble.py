@@ -458,9 +458,9 @@ def action(ss: SliceSS, ledger: Ledger, kind: str, cls: InfinityClass) -> Infini
         c = c % o if o else c
         if not c:
             continue
-        elt = pres.reduce(el_scale(G.lift(i), c))
+        elt = pres.reduce_coefficients(el_scale(G.lift(i), c))
         if kind == "h":
-            prod, td = pres.reduce(el_scale(elt, 2)), d
+            prod, td = pres.reduce_coefficients(el_scale(elt, 2)), d
         else:
             prod, td = pres.multiply(elt, mult), d + KIND_DEGREE[kind]
         coords: Sequence[int] = []

@@ -43,12 +43,13 @@ groups whose orders or parts are equal.
 
 Page 1 comes straight from the basis search, ``basis_window``, which
 carries each monomial's order, whether an image generator divides it, and
-its code down each search path.  The code is the int of
-``RingPresentation.code_layout``: one field per generator or slot run,
-generator 0 most significant, so int order is basis order and multiplying
-by a free generator adds its unit without a carry.  The d1 build reads the
-codes, keying its row maps, orbits and shifts by ints, and they are dropped
-with it; no group keeps them.
+its code down each search path.  The code is the int of the presentation's
+``Coding``: one field per generator or slot run, generator 0 most
+significant, so int order is basis order and multiplying by a free
+generator adds its unit without a carry.  A page 1 group keeps its
+monomials as these codes alone.  The d1 build keys its row maps, orbits and
+shifts by them, ``project_element`` finds a monomial by its code, and a
+page 1 lift is decoded only when it is read.
 
 Every lift is a normal element with each coefficient reduced modulo its
 monomial's order: a page 1 lift is a basis monomial, and a later one is an
@@ -80,6 +81,7 @@ single-threaded library, and the caller's state comes back on every exit.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -88,6 +90,7 @@ from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequen
 
 from .grading import (
     Basis,
+    Coding,
     Element,
     EffssError,
     Monomial,
@@ -275,33 +278,25 @@ class PageGroup:
     """The group at one tri-degree of one page, with lifts back to page 1.
 
     Two kinds of group share the class: page 1 groups carry their basis
-    monomials, and homology groups carry the previous page's group and
-    the blockwise subquotient data.  Orders and parts are tuples.  A group
-    that no differential touched is carried to the next page as the same
-    object.  A degree whose group died on an earlier page reads as an
-    empty group with neither.
+    monomials' codes, sorted, and the run's one ``Coding``, and homology
+    groups carry the previous page's group and the blockwise subquotient
+    data.  Orders, parts and codes are tuples.  A group that no
+    differential touched is carried to the next page as the same object.
+    A degree whose group died on an earlier page reads as an empty group
+    with neither.
     """
 
-    __slots__ = (
-        "degree",
-        "orders",
-        "parts",
-        "prev",
-        "monomials",
-        "blocks",
-        "_lifts",
-        "_mono_index",
-    )
+    __slots__ = ("degree", "orders", "parts", "prev", "codes", "coding", "blocks", "_lifts")
 
-    def __init__(self, degree, orders, parts, prev=None, monomials=None, blocks=None, lifts=None):
+    def __init__(self, degree, orders, parts, prev=None, codes=None, coding=None, blocks=None, lifts=None):
         self.degree = degree
         self.orders: Tuple[int, ...] = orders
         self.parts: Tuple[str, ...] = parts
         self.prev: Optional[PageGroup] = prev
-        self.monomials: Optional[List[Monomial]] = monomials
+        self.codes: Optional[Tuple[int, ...]] = codes
+        self.coding: Optional[Coding] = coding
         self.blocks = blocks
         self._lifts: Optional[List[Element]] = lifts
-        self._mono_index: Optional[Dict[Monomial, int]] = None
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -309,32 +304,30 @@ class PageGroup:
     def lift(self, i: int) -> Element:
         if self._lifts is not None:
             return self._lifts[i]
-        return {self.monomials[i]: 1}
-
-    def mono_index(self) -> Dict[Monomial, int]:
-        if self._mono_index is None:
-            self._mono_index = {m: i for i, m in enumerate(self.monomials)}
-        return self._mono_index
-
-    def coords(self, pres: RingPresentation, e: Element) -> Dict[int, int]:
-        """Sparse coordinates {index: coefficient} of a reduced element over
-        a page 1 basis group."""
-        idx = self.mono_index()
-        try:
-            return {idx[m]: c for m, c in e.items()}
-        except KeyError:
-            raise EngineError(
-                "element %s not supported on the window basis at %s"
-                % (pres.render(e), self.degree)
-            ) from None
+        return {self.coding.decode(self.codes[i]): 1}
 
     def project_element(self, pres: RingPresentation, e: Element) -> List[int]:
-        """Coefficients of a page 1 element over this page's summands."""
+        """Coefficients of a reduced page 1 element over this page's
+        summands.
+
+        On page 1 each monomial is found by its code.  A monomial outside
+        the basis can share a basis monomial's code only if an exponent
+        overflows its field, so a code found must also decode back to the
+        monomial that was encoded.
+        """
         if self.prev is None:
-            if self.monomials is None:  # died on an earlier page
+            codes, coding = self.codes, self.coding
+            if codes is None:  # died on an earlier page
                 return []
-            vec = [0] * len(self.orders)
-            for i, c in self.coords(pres, pres.reduce(e)).items():
+            vec = [0] * len(codes)
+            for m, c in e.items():
+                k = coding.encode(m)
+                i = bisect_left(codes, k)
+                if i == len(codes) or codes[i] != k or coding.decode(k) != m:
+                    raise EngineError(
+                        "element %s not supported on the window basis at %s"
+                        % (pres.render(e), self.degree)
+                    )
                 vec[i] = c
             return vec
         vec = self.prev.project_element(pres, e)
@@ -400,7 +393,7 @@ class SliceSS:
                 self.box.s, self.box.f, self.box.w, marked=obj.image_gens, headroom=lam(page_shift(1))
             )
             self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: self._first_page(basis)}
-        self._basis: Optional[Basis] = basis  # for its codes, until the d1 build
+        self._coding: Coding = basis.coding  # page 1's, shared by its groups
         self.valid: Dict[int, Certified] = {1: Certified(self.box, {}, 1)}
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
@@ -410,15 +403,15 @@ class SliceSS:
 
     def _first_page(self, basis: Basis) -> Dict[TriDegree, PageGroup]:
         """Page 1 straight from the basis search, which hands out each
-        monomial's order and whether an image generator divides it.  Groups
-        with equal orders or parts share one tuple."""
+        monomial's order, whether an image generator divides it, and its
+        code.  Groups with equal orders or parts share one tuple."""
         parts_of: Dict[Tuple[bool, ...], Tuple[str, ...]] = {}
         first = {}
-        for d, (monos, orders, marks, _codes) in basis.items():
+        for d, (orders, marks, codes) in basis.items():
             parts = parts_of.get(marks)
             if parts is None:
                 parts = parts_of[marks] = tuple(["image" if mk else "cokernel" for mk in marks])
-            first[d] = PageGroup(d, orders, parts, monomials=monos)
+            first[d] = PageGroup(d, orders, parts, codes=codes, coding=basis.coding)
         return first
 
     # -- running --------------------------------------------------------
@@ -439,7 +432,6 @@ class SliceSS:
                     raise EngineError("page %d has not been reached yet" % r)
                 if r == 1:
                     mats, unknown = self._d1_matrices()
-                    self._basis = None  # only the d1 build reads its codes
                     # page 1 holds non-empty basis groups only, and with a d1
                     # schedule each of them may support a d1
                     firing = self.pages[1].keys() if self.obj.schedule.get(1) else ()
@@ -461,18 +453,18 @@ class SliceSS:
         each coefficient is reduced modulo the order of its monomial, and
         derive(X) and each d1(g) X are computed once per X.
 
-        Monomials are the ints of ``RingPresentation.code_layout``, at the
-        width of page 1's codes.  A free generator has a field of its own
-        holding its exponent, so a source's code masked to the free fields
-        is S's code, the rest is X's, and multiplying by S adds S's code.
-        No field carries: every monomial coded here, and every sum of codes
-        formed, has degree in the box or divides a monomial of degree
-        d + shift for some d in the box, so its 2f + s - w is at most the
-        box's top plus the shift's, which the width was chosen to hold, and
-        every generator has 2f + s - w >= 1.  A target degree's row map is
-        its codes, and X and S are spelled out only when an orbit or a shift
-        is new.  Where the target lies outside the box, the first nonzero
-        column settles the degree.
+        Monomials are page 1's codes, under the run's ``Coding``.  A free
+        generator has a field of its own holding its exponent, so a source's
+        code masked to the free fields is S's code, the rest is X's, and
+        multiplying by S adds S's code.  No field carries: every monomial
+        coded here or placed in its group by ``project_element`` (which
+        refuses any other), and every sum of codes formed, has degree in
+        the box or divides a monomial of degree d + shift for some d in the
+        box, so its 2f + s - w is at most the box's top plus the shift's,
+        which the width was chosen to hold, and every generator has
+        2f + s - w >= 1.  A target degree's row map is its codes, and X and
+        S are decoded only when an orbit or a shift is new.  Where the
+        target lies outside the box, the first nonzero column settles it.
         """
         images = self.obj.schedule.get(1, {})
         shift = page_shift(1)
@@ -480,24 +472,18 @@ class SliceSS:
         unknown: Set[TriDegree] = set()
         pres = self.pres
         box = self.box
-        basis = self._basis
-        width = basis.width
-        unit, offset = pres.code_layout(width)
+        page1 = self.pages[1]
+        coding = self._coding
+        unit, encode, decode = coding.unit, coding.encode, coding.decode
         free = {g for g, spec in enumerate(pres.generators) if spec.cap is None and not spec.slots}
-        free_mask = sum([((1 << width) - 1) * unit[g] for g in free])
+        free_mask = coding.field_mask(free)
         rest_mask = ~free_mask
         moving = {g for g in free if images.get(g)}  # free generators with d1 != 0
         orbits: Dict[int, Tuple[Monomial, Part, Dict[int, Part]]] = {}  # code of X -> X, d1(X), {g: d1(g) X}
         shifts: Dict[int, Tuple[int, list]] = {}  # code of S -> by_shift(S)
 
-        def code(m: Monomial) -> int:
-            k = 0
-            for g, e in m:
-                k += offset[g] + e * unit[g]
-            return k
-
         def coded(e: Element) -> Part:
-            return [(code(m), c, pres.order_of(m)) for m, c in e.items()]
+            return [(encode(m), c, pres.order_of(m)) for m, c in e.items()]
 
         def add(val: Dict[int, int], part: Part, sh: int, e: int, t: int) -> None:
             """val += e * (part shifted by sh), where sh is the code of a
@@ -529,12 +515,12 @@ class SliceSS:
                     moved.append((g, s - unit[g], e, og))
             return o, moved
 
-        def d1(m: Monomial, k: int) -> Dict[int, int]:
-            """d1(m) as {code: nonzero coefficient}, k being m's code."""
+        def d1(k: int) -> Dict[int, int]:
+            """d1 of the monomial coded k, as {code: nonzero coefficient}."""
             x = k & rest_mask
             orbit = orbits.get(x)
             if orbit is None:
-                X = tuple([p for p in m if p[0] not in free])
+                X = decode(x)
                 orbit = orbits[x] = (X, coded(derive(pres, X, images)), {})
             X, dX, dgX = orbit
             if not (dX or moving):
@@ -542,7 +528,7 @@ class SliceSS:
             s = k & free_mask
             info = shifts.get(s)
             if info is None:
-                info = shifts[s] = by_shift(tuple([p for p in m if p[0] in free]), s)
+                info = shifts[s] = by_shift(decode(s), s)
             t, moved = info
             val: Dict[int, int] = {}
             if dX:
@@ -554,18 +540,18 @@ class SliceSS:
             return val
 
         into_box = Window(*((lo - x, hi - x) for (lo, hi), x in zip((box.s, box.f, box.w), shift)))
-        for d, (monos, _orders, _marks, codes) in basis.items():
+        for d, G in page1.items():
             if not into_box.contains(d):  # one nonzero column settles d
-                if any(map(d1, monos, codes)):
+                if any(map(d1, G.codes)):
                     unknown.add(d)
                 continue
-            vals = list(map(d1, monos, codes))
+            vals = list(map(d1, G.codes))
             if not any(vals):
                 continue
             tgt = d + shift
-            if tgt not in basis:
+            if tgt not in page1:
                 raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
-            tgt_codes = basis[tgt][3]
+            tgt_codes = page1[tgt].codes
             row = dict(zip(tgt_codes, range(len(tgt_codes))))
             ptr, rows, coeffs = [0], [], []
             for v in vals:

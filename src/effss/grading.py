@@ -27,7 +27,6 @@ appearing in it (torsion 0 means a free summand).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -185,25 +184,90 @@ class GeneratorSpec:
     slots: Tuple[str, ...] = ()
 
 
+class Coding:
+    """The order-preserving int code of monomials at one field width,
+    code(m) = sum of offset[g] + e * unit[g] over g^e in m, and its inverse.
+
+    A lone generator's field holds its exponent in ``width`` bits.  A run
+    of R > 1 consecutive generators g_0 < ... < g_(R-1) sharing a slot
+    holds at most one of them, so it is one field, holding
+    (R - k) * 2^width + e for g_k^e and 0 when no member is present.
+    Fields follow generator index, generator 0 most significant.
+
+    While every exponent stays below 2^width no field carries, so
+    ``decode`` inverts ``encode`` and codes compare as the dense exponent
+    vectors do (the order of ``RingPresentation.mono_key``): fields compare
+    most significant first, and within a run a present member outranks
+    every later one and an absent run.  For the same reason, for a product
+    S of lone generators, code(S X) = code(S) + code(X), and code(S X)
+    masked to S's fields (``field_mask``) is code(S).
+    """
+
+    __slots__ = ("width", "unit", "offset", "_fields")
+
+    def __init__(self, runs: Sequence[Tuple[int, ...]], width: int) -> None:
+        n = sum(map(len, runs))
+        unit = [0] * n
+        offset = [0] * n
+        fields = []  # (run, field mask, field bits), least significant first
+        at = 0
+        for run in reversed(runs):
+            r = len(run)
+            for k, g in enumerate(run):
+                unit[g] = 1 << at
+                if r > 1:
+                    offset[g] = (r - k) << (at + width)
+            bits = width + (r.bit_length() if r > 1 else 0)
+            fields.append((run, (1 << bits) - 1, bits))
+            at += bits
+        self.width = width
+        self.unit: Tuple[int, ...] = tuple(unit)
+        self.offset: Tuple[int, ...] = tuple(offset)
+        self._fields = tuple(fields)
+
+    def encode(self, m: Monomial) -> int:
+        return sum([self.offset[g] + e * self.unit[g] for g, e in m])
+
+    def decode(self, k: int) -> Monomial:
+        """The monomial whose code is k."""
+        width = self.width
+        low = (1 << width) - 1
+        out = []
+        for run, mask, bits in self._fields:
+            if not k:
+                break
+            v = k & mask
+            k >>= bits
+            if v:
+                out.append((run[0], v) if len(run) == 1 else (run[len(run) - (v >> width)], v & low))
+        out.reverse()
+        return tuple(out)
+
+    def field_mask(self, gens: Iterable[int]) -> int:
+        """The bits of the fields of the given lone generators."""
+        low = (1 << self.width) - 1
+        return sum([low * self.unit[g] for g in gens])
+
+
 class Basis(dict):
     """``RingPresentation.basis_window``'s result, by non-empty degree.
 
-    Each degree holds four parallel arrays in basis order: its normal
-    monomials (a list), their orders (a tuple), whether a marked generator
-    divides each (a tuple of bools) and their codes (a list of ints) under
-    ``RingPresentation.code_layout(width)``.  A plain tuple per degree, as
-    a record type would cost more to build than the rest of a degree on
-    windows of one-monomial degrees.
+    Each degree holds three parallel tuples in basis order: its normal
+    monomials' orders, whether a marked generator divides each, and their
+    codes under ``coding``, the one form in which the monomials are kept.
+    A plain tuple per degree, as a record type would cost more to build
+    than the rest of a degree on windows of one-monomial degrees.
     """
 
-    def __init__(self, width: int) -> None:
+    def __init__(self, coding: Coding) -> None:
         super().__init__()
-        self.width = width
+        self.coding = coding
 
     @property
     def monomials(self) -> Dict[TriDegree, List[Monomial]]:
-        """Each degree's monomials alone."""
-        return {d: monos for d, (monos, _o, _k, _c) in self.items()}
+        """Each degree's monomials, decoded."""
+        decode = self.coding.decode
+        return {d: list(map(decode, codes)) for d, (_o, _k, codes) in self.items()}
 
 
 @dataclass(frozen=True)
@@ -294,7 +358,7 @@ class RingPresentation:
 
         # A maximal run of consecutive generators sharing a slot admits at
         # most one of its members.  Each run is one field of a monomial's
-        # code (code_layout) and, but for the tail, one search level of
+        # code (Coding) and, but for the tail, one search level of
         # basis_window.  The longer runs go outermost; the rest follow in
         # reverse declaration order, which puts rho, the one letter that
         # lowers the stem, innermost and halves the search on L and ko.
@@ -527,37 +591,6 @@ class RingPresentation:
 
     # -- basis enumeration ----------------------------------------------
 
-    def code_layout(self, width: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Each generator's unit and offset in the order-preserving code of
-        a monomial, code(m) = sum of offset[g] + e * unit[g] over g^e in m.
-
-        Fields follow generator index, generator 0 most significant.  A
-        lone generator's field holds its exponent in ``width`` bits.  A run
-        of R > 1 consecutive generators g_0 < ... < g_(R-1) sharing a slot
-        holds at most one of them, so it is one field, holding
-        (R - k) * 2^width + e for g_k^e and 0 when no member is present.
-
-        While every exponent stays below 2^width no field carries, so codes
-        compare as the dense exponent vectors do, which is the order of
-        ``mono_key``: fields compare most significant first, and within a
-        run a present member outranks every later one and an absent run.
-        For the same reason multiplying by a lone generator g adds
-        e * unit[g]: code(S * X) = code(S) + code(X) for a product S of
-        lone generators.
-        """
-        n = len(self._generators)
-        unit = [0] * n
-        offset = [0] * n
-        at = 0
-        for run in reversed(self._runs):
-            r = len(run)
-            for k, g in enumerate(run):
-                unit[g] = 1 << at
-                if r > 1:
-                    offset[g] = (r - k) << (at + width)
-            at += width + (r.bit_length() if r > 1 else 0)
-        return tuple(unit), tuple(offset)
-
     def basis_window(
         self,
         s_range: Tuple[int, int],
@@ -567,8 +600,8 @@ class RingPresentation:
         headroom: int = 0,
     ) -> Basis:
         """All normal monomials with degree in the closed box, by degree,
-        with each one's order, whether a ``marked`` generator divides it,
-        and its code.
+        as each one's order, whether a ``marked`` generator divides it, and
+        its code.
 
         Runs a depth-first search over exponent vectors, one level per
         generator, except that a run of consecutive generators sharing a
@@ -583,20 +616,21 @@ class RingPresentation:
 
         Each path carries the gcd of its torsions, whether a marked
         generator has appeared, and the code of its monomial under
-        ``code_layout(width)``; a step adds a generator's offset and its
-        unit times the exponent, and the leaf adds e * unit(tail).  width
-        is the bit length of the box's top 2f + s - w plus ``headroom``, so
-        no field carries for a monomial up to ``headroom`` above the box
-        either.  Codes are distinct within a degree and ordered as
-        ``mono_key`` orders monomials, so each degree is sorted by code.
+        ``Coding(runs, width)``; a step adds a generator's offset and its unit
+        times the exponent, and the leaf adds e * unit(tail).  No monomial
+        is spelled out.  width is the bit length of the box's top
+        2f + s - w plus ``headroom``, so no field carries for a monomial up
+        to ``headroom`` above the box either.  Codes are distinct within a
+        degree and ordered as ``mono_key`` orders monomials, so each degree
+        is sorted by code.
         """
         s0, s1 = s_range
         f0, f1 = f_range
         w0, w1 = w_range
         lam_max = 2 * f1 + s1 - w0
-        width = max(lam_max + headroom, 0).bit_length()
+        coding = Coding(self._runs, max(lam_max + headroom, 0).bit_length())
         if s0 > s1 or f0 > f1 or w0 > w1:
-            return Basis(width)
+            return Basis(coding)
         c = self.cover
         if c is not None and not (
             c.s[0] <= s0 and s1 <= c.s[1] and f1 <= c.f[1] and c.w[0] <= w0 and w1 <= c.w[1]
@@ -610,20 +644,20 @@ class RingPresentation:
         levels = self._levels
         reach = self._reach
         torsion = self._torsions
-        unit, offset = self.code_layout(width)
+        unit, offset = coding.unit, coding.offset
         tail = self._tail
         tail_w = -gens[tail].degree.w if tail is not None else 0
         tail_unit = unit[tail] if tail is not None else 0
         tail_marked = tail in marked
-        # degree -> code, monomial, order and mark of each monomial in turn:
-        # one flat list per degree, since on thin windows most degrees hold
-        # one monomial, and a list per array would outweigh it
-        out: Dict[TriDegree, list] = {}
+        # (s, f, w) -> code, order and mark of each monomial in turn: one
+        # flat list per degree, since on thin windows most degrees hold one
+        # monomial, and a list per array would outweigh it.  A plain tuple
+        # key hashes as the TriDegree made once per degree at the end.
+        out: Dict[Tuple[int, int, int], list] = {}
 
-        def leaf(parts: List[Tuple[int, int]], s: int, f: int, w: int, code: int, o: int, mk: bool) -> None:
+        def leaf(s: int, f: int, w: int, code: int, o: int, mk: bool) -> None:
             if not (s0 <= s <= s1 and f0 <= f <= f1):
                 return
-            m = tuple(sorted(parts))
             if tail is None:
                 lo = hi = 0
                 if not w0 <= w <= w1:
@@ -634,29 +668,19 @@ class RingPresentation:
                 hi = (w - w0) // tail_w
                 if lo < 0:
                     lo = 0
-                cut = bisect_left(m, (tail, 0))
                 tmk = mk or tail_marked
             for e in range(lo, hi + 1):
-                d = TriDegree(s, f, w - e * tail_w)
+                d = (s, f, w - e * tail_w)
                 flat = out.get(d)
                 if flat is None:
                     flat = out[d] = []
                 if e:
-                    flat += (code + e * tail_unit, m[:cut] + ((tail, e),) + m[cut:], o, tmk)
+                    flat += (code + e * tail_unit, o, tmk)
                 else:
-                    flat += (code, m, o, mk)
+                    flat += (code, o, mk)
 
         def rec(
-            pos: int,
-            parts: List[Tuple[int, int]],
-            s: int,
-            f: int,
-            w: int,
-            lam_used: int,
-            slots: frozenset,
-            code: int,
-            o: int,
-            mk: bool,
+            pos: int, s: int, f: int, w: int, lam_used: int, slots: frozenset, code: int, o: int, mk: bool
         ) -> None:
             lam_rem = lam_max - lam_used
             if lam_rem < 0:
@@ -667,9 +691,9 @@ class RingPresentation:
             if r is not None and (s - r * (f1 - f) > s1 or s + r * (f1 - f) < s0):
                 return
             if pos == len(levels):
-                leaf(parts, s, f, w, code, o, mk)
+                leaf(s, f, w, code, o, mk)
                 return
-            rec(pos + 1, parts, s, f, w, lam_used, slots, code, o, mk)
+            rec(pos + 1, s, f, w, lam_used, slots, code, o, mk)
             for gi in levels[pos]:
                 spec = gens[gi]
                 if slots and not slots.isdisjoint(spec.slots):
@@ -690,36 +714,26 @@ class RingPresentation:
                 k = code + offset[gi]
                 for e in range(1, emax + 1):
                     k += u
-                    rec(
-                        pos + 1,
-                        parts + [(gi, e)],
-                        s + e * d.s,
-                        f + e * d.f,
-                        w + e * d.w,
-                        lam_used + e * gl,
-                        new_slots,
-                        k,
-                        go,
-                        gmk,
-                    )
+                    rec(pos + 1, s + e * d.s, f + e * d.f, w + e * d.w, lam_used + e * gl,
+                        new_slots, k, go, gmk)
 
         try:
-            rec(0, [], 0, 0, 0, 0, frozenset(), 0, 0, False)
+            rec(0, 0, 0, 0, 0, frozenset(), 0, 0, False)
         finally:
             del rec  # rec reaches itself through its closure; unbind it to free both
         # one orders tuple and one marks tuple per distinct value
         shared_orders: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         shared_marks: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
-        basis = Basis(width)
+        basis = Basis(coding)
         for d in list(out):
             flat = out.pop(d)  # freed as its degree's arrays are made
-            if len(flat) > 4:
+            if len(flat) > 3:
                 # basis order is code order, and codes are distinct in a degree
-                flat = [x for row in sorted(zip(*[iter(flat)] * 4)) for x in row]
-            o = tuple(flat[2::4])
-            k = tuple(flat[3::4])
+                flat = [x for row in sorted(zip(*[iter(flat)] * 3)) for x in row]
+            o = tuple(flat[1::3])
+            k = tuple(flat[2::3])
             o = shared_orders.setdefault(o, o)
-            basis[d] = (flat[1::4], o, shared_marks.setdefault(k, k), flat[0::4])
+            basis[TriDegree._make(d)] = (o, shared_marks.setdefault(k, k), tuple(flat[0::3]))
         return basis
 
     # -- printing and serialization ---------------------------------------

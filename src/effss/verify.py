@@ -188,8 +188,8 @@ def check_e1_basis() -> str:
             diff = set(got) ^ set(oracle)
             raise CheckFailure("%s: degree support differs at %s"
                                % (name, sorted(diff)[:3]))
-        for d, (monos, orders, _marked, _codes) in got.items():
-            ours = sorted((_exps(pres, m, names), o) for m, o in zip(monos, orders))
+        for d, monos in got.monomials.items():
+            ours = sorted((_exps(pres, m, names), o) for m, o in zip(monos, got[d][0]))
             if ours != sorted(oracle[d]):
                 raise CheckFailure("%s: basis at %s is %s, oracle says %s"
                                    % (name, d, ours, sorted(oracle[d])))

@@ -228,7 +228,7 @@ def per_monomial_d1_matrices(ss):
     shift = page_shift(1)
     mats, unknown = {}, set()
     for d, G in ss.pages[1].items():
-        vals = [derive(ss.pres, m, images) for m in G.monomials]
+        vals = [derive(ss.pres, m, images) for m in basis_monomials(G)]
         if not any(vals):
             continue
         tgt = d + shift
@@ -238,15 +238,22 @@ def per_monomial_d1_matrices(ss):
         T = ss.pages[1].get(tgt)
         if T is None:
             raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
-        mats[d] = Mat.from_cols([dense_coords(T, v) for v in vals], len(T.orders))
+        row = {m: i for i, m in enumerate(basis_monomials(T))}
+        mats[d] = Mat.from_cols([dense_coords(row, v) for v in vals], len(T.orders))
     return mats, unknown
 
 
-def dense_coords(T, e):
-    """Coordinates of a reduced element over the page 1 basis group T."""
-    vec = [0] * len(T.orders)
+def basis_monomials(G):
+    """The basis monomials of a page 1 group, in order, from its lifts."""
+    return [m for i in range(len(G)) for m in G.lift(i)]
+
+
+def dense_coords(row, e):
+    """Coordinates of a reduced element over the page 1 basis whose
+    monomials row maps to their indices."""
+    vec = [0] * len(row)
     for m, c in e.items():
-        vec[T.monomials.index(m)] = c
+        vec[row[m]] = c
     return vec
 
 
@@ -464,7 +471,7 @@ def test_d1_orders_shrink_by_a_free_generator():
     for d, M in want.items():
         assert dense(mats[d]).rows == M.rows, d
     x = pres.gen("x")
-    assert any(x in dict(m) for d in mats for m in ss.pages[1][d].monomials)
+    assert any(x in dict(m) for d in mats for m in basis_monomials(ss.pages[1][d]))
 
 
 def test_d1_orders_when_a_moving_generator_leaves_the_shift():
@@ -489,7 +496,7 @@ def test_d1_orders_when_a_moving_generator_leaves_the_shift():
         m = pres.monomial({"x": e})
         G = ss.pages[1][pres.degree_of(m)]
         M = mats.get(G.degree)
-        assert bool(M and list(M.col(G.monomials.index(m)))) == survives, e
+        assert bool(M and list(M.col(basis_monomials(G).index(m)))) == survives, e
 
 
 @pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("ko", "L")])
@@ -572,28 +579,29 @@ def test_free_shift_identity(page1_monomials, data):
 
 
 def check_page1(obj, box):
-    """The basis search's arrays on a box, checked per degree: the
-    monomials lie in it and increase strictly under the dense exponent
-    vector, their orders and marks are those of ``order_of`` and
-    ``ObjectSpec.part_of``, and their codes are distinct and increase
-    with them, and decoding each code gives back its monomial.  Multiplying
-    by a power of a free generator adds that many of its units to the code
-    whenever the product lies in the box."""
+    """The basis search's arrays on a box, checked per degree: each code
+    decodes to a normal monomial of the degree that encodes back to it, the
+    codes increase strictly and so do their monomials under the dense
+    exponent vector, and the orders and marks are those of ``order_of``
+    and ``ObjectSpec.part_of``.  Multiplying by a power of a free
+    generator adds that many of its units to the code whenever the product
+    lies in the box."""
     pres = obj.pres
     basis = pres.basis_window(*box, marked=obj.image_gens)
-    decode = pres.coding(basis.width).decode
+    decode = basis.coding.decode
     code_of = {}
-    for d, (monos, orders, marked, codes) in basis.items():
-        assert monos and len(monos) == len(orders) == len(marked) == len(codes), d
-        assert all(pres.degree_of(m) == d for m in monos), d
+    for d, (orders, marked, codes) in basis.items():
+        monos = [decode(k) for k in codes]
+        assert monos and len(monos) == len(orders) == len(marked), d
+        assert all(pres.is_normal(m) and pres.degree_of(m) == d for m in monos), d
         keys = [dense_mono_key(pres, m) for m in monos]
         assert all(a < b for a, b in zip(keys, keys[1:])), d
         assert all(a < b for a, b in zip(codes, codes[1:])), d
         assert list(orders) == [pres.order_of(m) for m in monos], d
         assert [("image" if mk else "cokernel") for mk in marked] == [obj.part_of(m) for m in monos], d
-        assert list(map(decode, codes)) == monos, d
+        assert [basis.coding.encode(m) for m in monos] == list(codes), d
         code_of.update(zip(monos, codes))
-    unit, _offset = pres.code_layout(basis.width)
+    unit = basis.coding.unit
     for m, k in code_of.items():
         for g in free_generators(pres):
             for e in (1, 2, 3):
@@ -651,24 +659,24 @@ def test_page1_lifts_are_the_closed_form_basis_in_order(name, window):
     assert sum(map(len, want.values())) > 500
 
 
-def test_coords_refuse_a_monomial_outside_the_basis():
-    """coords refuses a monomial of another degree, and one whose h1
-    exponent overflows its code field into tau's: that monomial's code is
-    a basis monomial's, so only its exponents tell the two apart."""
+def test_page1_projection_refuses_a_monomial_outside_the_basis():
+    """Projecting onto a page 1 group refuses a monomial of another degree,
+    and one whose h1 exponent overflows its code field into tau's: that
+    monomial's code is a basis monomial's, so only its exponents tell the
+    two apart."""
     ss = SliceSS(get_object("ko_C"), SMALL)
     pres, G = ss.pres, ss.pages[1][TriDegree(4, 0, 1)]
     (m,) = G.lift(0)
     assert m == pres.monomial({"tau": 1, "v2": 1})
-    width = ss._basis.width
-    unit, offset = pres.code_layout(width)
+    coding = G.coding
     tau, h1 = pres.gen("tau"), pres.gen("h1")
-    assert unit[tau] == unit[h1] << width
-    alias = pres.monomial({"h1": 1 << width, "v2": 1})
-    assert sum(offset[g] + e * unit[g] for g, e in alias) == sum(offset[g] + e * unit[g] for g, e in m)
-    assert G.coords(pres, {m: 1}) == {0: 1}
+    assert coding.unit[tau] == coding.unit[h1] << coding.width
+    alias = pres.monomial({"h1": 1 << coding.width, "v2": 1})
+    assert coding.encode(alias) == coding.encode(m) == G.codes[0]
+    assert G.project_element(pres, {m: 3}) == [3]
     for bad in (alias, pres.monomial({"v2": 1})):
         with pytest.raises(EngineError, match="not supported on the window basis"):
-            G.coords(pres, {m: 1, bad: 1})
+            G.project_element(pres, {m: 1, bad: 1})
 
 
 # -- lifts and differential values against the rewriting route --------------
@@ -755,7 +763,7 @@ def toy():
     ss = SliceSS(obj, Window(s=(0, 4), f=(0, 3), w=(2, 2)), r_max=2)
     row = {}
     for d in (TOY_A, TOY_T):
-        for i, m in enumerate(ss.pages[1][d].monomials):
+        for i, m in enumerate(basis_monomials(ss.pages[1][d])):
             row[pres.gen_name(m[0][0])] = i
     assert len(row) == len(gens)
     return ss, row
@@ -764,7 +772,7 @@ def toy():
 def toy_block(ss, row, values):
     """The d1 block at A: values maps a or b to {target name: coefficient}."""
     G = ss.pages[1][TOY_A]
-    cols = [{} for _ in G.monomials]
+    cols = [{} for _ in range(len(G))]
     for src, val in values.items():
         cols[row[src]] = {row[t]: c for t, c in val.items()}
     return ColMat(*pack_columns(cols), len(ss.pages[1][TOY_T]))
