@@ -23,7 +23,7 @@ print("\nstems 0..8 in filtration <= 2, weights 0..4:")
 basis = pres.basis_window((0, 8), (0, 2), (0, 4))
 for d, (orders, _marked, codes) in sorted(basis.items()):
     for k, o in zip(codes, orders):
-        m = basis.coding.decode(k)  # page 1 keeps each monomial as its code
+        m = basis.coding.decode(k)  # the basis holds each monomial as its code
         print("  (%d,%d,%d)  %-14s order %s"
               % (d.s, d.f, d.w, pres.render_monomial(m), o if o else "infinite"))
 
@@ -39,5 +39,5 @@ y = ko.pres.multiply(ko.pres.parse("h1 + rho"), ko.pres.parse("h1 + rho"))
 print("(h1 + rho)^2 =", ko.pres.render(y))
 
 ko_basis = ko.pres.basis_window((-4, 40), (0, 20), (-20, 24))
-count = sum(len(ms) for ms in ko_basis.monomials.values())
+count = sum(len(orders) for orders, _marked, _codes in ko_basis.values())
 print("\n%d monomials of E1(ko) in the standard verification box" % count)

@@ -615,8 +615,8 @@ class RingPresentation:
         the leaves.
 
         Each path carries the gcd of its torsions, whether a marked
-        generator has appeared, and the code of its monomial under
-        ``Coding(runs, width)``; a step adds a generator's offset and its unit
+        generator has appeared, and the code of its monomial under the
+        result's ``Coding``; a step adds a generator's offset and its unit
         times the exponent, and the leaf adds e * unit(tail).  No monomial
         is spelled out.  width is the bit length of the box's top
         2f + s - w plus ``headroom``, so no field carries for a monomial up
