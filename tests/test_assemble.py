@@ -1,5 +1,7 @@
 """Hidden extension ledgers and homotopy group assembly."""
 
+import hashlib
+
 import pytest
 
 from effss.assemble import (
@@ -454,3 +456,55 @@ def test_coweight_7_generic_order_is_16(L, L_rows):
     assert rep["expected_generic_order"] == 16
     assert rep["ok"]
     assert all(e["orders"] == [16] for e in rep["generic"])
+
+
+# -- every column and order survey, pinned -------------------------------------
+
+
+def column_text(ss, ledger, s, w):
+    """assemble at (s, w): its render, generator labels, relations (in
+    their dict order), actions and provenance, or the refusal it raises."""
+    try:
+        g = assemble(ss, s, w, ledger=ledger)
+    except (AssembleError, NotCertifiedError) as exc:
+        return "%d %d %s: %s" % (s, w, type(exc).__name__, exc)
+    relations = [(gi, o, list(value.items())) for gi, o, value in g.relations]
+    return "%d %d %s | %s | %s | %s | %s" % (
+        s, w, g.render(), [x.label for x in g.generators], relations, g.actions, g.provenance,
+    )
+
+
+#: sha256 of the ``column_text`` lines, newline-joined, over every (s, w)
+#: column of each fixture's window, stems outer and weights inner
+COLUMN_DIGESTS = {
+    "ko": "938008ab07ca59d91de204e03ea18bb65efbeef59637552508d079bfe54f5eae",
+    "L": "72b98d90cad21e03459889040bc7591c36dea2fb79ba3cb06e937bedf8495f3c",
+    "LC": "45d6904cb04918cf2a0746e5cadf258ec9baff00576bac15bc7bb055c9b7fb0f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_DIGESTS))
+def test_every_column_of_the_windows_is_pinned(request, name):
+    ss = request.getfixturevalue(name)
+    ledger = request.getfixturevalue(name + "_rows")
+    (s0, s1), (w0, w1) = ss.window.s, ss.window.w
+    text = "\n".join(column_text(ss, ledger, s, w) for s in range(s0, s1 + 1) for w in range(w0, w1 + 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == COLUMN_DIGESTS[name]
+
+
+#: sha256 of ``repr(order_pattern_check(L, j))`` on the L fixture, its
+#: skipped columns and their messages included
+ORDER_PATTERN_DIGESTS = {
+    1: "26ba161d41b66410eb79c3f8982716c2deb90d8f09c0edcbfaa00b1b7a9f99fd",
+    2: "0b764c1ec886e9cfc82c67755f016ce4055ffb6d07d759269177045f7e2906bc",
+    3: "558cbc5403b0542e497d5c9d77af25157c594dc0ff01adde8034f75fb7c86159",
+    4: "7b864edb14828641f22e3e610211693542d50576975bc644efa2f96658a6fff1",
+    6: "bd5593364c97ddf7bc450ac202442ad985598bcdedb6b824bb9a625a83181f94",
+    8: "bdb03ff1e0106e5b65e86c6abf16713bd8e568671e6d6ed105e0ea346ec4b3cd",
+}
+
+
+@pytest.mark.parametrize("j", sorted(ORDER_PATTERN_DIGESTS))
+def test_order_pattern_reports_are_pinned(L, L_rows, j):
+    rep = order_pattern_check(L, j, ledger=L_rows)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == ORDER_PATTERN_DIGESTS[j]

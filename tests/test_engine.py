@@ -425,6 +425,9 @@ def test_pattern_pages_visit_the_degrees_a_full_scan_finds(name, window, kw):
         got = ss.diffs[r]
         assert list(ss._firing[r]) == firing, r
         assert ss.unknown_out[r] == unknown, r
+        # a firing degree whose target is uncertified is unknown, so the
+        # turn can read the degrees it loses off unknown_out
+        assert {d for d in firing if d + page_shift(r) not in ss.valid[r]} <= ss.unknown_out[r], r
         assert list(got) == list(mats), r
         for d, (ptr, rows, vals) in mats.items():
             assert (got[d].ptr, got[d].rows, got[d].vals, got[d].m) == (tuple(ptr), tuple(rows), tuple(vals), 1)
