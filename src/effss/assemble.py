@@ -76,12 +76,12 @@ SPECIALS = ("highest-filtration", "half-carrier-order")
 class HiddenExtension:
     """One hidden extension: kind times source equals target.
 
-    source and target are page 1 elements.  The source may carry an
-    integer multiple: "4*iv2" is four times the class of iv2, which is
-    the order 2 element of its cyclic summand.  degree is the tri-degree
-    of the source.  tau4 and v14 say whether the row propagates along the
-    two periodicities, and special picks one of the documented deviant
-    propagation rules.
+    source and target are normal page 1 elements, as ``parse`` returns
+    them.  The source may carry an integer multiple: "4*iv2" is four
+    times the class of iv2, which is the order 2 element of its cyclic
+    summand.  degree is the tri-degree of the source.  tau4 and v14 say
+    whether the row propagates along the two periodicities, and special
+    picks one of the documented deviant propagation rules.
     """
 
     kind: str
@@ -224,24 +224,25 @@ def v14_mult(ss: SliceSS, e: Element, steps: int = 1) -> Element:
 def infinity_coords(ss: SliceSS, e: Element, degree: Optional[TriDegree] = None):
     """Coordinates of a permanent cycle over the infinity page summands.
 
-    Returns (group, coords).  Torsion coordinates come back reduced
-    modulo their summand orders.  Raises AssembleError when the element
-    is not a cycle at some page, which is the signal that it does not
-    survive, and NotCertifiedError outside the boundary-safe region.
+    e must be a normal element, as a ``parse`` or ``multiply`` result or
+    a lift is; it is projected as given.  Returns (group, coords).
+    Torsion coordinates come back reduced modulo their summand orders.
+    Raises AssembleError when the element is not a cycle at some page,
+    which is the signal that it does not survive, and NotCertifiedError
+    outside the boundary-safe region.
     """
     pres = ss.pres
-    red = pres.reduce(e)
     if degree is None:
-        degree = pres.degree_of_element(red)
+        degree = pres.degree_of_element(e)
         if degree is None:
             raise AssembleError("cannot place the zero element on the page")
     G = ss.group(ss.r_max, degree)
     try:
-        return G, G.project_element(pres, red)
+        return G, G.project_element(pres, e)
     except LinearAlgebraError as exc:
         raise AssembleError(
             "element %s at %s does not survive to the infinity page: %s"
-            % (pres.render(red), degree, exc)
+            % (pres.render(e), degree, exc)
         )
 
 
@@ -352,7 +353,7 @@ def expand_ledger(
                 source = tau4_mult(ss, v14_mult(ss, row.source, k), j)
                 if row.special == "half-carrier-order":
                     source = _carrier_half_order(pres, source)
-                    if j == 0 and k == 0 and source != pres.reduce(row.source):
+                    if j == 0 and k == 0 and source != row.source:
                         raise LedgerError(
                             "stored multiple in %s is not half the carrier order"
                             % pres.render(row.source)
@@ -361,7 +362,7 @@ def expand_ledger(
                     target = _highest_filtration_class(ss, td.s, td.w, sd.f)
                     if j == 0 and k == 0:
                         want = (
-                            pres.degree_of_element(pres.reduce(row.target)),
+                            pres.degree_of_element(row.target),
                             infinity_coords(ss, row.target)[1],
                         )
                         got = (
@@ -440,15 +441,15 @@ def action(ss: SliceSS, ledger: Ledger, kind: str, cls: InfinityClass) -> Infini
     The page product is used whenever it is nonzero in the target degree;
     otherwise the ledger supplies the hidden value, and a class with
     neither is sent to zero, which is the published convention that
-    unlisted extensions are absent.  Over C there is no rho and that
-    action is identically zero.
+    unlisted extensions are absent.  The page product of h on c times a
+    summand of order o is 2c mod o times it, read off the order; rho and
+    eta multiply the lift by their letter and project the product.  Over
+    C there is no rho and that action is identically zero.
     """
     pres = ss.pres
     out: InfinityClass = {}
-    mult: Optional[Element]
-    if kind == "h":
-        mult = None
-    else:
+    mult: Optional[Element] = None
+    if kind != "h":
         mult = _gen_element(pres, "rho" if kind == "rho" else "h1")
         if mult is None:
             return {}
@@ -458,29 +459,22 @@ def action(ss: SliceSS, ledger: Ledger, kind: str, cls: InfinityClass) -> Infini
         c = c % o if o else c
         if not c:
             continue
-        elt = pres.reduce_coefficients(el_scale(G.lift(i), c))
         if kind == "h":
-            prod, td = pres.reduce_coefficients(el_scale(elt, 2)), d
+            t = 2 * c % o if o else 2 * c
+            val = {(d, i): t} if t else {}
         else:
-            prod, td = pres.multiply(elt, mult), d + KIND_DEGREE[kind]
-        coords: Sequence[int] = []
-        if prod:
-            _T, coords = infinity_coords(ss, prod, td)
-        if any(coords):
-            for j, x in enumerate(coords):
-                if x:
-                    key = (td, j)
-                    out[key] = out.get(key, 0) + x
-            continue
-        row = ledger.get((kind, d, i, c if o else abs(c)))
-        if row is None:
-            continue
-        _T, coords = infinity_coords(ss, row.target)
-        rd = pres.degree_of_element(row.target)
-        for j, x in enumerate(coords):
-            if x:
-                key = (rd, j)
-                out[key] = out.get(key, 0) + x
+            prod = pres.multiply(pres.reduce_coefficients(el_scale(G.lift(i), c)), mult)
+            td = d + KIND_DEGREE[kind]
+            coords: Sequence[int] = infinity_coords(ss, prod, td)[1] if prod else []
+            val = {(td, j): x for j, x in enumerate(coords) if x}
+        if not val:
+            row = ledger.get((kind, d, i, c if o else abs(c)))
+            if row is None:
+                continue
+            rd = pres.degree_of_element(row.target)
+            val = {(rd, j): x for j, x in enumerate(infinity_coords(ss, row.target)[1]) if x}
+        for key, x in val.items():
+            out[key] = out.get(key, 0) + x
     return _trim(ss, out)
 
 
@@ -495,26 +489,23 @@ def _trim(ss: SliceSS, cls: InfinityClass) -> InfinityClass:
 
 
 def double(ss: SliceSS, ledger: Ledger, cls: InfinityClass) -> InfinityClass:
-    """Multiply an infinity class by 2, using 2 = rho*eta + h when needed.
+    """Multiply an infinity class by 2, as h plus rho*eta (2 = rho*eta + h).
 
-    Doubling inside a cyclic summand stays on the page until it hits the
-    order, at which point the value, if any, lives in higher filtration:
-    the h part comes from the ledger and the rho*eta part from two page
-    products.
+    On a summand whose double stays inside it, h is the whole double:
+    doubling stays on the page until it hits the order.  Once it does,
+    the value, if any, lives in higher filtration: the h part comes from
+    the ledger and the rho*eta part from two page products.
     """
     out: InfinityClass = {}
     for (d, i), c in cls.items():
-        G = ss.group(ss.r_max, d)
-        o = G.orders[i]
-        t = 2 * c % o if o else 2 * c
-        if t:
-            out[(d, i)] = out.get((d, i), 0) + t
-            continue
         term = {(d, i): c}
-        for key, x in action(ss, ledger, "h", term).items():
-            out[key] = out.get(key, 0) + x
-        for key, x in action(ss, ledger, "rho", action(ss, ledger, "eta", term)).items():
-            out[key] = out.get(key, 0) + x
+        parts = [action(ss, ledger, "h", term)]
+        o = ss.group(ss.r_max, d).orders[i]
+        if not (2 * c % o if o else 2 * c):
+            parts.append(action(ss, ledger, "rho", action(ss, ledger, "eta", term)))
+        for part in parts:
+            for key, x in part.items():
+                out[key] = out.get(key, 0) + x
     return _trim(ss, out)
 
 

@@ -141,7 +141,7 @@ def _tau_divisible(ss: SliceSS, e: Element) -> bool:
 
 
 class _Member:
-    __slots__ = ("w", "i", "order", "part", "lift", "parent", "child")
+    __slots__ = ("w", "i", "order", "part", "lift", "shifted", "parent", "child")
 
     def __init__(self, w, i, order, part, lift):
         self.w = w
@@ -149,6 +149,7 @@ class _Member:
         self.order = order
         self.part = part
         self.lift = lift
+        self.shifted = None  # the lift times the chart's tau-power
         self.parent = None
         self.child = None
 
@@ -208,9 +209,9 @@ def chart_data(ss: SliceSS, spec: ChartSpec) -> List[ChartDatum]:
         for m in members:
             by_w.setdefault(m.w, []).append(m)
         for m in members:
-            shifted = pres.multiply(m.lift, tau)
+            m.shifted = pres.multiply(m.lift, tau)
             for m2 in by_w.get(m.w - p, ()):
-                if m2.parent is None and m2.order == m.order and m2.lift == shifted:
+                if m2.parent is None and m2.order == m.order and m2.lift == m.shifted:
                     m.child = m2
                     m2.parent = m
                     break
@@ -229,12 +230,12 @@ def chart_data(ss: SliceSS, spec: ChartSpec) -> List[ChartDatum]:
             if end is not m:
                 tokens.append("tau")
             color = "green" if m.part == "image" else "black"
-            if _family_stops(ss, spec, r, s, f, end, p):
+            if _family_stops(ss, r, s, f, end, p):
                 color = "red"
             if spec.products:
                 tokens += _product_tokens(ss, spec, r, s, f, m, cols)
             if spec.differentials and spec.page is not None:
-                tokens += _differential_tokens(ss, spec, r, s, f, m)
+                tokens += _differential_tokens(ss, r, s, f, m)
             for row_kind, row_tf, row_dashed in hidden_rows.get(
                 (TriDegree(s, f, m.w), m.i), ()
             ):
@@ -255,8 +256,9 @@ def chart_data(ss: SliceSS, spec: ChartSpec) -> List[ChartDatum]:
     return out
 
 
-def _family_stops(ss, spec, r, s, f, end, p) -> bool:
-    """True when the translate below the last member provably vanishes."""
+def _family_stops(ss, r, s, f, end, p) -> bool:
+    """True when the translate below the last member, ``end.shifted``,
+    provably vanishes."""
     d = TriDegree(s, f, end.w - p)
     if not (ss.window.w[0] <= d.w <= ss.window.w[1]):
         return False
@@ -264,9 +266,8 @@ def _family_stops(ss, spec, r, s, f, end, p) -> bool:
         G = ss.group(r, d)
     except NotCertifiedError:
         return False
-    shifted = ss.pres.multiply(end.lift, _tau_step(ss, p))
     return not any(
-        G.orders[i] == end.order and G.lift(i) == shifted for i in range(len(G.orders))
+        G.orders[i] == end.order and G.lift(i) == end.shifted for i in range(len(G.orders))
     )
 
 
@@ -292,7 +293,7 @@ def _product_tokens(ss, spec, r, s, f, m, cols) -> List[str]:
     return tokens
 
 
-def _differential_tokens(ss, spec, r, s, f, m) -> List[str]:
+def _differential_tokens(ss, r, s, f, m) -> List[str]:
     d = TriDegree(s, f, m.w)
     if not ss.differential_known(r, d):
         return []

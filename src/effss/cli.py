@@ -72,13 +72,6 @@ def _window(args, s: Tuple[int, int], f: Tuple[int, int], w: Tuple[int, int]) ->
     return Window(s=s, f=f, w=w)
 
 
-def _run_object(name: str, window: Window) -> SliceSS:
-    obj = get_object(name, window=window)
-    ss = SliceSS(obj, window)
-    ss.run()
-    return ss
-
-
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stems", help="stem range lo..hi (use --stems=-2..8 when lo is negative)")
     p.add_argument("--filtrations", help="filtration range lo..hi")
@@ -126,29 +119,31 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_chart(args) -> int:
-    stems = _parse_range(args.stems, "stem") if args.stems else (0, 24)
     page = None
     if args.page != "inf":
         try:
             page = int(args.page)
         except ValueError:
             raise UsageError("bad page %r (number or inf)" % args.page)
+        if page < 1:
+            raise UsageError("pages start at 1")
+    chosen = _window(args, (0, 24), (0, 14), (-8, 20))
     spec = ChartSpec(
         name=args.name or args.object,
         page=page,
         residue=args.residue,
         modulus=args.modulus,
-        stems=stems,
+        stems=chosen.s,
         f_cap=args.f_cap,
         differentials=not args.no_differentials,
         hidden=args.hidden,
         products=not args.no_products,
     )
     # two stems of margin so edge glyphs get their product lines
-    f = _parse_range(args.filtrations, "filtration") if args.filtrations else (0, 14)
-    w = _parse_range(args.weights, "weight") if args.weights else (-8, 20)
-    window = Window(s=(stems[0] - 2, stems[1] + 2), f=f, w=w)
-    ss = _run_object(args.object, window)
+    window = Window((chosen.s[0] - 2, chosen.s[1] + 2), chosen.f, chosen.w)
+    ss = SliceSS(get_object(args.object, window=window), window)
+    if page is not None and page > ss.r_max:
+        raise UsageError("%s runs to page %d; page %d is above it" % (args.object, ss.r_max, page))
     data = chart_data(ss, spec)
     out = _outdir(args)
     base = spec.name
@@ -304,10 +299,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as e:
-        print("usage error: %s" % e, file=sys.stderr)
-        return 2
-    except ChartError as e:
+    except (UsageError, ChartError) as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
     except (AssembleError, NotCertifiedError) as e:

@@ -86,7 +86,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
-from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .grading import (
     Basis,
@@ -259,7 +259,12 @@ def validate_schedule(pres: RingPresentation, images: Dict[int, Element], r: int
 
 
 def derive(pres: RingPresentation, m: Monomial, images: Dict[int, Element]) -> Element:
-    """Extend the generator table to the monomial m by the Leibniz rule."""
+    """Extend the generator table to the monomial m by the Leibniz rule.
+
+    The table holds normal elements, as every schedule does.  Each term is
+    a product that ``multiply_monomial`` has already made normal, so the
+    sum is normalized by its coefficients alone and the result is normal.
+    """
     acc: Element = {}
     for i, (g, e) in enumerate(m):
         img = images.get(g)
@@ -271,7 +276,7 @@ def derive(pres: RingPresentation, m: Monomial, images: Dict[int, Element]) -> E
             rest = m[:i] + ((g, e - 1),) + m[i + 1 :]
         term = pres.multiply_monomial(rest, img)
         el_iadd(acc, term, e)
-    return pres.reduce(acc)
+    return pres.reduce_coefficients(acc)
 
 
 class PageGroup:
@@ -397,7 +402,6 @@ class SliceSS:
         self.valid: Dict[int, Certified] = {1: Certified(self.box, {}, 1)}
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
-        self._firing: Dict[int, Collection[TriDegree]] = {}  # non-empty groups d_r may leave
         self._by_valuation: Optional[Dict[int, List[TriDegree]]] = None  # page 1 degrees by v2(coweight)
         self._ran_to = 1
 
@@ -430,16 +434,9 @@ class SliceSS:
             with collection_paused():
                 if r > self._ran_to:
                     raise EngineError("page %d has not been reached yet" % r)
-                if r == 1:
-                    mats, unknown = self._d1_matrices()
-                    # page 1 holds non-empty basis groups only, and with a d1
-                    # schedule each of them may support a d1
-                    firing = self.pages[1].keys() if self.obj.schedule.get(1) else ()
-                else:
-                    mats, unknown, firing = self._pattern_matrices(r)
+                mats, unknown = self._d1_matrices() if r == 1 else self._pattern_matrices(r)
             self.diffs[r] = mats
             self.unknown_out[r] = unknown
-            self._firing[r] = firing
         return self.diffs[r]
 
     def _d1_matrices(self) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
@@ -561,15 +558,16 @@ class SliceSS:
             mats[d] = ColMat(ptr, rows, coeffs, len(tgt_codes))
         return mats, unknown
 
-    def _pattern_matrices(
-        self, r: int
-    ) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree], List[TriDegree]]:
+    def _pattern_matrices(self, r: int) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
+        """The pattern's d_r blocks on page r >= 2, and the degrees where
+        d_r may be nonzero but cannot be certified: every firing degree
+        whose target is uncertified, and one whose target is ambiguous
+        outside the user window."""
         shift = page_shift(r)
         mats: Dict[TriDegree, ColMat] = {}
         unknown: Set[TriDegree] = set()
-        firing: List[TriDegree] = []
         if not self.obj.has_pattern:
-            return mats, unknown, firing
+            return mats, unknown
         if self._by_valuation is None:
             # each later page keeps page 1's degree order, so each list
             # walks a page in its own order
@@ -586,7 +584,6 @@ class SliceSS:
             G = page.get(d)
             if G is None or "cokernel" not in G.parts:
                 continue
-            firing.append(d)
             tgt = d + shift
             if tgt not in self.valid[r]:
                 unknown.add(d)
@@ -606,7 +603,7 @@ class SliceSS:
             # one row: a 1 in each cokernel column
             ptr = list(accumulate((p == "cokernel" for p in G.parts), initial=0))
             mats[d] = ColMat(ptr, [0] * ptr[-1], [1] * ptr[-1], 1)
-        return mats, unknown, firing
+        return mats, unknown
 
     def _turn(self, r: int) -> None:
         mats = self._ensure_diffs(r)
@@ -615,22 +612,23 @@ class SliceSS:
         valid = self.valid[r]
         page = self.pages[r]
 
-        # Only three kinds of degree can lose certification: a non-empty
-        # group whose differential may leave the certified region (its
-        # target too, when the differential could not be computed), the
-        # target of an uncertified degree, and the top stem column, whose
-        # sources lie outside the box.  Every group of the page is
-        # certified, and the last two kinds are kept inside the box by
-        # their fields.
+        # Only three kinds of degree can lose certification: a degree whose
+        # differential cannot be certified, with its target when that is in
+        # the box, the target of an uncertified degree, and the top stem
+        # column, whose sources lie outside the box.  On a pattern page the
+        # first kind is unknown_out[r], which holds every firing degree
+        # whose target is uncertified; on page 1 it is every group whose d1
+        # target leaves the box, when the object has a d1.  Every group of
+        # the page is certified, and the last two kinds are kept inside the
+        # box by their fields.
         box = self.box
         lost: Set[TriDegree] = set()
-        for d in self._firing[r]:
-            if d in unknown:
-                lost.add(d)
-                if box.contains(d + shift):
-                    lost.add(d + shift)
-            elif d + shift not in valid:
-                lost.add(d)
+        if r == 1 and self.obj.schedule.get(1):
+            lost.update(d for d in page if d + shift not in valid)
+        for d in unknown:
+            lost.add(d)
+            if box.contains(d + shift):
+                lost.add(d + shift)
         # Later pages are not made yet, so every degree of the map is
         # uncertified on this one.
         top = box.f[1] - shift.f  # a target above this leaves the box

@@ -62,10 +62,6 @@ class EtaError(EffssError):
 # -- monomial arithmetic over F_2 -----------------------------------------
 
 
-def coweight(m: EtaMonomial) -> int:
-    return m[0] + 2 * m[2] - m[3]
-
-
 def eta_mul(x: EtaMonomial, y: EtaMonomial) -> Optional[EtaMonomial]:
     if x[3] + y[3] > 1:  # iota^2 = 0
         return None

@@ -59,6 +59,7 @@ def test_malformed_flags_exit_2(capsys, monkeypatch):
         ["compute", "--object", "L_C", "--stems", "0..40", "--pages", "0..2"],
         ["compute", "--object", "ko_C", "--pages", "5..2"],
         ["chart", "--object", "ko_C", "--page", "soon"],
+        ["chart", "--object", "ko_C", "--stems", "0..4", "--page", "0"],
         ["chart", "--object", "ko_C", "--filtrations", "5..2"],
         ["chart", "--object", "ko_C", "--weights=9..-3"],
         ["query", "--object", "ko_C", "--stem", "3"],  # missing --weight
@@ -137,6 +138,20 @@ def test_chart_writes_svg_and_sidecar(capsys, tmp_path, monkeypatch):
     text = (tmp_path / "ko_C.svg").read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert (tmp_path / "ko_C.tsv").read_text().count("\n") > 5
+
+
+def test_chart_refuses_a_page_above_the_last_before_the_run(capsys, tmp_path, monkeypatch):
+    # ko_C runs to page 3: page 9 is refused as compute refuses it, after
+    # page 1 is built and before the run, and no file is written
+    def no_run(*args, **kw):
+        raise AssertionError("the run started before the page was checked")
+
+    monkeypatch.setattr("effss.cli.SliceSS.run", no_run)
+    code, out, err = run_cli(capsys, "chart", "--object", "ko_C", "--stems", "0..4",
+                             "--page", "9", "--outdir", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert "usage error" in err and "page 3" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_chart_residue_class_names_files(capsys, tmp_path):

@@ -11,7 +11,6 @@ from effss.eta import (
     ETA_UNIT,
     EtaError,
     compare,
-    coweight,
     eta_el_mul,
     eta_el_pow,
     eta_schedule,
@@ -23,6 +22,12 @@ from effss.eta import (
 from effss.fiber import build_fiber_object
 from effss.intlinalg import two_adic_valuation
 from effss.objects import get_object, load_data, spec_to_dict
+
+
+def coweight(m):
+    """a + 2m - e for the eta monomial tau^a rho^b v2^m iota^e, given as
+    its exponents (a, b, m, e)."""
+    return m[0] + 2 * m[2] - m[3]
 
 
 @pytest.fixture(scope="module")
