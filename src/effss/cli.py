@@ -144,6 +144,7 @@ def _cmd_chart(args) -> int:
     ss = SliceSS(get_object(args.object, window=window), window)
     if page is not None and page > ss.r_max:
         raise UsageError("%s runs to page %d; page %d is above it" % (args.object, ss.r_max, page))
+    ss.run()
     data = chart_data(ss, spec)
     out = _outdir(args)
     base = spec.name
