@@ -1,12 +1,14 @@
 """Eta-periodic closed forms, localization, and the comparison map."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effss.engine import SliceSS, Window
+from effss.engine import SliceSS, Window, page_shift
 from effss.eta import (
     ETA_UNIT,
     EtaError,
@@ -386,10 +388,103 @@ def test_compare_flags_a_corrupted_image_table(ko):
     bad[ko.pres.gen("th1")] = frozenset({(0, 1, 0, 0)})  # rho instead of tau
     broken = dataclasses.replace(ko, meta={**ko.meta, "etaImage": bad})
     rep = compare(SliceSS(broken, Window(s=(-2, 10), f=(0, 6), w=(-6, 7)), r_max=2))
-    assert rep["mismatches"]
-    entry = rep["mismatches"][0]
-    for key in ("page", "degree", "class", "kind", "localized d_r", "d_r localized"):
-        assert key in entry
+    mism = rep.pop("mismatches")
+    assert rep == {
+        "object": "ko",
+        "eta": "ko_eta",
+        "pages": 2,
+        "checked": 815,
+        "skipped": 0,
+        "checked_per_page": {1: 664, 2: 151},
+    }
+    assert len(mism) == 461
+    assert mism[0] == {
+        "page": 1,
+        "degree": (-2, 2, -4),
+        "coweight": 2,
+        "index": 0,
+        "class": "rho^2*tau2",
+        "kind": "differentials disagree",
+        "localized d_r": "rho^5",
+        "d_r localized": "tau*rho^4",
+    }
+    assert mism[-1] == {
+        "page": 1,
+        "degree": (10, 6, 7),
+        "coweight": 3,
+        "index": 0,
+        "class": "h1^5*th1*v2",
+        "kind": "differentials disagree",
+        "localized d_r": "tau^2",
+        "d_r localized": "tau*rho",
+    }
+    # every entry, text and order included
+    digest = hashlib.sha256(json.dumps(mism, sort_keys=True).encode()).hexdigest()
+    assert digest == "a949018bc44d100c394f5c757e174784bbbd3df2692b4bd0c96e11fe5fb91930"
+
+
+def oracle_localize(obj, e):
+    """Generator-wise substitution multiplied out afresh, with no memo."""
+    table = obj.meta["etaImage"]
+    out = set()
+    for m, c in e.items():
+        if c % 2:
+            img = ETA_UNIT
+            for g, x in m:
+                img = eta_el_mul(img, eta_el_pow(table[g], x))
+            out ^= img
+    return frozenset(out)
+
+
+def _compare_window(name):
+    """(run, pages) of each window the compare tests above use."""
+    if name in ("ko", "ko_C"):
+        return SliceSS(get_object(name)), None
+    if name == "L":
+        obj = build_fiber_object(load_data("L"), Window(s=(-2, 20), f=(0, 8), w=(-6, 11)), r_max=4)
+        return SliceSS(obj, r_max=4), 4
+    obj = build_fiber_object(load_data("L_C"), Window(s=(-2, 16), f=(0, 6), w=(-4, 9)), r_max=3)
+    return SliceSS(obj, r_max=3), 3
+
+
+@pytest.mark.parametrize("name", ["ko", "ko_C", "L", "L_C"])
+def test_localized_differential_is_the_xor_of_target_images(name):
+    """Both routes to the localized value of d_r agree on every summand
+    compare checks: localizing differential_value, and the XOR of the
+    localized target lifts over the odd entries of the summand's column.
+    Every lift of every group walked, targets included, localizes as the
+    generator powers multiplied out."""
+    ss, pages = _compare_window(name)
+    rep = compare(ss, pages)
+    assert rep["mismatches"] == []
+    obj = ss.obj
+    seen = {}
+
+    def images(G):
+        if id(G) not in seen:
+            got = [localize(obj, G.lift(i)) for i in range(len(G))]
+            assert got == [oracle_localize(obj, G.lift(i)) for i in range(len(G))]
+            seen[id(G)] = (G, got)  # G stays alive, so its id stays its own
+        return seen[id(G)][1]
+
+    walked = 0
+    for r in range(1, rep["pages"] + 1):
+        shift = page_shift(r)
+        for d, G in ss.groups(r):
+            images(G)
+            if not ss.differential_known(r, d):
+                continue
+            M = ss.diffs[r].get(d)
+            for i in range(len(G)):
+                walked += 1
+                via_xor = set()
+                if M is not None:
+                    T = images(ss.pages[r][d + shift])
+                    for k, c in M.col(i):
+                        if c % 2:
+                            via_xor ^= T[k]
+                assert frozenset(via_xor) == localize(obj, ss.differential_value(r, d, i)), (r, d, i)
+    assert walked == rep["checked"]
 
 
 # -- shipped eta presentations ---------------------------------------------
