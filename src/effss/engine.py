@@ -754,6 +754,11 @@ class SliceSS:
 
     # -- reading results --------------------------------------------------
 
+    @property
+    def coding(self) -> Coding:
+        """Page 1's code layout, which every page-1 group shares."""
+        return self._coding
+
     def group(self, r: int, d: TriDegree) -> PageGroup:
         if r not in self.pages:
             raise EngineError("page %d not computed" % r)

@@ -26,15 +26,25 @@ the recorded image of each generator (the one non-monomial value is
 tau2 |-> tau^2 + rho^2 * v2) and reducing coefficients mod 2.
 ``compare`` then replays a tri-graded run page by page and checks that
 localization commutes with every differential.
+
+Monomial images are keyed by their int codes (``grading.Coding``).  A
+new code's image is its prefix's image times one generator power, the
+prefix being the code with its least significant field cleared, so no
+code is decoded and each new monomial costs one product.  ``compare``
+localizes each summand once, page 1 straight from its code, and reads
+the localized d_r as the XOR of the target summands' images over the odd
+entries of its column; that is sound because every monomial order is 0
+or a power of 2, so reducing a coefficient mod its order keeps its
+parity.  The images live for one ``compare`` call and no longer.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .grading import EffssError, Element
+from .engine import collection_paused, page_shift
+from .grading import Coding, EffssError, Element
 from .intlinalg import two_adic_valuation
 from .objects import load_data
 
@@ -62,19 +72,18 @@ class EtaError(EffssError):
 # -- monomial arithmetic over F_2 -----------------------------------------
 
 
-def eta_mul(x: EtaMonomial, y: EtaMonomial) -> Optional[EtaMonomial]:
-    if x[3] + y[3] > 1:  # iota^2 = 0
-        return None
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
-
-
 def eta_el_mul(a: Iterable[EtaMonomial], b: Iterable[EtaMonomial]) -> EtaElement:
+    """Product of two F_2 sums of monomials, with iota^2 = 0."""
     out: set = set()
-    for x in a:
-        for y in b:
-            z = eta_mul(x, y)
-            if z is not None:
-                out ^= {z}
+    b = tuple(b)
+    for a0, a1, a2, a3 in a:
+        for b0, b1, b2, b3 in b:
+            if a3 + b3 < 2:  # iota^2 = 0
+                z = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                if z in out:
+                    out.remove(z)
+                else:
+                    out.add(z)
     return frozenset(out)
 
 
@@ -263,37 +272,96 @@ def eta_image_table(obj) -> Dict[int, EtaElement]:
     return table
 
 
-#: object -> {monomial: its image}; a memo lives as long as its object
-_LOCALIZED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def _fields_by_bit(coding: Coding) -> List[Tuple[int, int, Dict[int, int]]]:
+    """For each bit of a code, the field that holds it: its lowest bit,
+    its mask once shifted down, and its generators keyed by the field's
+    value with the exponent bits cleared.
+
+    Read off ``Coding.unit`` and ``Coding.offset``: the members of a
+    field share one unit, and member g sits at offset[g] above its
+    exponent, which is 0 for a lone generator.
+    """
+    members: Dict[int, Dict[int, int]] = {}
+    for g, (u, off) in enumerate(zip(coding.unit, coding.offset)):
+        at = u.bit_length() - 1
+        members.setdefault(at, {})[off >> at] = g
+    ats = sorted(members)
+    tops = ats[1:] + [ats[-1] + coding.width + len(members[ats[-1]]).bit_length()]
+    out: List[Tuple[int, int, Dict[int, int]]] = []
+    for at, top in zip(ats, tops):
+        out.extend([(at, (1 << (top - at)) - 1, members[at])] * (top - at))
+    return out
+
+
+class _Images:
+    """Eta images of monomials, keyed by their codes under one ``Coding``.
+
+    ``code(k)`` reads the image of code k.  A new code's image is the
+    image of its prefix times one generator power: ``Coding.encode``
+    sums offset[g] + e * unit[g] over the powers g^e of a monomial, so
+    clearing the least significant field present, which holds one
+    power g^e, leaves the code of the rest.  No code is decoded.
+    Generator powers are kept by (g, e), and every image is built from
+    one interned copy of each eta monomial.  An instance lives for one
+    ``compare`` call, or for one ``localize`` call outside it.
+    """
+
+    __slots__ = ("table", "encode", "low", "fields", "by_code", "powers", "terms")
+
+    def __init__(self, table: Dict[int, EtaElement], coding: Coding) -> None:
+        self.table = table
+        self.encode = coding.encode
+        self.low = (1 << coding.width) - 1
+        self.fields = _fields_by_bit(coding)
+        self.by_code: Dict[int, EtaElement] = {0: ETA_UNIT}
+        self.powers: Dict[Tuple[int, int], EtaElement] = {}
+        self.terms: Dict[EtaMonomial, EtaMonomial] = {}
+
+    def code(self, k: int) -> EtaElement:
+        img = self.by_code.get(k)
+        if img is None:
+            at, mask, member = self.fields[(k & -k).bit_length() - 1]
+            v = (k >> at) & mask
+            e = v & self.low
+            g = member[v - e]
+            power = self.powers.get((g, e))
+            if power is None:
+                power = self.powers[g, e] = eta_el_pow(self.table[g], e)
+            terms = self.terms
+            img = self.by_code[k] = frozenset(
+                [terms.setdefault(z, z) for z in eta_el_mul(self.code(k - (v << at)), power)]
+            )
+        return img
+
+    def element(self, e: Element) -> EtaElement:
+        out: set = set()
+        for m, c in e.items():
+            if c & 1:
+                out ^= self.code(self.encode(m))
+        return frozenset(out)
+
+
+#: object -> the images of the ``compare`` call running on it
+_RUNNING: Dict[object, _Images] = {}
 
 
 def localize(obj, e: Element) -> EtaElement:
     """Image of a tri-graded element under inverting h1.
 
     Generator-wise substitution with h1 powers dropped; coefficients
-    are read mod 2 since the target is an F_2 vector space.  Monomial
-    images are memoized per object, since indices mean different
-    generators on different objects.  A new monomial's image is the
-    product of the images of its generator powers, which live in the
-    same memo.
+    are read mod 2 since the target is an F_2 vector space.  Each
+    monomial's image is looked up by its code (``_Images``).  Inside
+    ``compare`` on the same object the code is the run's, so page-1
+    summands and later-page lifts share one set of images, which the
+    call drops when it returns; elsewhere the call codes its own
+    monomials, one field per generator, and keeps nothing.
     """
-    table = eta_image_table(obj)
-    memo = _LOCALIZED.setdefault(obj, {})
-    out: set = set()
-    for mono, c in e.items():
-        if c % 2 == 0:
-            continue
-        img = memo.get(mono)
-        if img is None:
-            img = ETA_UNIT
-            for ge in mono:
-                power = memo.get((ge,))
-                if power is None:
-                    power = memo[(ge,)] = eta_el_pow(table[ge[0]], ge[1])
-                img = eta_el_mul(img, power)
-            memo[mono] = img
-        out ^= img
-    return frozenset(out)
+    images = _RUNNING.get(obj)
+    if images is None:
+        n = len(obj.pres.generators)
+        width = max([x for m in e for _g, x in m], default=0).bit_length() or 1
+        images = _Images(eta_image_table(obj), Coding([(g,) for g in range(n)], width))
+    return images.element(e)
 
 
 def eta_schedule(name: str = "L_eta", r_max: int = 9) -> Dict[int, Dict[EtaMonomial, EtaElement]]:
@@ -328,11 +396,31 @@ def compare(ss, pages: Optional[int] = None) -> Dict:
     its page-r class, and its differential is chased both ways.  The
     report lists each mismatch with both sides rendered, so a failure
     points at the exact class that moved.
+
+    Each group's summands are localized once, when the walk first meets
+    the group as a source or a target: page-1 summands by their codes,
+    later ones through ``localize``.  A group carried to the next page
+    is the same object there and keeps its images; the rest are dropped
+    at each turn, and all of them when the call returns.  The localized
+    d_r of a summand is the XOR of the images of the target summands
+    whose column coefficient is odd.  That is localize applied to
+    ``differential_value``, which reduces each coefficient mod its
+    monomial's order, only because every such order is 0 or a power of
+    2 and so keeps the coefficient's parity; an object with a generator
+    of odd torsion above 1 is refused.
     """
     obj = ss.obj
     target = ETA_TARGET.get(obj.name)
     if target is None:
         raise EtaError("no eta-local companion for %s" % obj.name)
+    pres = obj.pres
+    odd = [pres.gen_name(g) for g, t in enumerate(pres.torsions) if t > 1 and t % 2]
+    if odd:
+        raise EtaError(
+            "%s has generators of odd torsion (%s); the comparison reads "
+            "coefficients mod 2, which needs every order 0 or a power of 2"
+            % (obj.name, ", ".join(odd))
+        )
     eta_obj = get_eta(target)
     ss.run()
     r_hi = ss.r_max if pages is None else min(pages, ss.r_max)
@@ -341,48 +429,103 @@ def compare(ss, pages: Optional[int] = None) -> Dict:
     per_page: Dict[int, int] = {}
     mismatches: List[Dict] = []
 
-    def note(r, d, i, lift, kind, lhs, rhs):
+    def note(r, d, i, G, kind, lhs, rhs):
         mismatches.append(
             {
                 "page": r,
                 "degree": (d.s, d.f, d.w),
                 "coweight": d.coweight,
                 "index": i,
-                "class": ss.pres.render(lift),
+                "class": ss.pres.render(G.lift(i)),
                 "kind": kind,
                 "localized d_r": lhs,
                 "d_r localized": rhs,
             }
         )
 
-    for r in range(1, r_hi + 1):
-        for d, i, _o, lift, _part in ss.summands(r):
-            if not ss.differential_known(r, d):
-                # the box certifies the class but not its outgoing d_r;
-                # nothing to compare against
-                skipped += 1
-                continue
-            lx = localize(obj, lift)
-            try:
-                lxr = eta_obj.reduce(r, lx)
-            except EtaError as ex:
-                note(r, d, i, lift, "source does not localize to a page class",
-                     str(ex), render_eta_element(lx))
-                continue
-            value = ss.differential_value(r, d, i)
-            lv = localize(obj, value)
-            try:
-                lvr = eta_obj.reduce(r, lv)
-            except EtaError as ex:
-                note(r, d, i, lift, "value does not localize to a page class",
-                     str(ex), render_eta_element(lv))
-                continue
-            want = eta_obj.d_element(r, lxr)
-            checked += 1
-            per_page[r] = per_page.get(r, 0) + 1
-            if lvr != want:
-                note(r, d, i, lift, "differentials disagree",
-                     render_eta_element(lvr), render_eta_element(want))
+    images = _Images(eta_image_table(obj), ss.coding)
+    held: Dict[object, List[EtaElement]] = {}  # group -> its summands' images
+
+    def images_of(G) -> List[EtaElement]:
+        imgs = held.get(G)
+        if imgs is None:
+            if G.codes is not None:  # page 1
+                imgs = [images.code(k) for k in G.codes]
+            else:
+                imgs = [localize(obj, G.lift(i)) for i in range(len(G))]
+            held[G] = imgs
+        return imgs
+
+    fates: Dict[EtaMonomial, Tuple[bool, EtaElement, str]] = {}  # on the page walked
+
+    def page_class(r: int, el: Iterable[EtaMonomial]) -> Tuple[set, set]:
+        """(class of el on page r, its d_r): EtaObject.reduce and
+        d_element, which are sums over monomials, read monomial by
+        monomial off a memo of the page."""
+        cls: set = set()
+        dr: set = set()
+        for m in el:
+            fate = fates.get(m)
+            if fate is None:
+                try:
+                    cm = eta_obj.reduce(r, (m,))
+                except EtaError as ex:
+                    fate = (False, ETA_ZERO, str(ex))
+                else:
+                    fate = (bool(cm), eta_obj.d_element(r, cm) or ETA_ZERO, "")
+                fates[m] = fate
+            kept, dm, err = fate
+            if err:
+                raise EtaError(err)
+            if kept:
+                cls.add(m)
+                dr ^= dm
+        return cls, dr
+
+    _RUNNING[obj] = images
+    try:
+        with collection_paused():  # the walk makes no cycles
+            for r in range(1, r_hi + 1):
+                page, shift = ss.pages[r], page_shift(r)
+                fates.clear()
+                for d, G in ss.groups(r):
+                    if not ss.differential_known(r, d):
+                        # the box certifies the classes but not their outgoing
+                        # d_r; nothing to compare against
+                        skipped += len(G)
+                        continue
+                    M = ss.diffs[r].get(d)
+                    if M is not None:
+                        ptr, rows, vals = M.ptr, M.rows, M.vals
+                        tgt = images_of(page[d + shift])
+                    for i, lx in enumerate(images_of(G)):
+                        try:
+                            _lxr, want = page_class(r, lx)
+                        except EtaError as ex:
+                            note(r, d, i, G, "source does not localize to a page class",
+                                 str(ex), render_eta_element(lx))
+                            continue
+                        lv: set = set()
+                        if M is not None:
+                            for k in range(ptr[i], ptr[i + 1]):
+                                if vals[k] & 1:
+                                    lv ^= tgt[rows[k]]
+                        try:
+                            lvr, _dv = page_class(r, lv)
+                        except EtaError as ex:
+                            note(r, d, i, G, "value does not localize to a page class",
+                                 str(ex), render_eta_element(lv))
+                            continue
+                        checked += 1
+                        per_page[r] = per_page.get(r, 0) + 1
+                        if lvr != want:
+                            note(r, d, i, G, "differentials disagree",
+                                 render_eta_element(lvr), render_eta_element(want))
+                if r < r_hi:
+                    nxt = ss.pages[r + 1]
+                    held = {G: imgs for G, imgs in held.items() if nxt.get(G.degree) is G}
+    finally:
+        del _RUNNING[obj]
 
     return {
         "object": obj.name,

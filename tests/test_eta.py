@@ -12,6 +12,7 @@ from effss.engine import SliceSS, Window, page_shift
 from effss.eta import (
     ETA_UNIT,
     EtaError,
+    _Images,
     compare,
     eta_el_mul,
     eta_el_pow,
@@ -23,7 +24,7 @@ from effss.eta import (
 )
 from effss.fiber import build_fiber_object
 from effss.intlinalg import two_adic_valuation
-from effss.objects import get_object, load_data, spec_to_dict
+from effss.objects import get_object, load_data, spec_from_dict, spec_to_dict
 
 
 def coweight(m):
@@ -102,7 +103,7 @@ def test_generator_images_frozen(L):
     }
 
 
-def test_localize_keeps_one_memo_per_object(L, LC):
+def test_localize_reads_each_objects_own_table(L, LC):
     # generator 0 is rho on L and tau on L_C, and 1 is tau2 and h1
     m = ((0, 2), (1, 1))
     on_L, on_LC = localize(L, {m: 1}), localize(LC, {m: 1})
@@ -113,26 +114,33 @@ def test_localize_keeps_one_memo_per_object(L, LC):
 
 @pytest.fixture(scope="module")
 def fiber_page1(L, LC):
-    """(object, its page 1 monomials on a small box) for L and L_C."""
+    """(object, its page 1 monomials on a small box, code-keyed images
+    under the box's coding) for L and L_C, whose codings have slot runs."""
     out = []
     for obj in (L, LC):
-        monos = obj.pres.basis_window((-2, 16), (0, 6), (-4, 9)).monomials.values()
-        out.append((obj, sorted({m for ms in monos for m in ms})))
+        basis = obj.pres.basis_window((-2, 16), (0, 6), (-4, 9))
+        monos = sorted({m for ms in basis.monomials.values() for m in ms})
+        out.append((obj, monos, _Images(obj.meta["etaImage"], basis.coding)))
     return out
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_memoized_image_is_the_product_of_generator_powers(fiber_page1, data):
-    """localize, memo hit or miss, against eta_el_pow of each generator image."""
-    obj, monos = data.draw(st.sampled_from(fiber_page1))
+    """localize, and the image of a page-1 code, memo hit or miss, against
+    eta_el_pow of each generator image."""
+    obj, monos, images = data.draw(st.sampled_from(fiber_page1))
     m = data.draw(st.sampled_from(monos))
-    table = obj.meta["etaImage"]
-    want = ETA_UNIT
-    for g, exp in m:
-        want = eta_el_mul(want, eta_el_pow(table[g], exp))
-    assert localize(obj, {m: 1}) == want
-    assert localize(obj, {m: 1}) == want
+    assert oracle_localize(obj, {m: 1}) == images.code(images.encode(m))
+    assert localize(obj, {m: 1}) == images.code(images.encode(m))
+
+
+def test_code_keyed_images_share_their_eta_monomials(fiber_page1):
+    for obj, monos, images in fiber_page1:
+        for m in monos:
+            images.code(images.encode(m))
+        terms = {id(t) for img in images.by_code.values() for t in img}
+        assert len(terms) == len(images.terms) + 1  # ETA_ONE, the image of code 0
 
 
 def test_eta_image_survives_presentation_dump(ko):
@@ -421,6 +429,20 @@ def test_compare_flags_a_corrupted_image_table(ko):
     # every entry, text and order included
     digest = hashlib.sha256(json.dumps(mism, sort_keys=True).encode()).hexdigest()
     assert digest == "a949018bc44d100c394f5c757e174784bbbd3df2692b4bd0c96e11fe5fb91930"
+
+
+def test_compare_refuses_an_odd_torsion(ko):
+    """The localized value of d_r is read as an XOR of target images,
+    which needs reducing a coefficient mod a monomial's order to keep
+    its parity."""
+    spec = spec_to_dict(ko)
+    (rho,) = [g for g in spec["generators"] if g["name"] == "rho"]
+    rho["torsion"] = 3
+    ss = SliceSS(spec_from_dict(spec))
+    with pytest.raises(EtaError, match=r"odd torsion \(rho\)"):
+        compare(ss)
+    assert ss.diffs == {}  # refused before the run
+    assert ko.pres.torsions[ko.pres.gen("rho")] == 2
 
 
 def oracle_localize(obj, e):
