@@ -24,7 +24,7 @@ from effss.engine import (
     validate_schedule,
 )
 from effss.grading import GeneratorSpec, RingPresentation, TriDegree, el_iadd, mono_mul
-from effss.intlinalg import ColMat, LinearAlgebraError
+from effss.intlinalg import ColMat, F2Homology, LinearAlgebraError
 from effss.objects import get_object
 from smith_oracle import Mat, dense, pack_columns, six_form_homology
 from test_fiber import closed_form_basis
@@ -280,16 +280,18 @@ RUN_CYCLE_GARBAGE = 0
 
 @pytest.mark.parametrize("name,window", SMALL_BOXES)
 def test_a_run_leaves_almost_no_cyclic_garbage(name, window):
-    """Building an object, running it and dropping both makes no reference
-    cycles, so the cyclic collector, which the engine pauses while it
-    works, has nothing to find."""
+    """Building an object, running it, reading every lift and dropping them
+    all makes no reference cycles, so the cyclic collector, which the
+    engine pauses while it works, has nothing to find."""
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         ss = SliceSS(get_object(name, window), window).run()
+        lifts = [G.lift(i) for page in ss.pages.values() for G in page.values() for i in range(len(G))]
         found = gc.collect()
-        assert ss.pages
+        assert ss.pages and lifts
+        del lifts
         del ss
         found += gc.collect()
     finally:
@@ -856,3 +858,95 @@ def test_sums_of_lifts_are_reduced_modulo_their_orders(toy):
     planted.diffs[2] = {TOY_A: ColMat(*pack_columns([{0: 1, 1: 1}, {}]), 2)}
     planted._ran_to = 2
     assert planted.differential_value(2, TOY_A, 0) == {q: 2}
+
+
+# -- lifts and the page 1 dump against their generic routes ------------------
+
+
+def eager_lifts(pres, H, built):
+    """Every lift of the group H, built as the page turn once built them all:
+    a page 1 lift is its basis monomial, and each homology generator's lift
+    is the sum, in index order, of the previous page's lifts it combines,
+    normalized by ``reduce_coefficients``.  built memoizes by group."""
+    lifts = built.get(id(H))
+    if lifts is not None:
+        return lifts
+    if H.blocks is None:
+        lifts = [{H.coding.decode(k): 1} for k in H.codes]
+    else:
+        prev = eager_lifts(pres, H.prev, built)
+        lifts = []
+        for _part, idx, hom in H.blocks:
+            if isinstance(hom, F2Homology):
+                for gen in hom.gen_masks:
+                    acc = {}
+                    while gen:
+                        low = gen & -gen
+                        el_iadd(acc, prev[idx[low.bit_length() - 1]])
+                        gen ^= low
+                    lifts.append(pres.reduce_coefficients(acc))
+            else:
+                (i,) = idx
+                for (c,) in hom.gens:
+                    acc = {}
+                    el_iadd(acc, prev[i], c)
+                    lifts.append(pres.reduce_coefficients(acc))
+    built[id(H)] = lifts
+    return lifts
+
+
+@pytest.fixture(scope="module")
+def L_low():
+    return SliceSS(get_object("L", L_LOW), L_LOW).run()
+
+
+def test_every_lift_is_the_eager_lift(small_runs, L_low):
+    """Each lift of each page equals the lift the eager construction builds,
+    as a dict in the same order: the monomials and their coefficients,
+    and the order the terms were summed in."""
+    for ss in small_runs + [L_low]:
+        built, turned = {}, 0
+        for r, page in ss.pages.items():
+            for d, G in page.items():
+                want = eager_lifts(ss.pres, G, built)
+                assert len(want) == len(G), (ss.obj.name, r, d)
+                for i, lift in enumerate(want):
+                    assert list(G.lift(i).items()) == list(lift.items()), (ss.obj.name, r, d, i)
+                turned += G.blocks is not None
+        assert turned > 100, ss.obj.name
+
+
+def generic_dump_lines(ss, r):
+    """``dump_lines(r)`` built from each summand's lift and ``differential_value``."""
+    for d, i, o, lift, _part in ss.summands(r):
+        v = ss.differential_value(r, d, i)
+        yield "page %d | %d %d %d | %d | %s | d%d -> %s" % (
+            r, d.s, d.f, d.w, o, ss.pres.render(lift), r, ss.pres.render(v) if v else "-")
+
+
+def test_page1_dump_is_the_generic_dump(small_runs):
+    """On all four objects; each small window holds the unit monomial, which
+    renders as 1, and ko's d1 columns hold rows out of order."""
+    for ss in small_runs:
+        lines = list(ss.dump_lines(1))
+        assert lines == list(generic_dump_lines(ss, 1)), ss.obj.name
+        assert "page 1 | 0 0 0 | 0 | 1 | d1 -> -" in lines, ss.obj.name
+        assert sum(" d1 -> -" not in line for line in lines) > 10, ss.obj.name
+
+
+def test_page1_dump_reduces_and_signs_coefficients(toy):
+    """A planted d1 block whose values have coefficients other than 1, a free
+    target, rows out of order and terms that reduce to zero."""
+    toy_ss, row = toy
+    planted = SliceSS(toy_ss.obj, toy_ss.window, r_max=2)
+    planted.diffs[1] = {TOY_A: toy_block(planted, row, {
+        "a": {"q": 6, "z": -3, "t": 3, "u": 2},
+        "b": {"q": -4, "z": -1, "u": 1},
+    })}
+    planted.unknown_out[1] = set()
+    lines = list(planted.dump_lines(1))
+    assert lines == list(generic_dump_lines(planted, 1))
+    # rows follow the codes, generator 0 most significant
+    assert [row[n] for n in "qzut"] == [0, 1, 2, 3]
+    assert "page 1 | 4 0 2 | 2 | a | d1 -> 2*q - 3*z + t" in lines
+    assert "page 1 | 4 0 2 | 2 | b | d1 -> -z + u" in lines
