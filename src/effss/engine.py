@@ -39,7 +39,8 @@ A group is either a page 1 basis or such a homology group.  A turn
 re-turns only the degrees its differentials touch, their sources and
 targets; every other group is carried to the next page as the same object.
 A group's orders and parts are tuples, and page 1 shares one tuple between
-groups whose orders or parts are equal.
+groups whose orders or parts are equal; the turn splits each distinct
+tuple of parts into its parts once per run.
 
 Page 1 comes straight from the basis search, ``basis_window``, which
 carries each monomial's order, whether an image generator divides it, and
@@ -48,15 +49,20 @@ its code down each search path.  The code is the int of the presentation's
 significant, so int order is basis order and multiplying by a free
 generator adds its unit without a carry.  A page 1 group keeps its
 monomials as these codes alone.  The d1 build keys its row maps, orbits and
-shifts by them, ``project_element`` finds a monomial by its code, and a
-page 1 lift is decoded only when it is read.
+shifts by them, ``project_element`` finds a monomial by its code, a page 1
+lift is decoded only when it is read, and ``dump_lines(1)`` renders each
+code once per call and reads each d1 value straight off its column.
 
 Every lift is a normal element with each coefficient reduced modulo its
 monomial's order: a page 1 lift is a basis monomial, and a later one is an
 integer combination of the previous page's lifts.  Such a combination has
 only normal monomials, so it (a homology generator's lift, or the value of
 a differential) is normalized by its coefficients alone, with
-``RingPresentation.reduce_coefficients`` and no rewriting.
+``RingPresentation.reduce_coefficients`` and no rewriting.  Lifts are
+built on first read: a turn builds none, and a homology group builds all
+of its lifts from its blocks the first time one is read, so the groups
+no reader asks for, most of them outside the user window, never build
+theirs.
 
 A window is widened internally to a box and a certified region is tracked page
 by page: a degree stays certified only while every differential that could
@@ -101,6 +107,7 @@ from .grading import (
 )
 from .intlinalg import (
     ColMat,
+    CyclicHomology,
     F2Homology,
     LinearAlgebraError,
     homology,
@@ -284,32 +291,65 @@ class PageGroup:
 
     Two kinds of group share the class: page 1 groups carry their basis
     monomials' codes, sorted, and the run's one ``Coding``, and homology
-    groups carry the previous page's group and the blockwise subquotient
-    data.  Orders, parts and codes are tuples.  A group that no
-    differential touched is carried to the next page as the same object.
-    A degree whose group died on an earlier page reads as an empty group
-    with neither.
+    groups carry the previous page's group, the blockwise subquotient data
+    and the presentation.  Orders, parts and codes are tuples.  A group
+    that no differential touched is carried to the next page as the same
+    object.  A degree whose group died on an earlier page reads as an
+    empty group with neither.
+
+    Lifts are built on first read: a page 1 lift is decoded on each call,
+    and a homology group builds all of its lifts, and keeps them, the
+    first time one is asked for, reading its previous page's lifts the
+    same way.  A hand-built group may pass its ``lifts``.
     """
 
-    __slots__ = ("degree", "orders", "parts", "prev", "codes", "coding", "blocks", "_lifts")
+    __slots__ = ("degree", "orders", "parts", "prev", "codes", "coding", "blocks", "pres", "_lifts")
 
-    def __init__(self, degree, orders, parts, prev=None, codes=None, coding=None, blocks=None, lifts=None):
+    def __init__(self, degree, orders, parts, prev=None, codes=None, coding=None, blocks=None, pres=None,
+                 lifts=None):
         self.degree = degree
         self.orders: Tuple[int, ...] = orders
-        self.parts: Tuple[str, ...] = parts
+        self.parts: Tuple[str, ...] = tuple(parts)  # the turn keys its splits by value
         self.prev: Optional[PageGroup] = prev
         self.codes: Optional[Tuple[int, ...]] = codes
         self.coding: Optional[Coding] = coding
         self.blocks = blocks
+        self.pres: Optional[RingPresentation] = pres
         self._lifts: Optional[List[Element]] = lifts
 
     def __len__(self) -> int:
         return len(self.orders)
 
     def lift(self, i: int) -> Element:
-        if self._lifts is not None:
-            return self._lifts[i]
-        return {self.coding.decode(self.codes[i]): 1}
+        lifts = self._lifts
+        if lifts is None:
+            if self.blocks is None:
+                return {self.coding.decode(self.codes[i]): 1}
+            lifts = self._lifts = self._build_lifts()
+        return lifts[i]
+
+    def _build_lifts(self) -> List[Element]:
+        """Each homology generator's lift: the sum, in index order, of the
+        previous page's lifts it combines, normalized by its coefficients
+        alone."""
+        lift, norm = self.prev.lift, self.pres.reduce_coefficients
+        lifts: List[Element] = []
+        for _part, idx, H in self.blocks:
+            if isinstance(H, CyclicHomology):
+                (i,) = idx
+                for (c,) in H.gens:
+                    acc: Element = {}
+                    el_iadd(acc, lift(i), c)
+                    lifts.append(norm(acc))
+                continue
+            for gen in H.gen_masks:
+                acc = {}
+                while gen:
+                    low = gen & -gen
+                    el_iadd(acc, lift(idx[low.bit_length() - 1]))
+                    gen ^= low
+                lifts.append(norm(acc))
+        return lifts
 
     def project_element(self, pres: RingPresentation, e: Element) -> List[int]:
         """Coefficients of a reduced page 1 element over this page's
@@ -342,8 +382,9 @@ class PageGroup:
         return out
 
 
-def _f2_out_cols(M: ColMat, col_idx: Sequence[int], tgt_orders: Sequence[int]) -> List[int]:
-    """Translate the columns col_idx of M into bit masks over the target.
+def _f2_out_cols(M: ColMat, col_idx: Sequence[int], tgt_orders: Sequence[int]) -> Tuple[List[int], int]:
+    """Translate the columns col_idx of M into bit masks over the target,
+    and return them with the mask of every row the columns hold an entry in.
 
     A map from an order 2 class into Z/o factors through the order 2
     subgroup, so each entry must be 0 or o/2 modulo o; into a free class it
@@ -351,10 +392,13 @@ def _f2_out_cols(M: ColMat, col_idx: Sequence[int], tgt_orders: Sequence[int]) -
     """
     ptr, rows, vals = M.ptr, M.rows, M.vals
     masks = []
+    hit = 0
     for j in col_idx:
         mask = 0
         for k in range(ptr[j], ptr[j + 1]):
             i = rows[k]
+            bit = 1 << i
+            hit |= bit
             o = tgt_orders[i]
             if o == 0:
                 raise LinearAlgebraError(
@@ -365,9 +409,24 @@ def _f2_out_cols(M: ColMat, col_idx: Sequence[int], tgt_orders: Sequence[int]) -
                 continue
             if o % 2 or em != o // 2:
                 raise LinearAlgebraError("map from order 2 class is ill defined")
-            mask |= 1 << i
+            mask |= bit
         masks.append(mask)
-    return masks
+    return masks, hit
+
+
+#: a group's parts split as the turn reads them: the summands of each part,
+#: each summand's place in its part, and the parts present in PART_ORDER
+Split = Tuple[Dict[str, Tuple[int, ...]], List[int], List[str]]
+
+
+def _split(parts: Tuple[str, ...]) -> Split:
+    part_idx: Dict[str, List[int]] = {}
+    pos: List[int] = []
+    for i, p in enumerate(parts):
+        idx = part_idx.setdefault(p, [])
+        pos.append(len(idx))
+        idx.append(i)
+    return {p: tuple(idx) for p, idx in part_idx.items()}, pos, [p for p in PART_ORDER if p in part_idx]
 
 
 class SliceSS:
@@ -403,6 +462,7 @@ class SliceSS:
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
         self._by_valuation: Optional[Dict[int, List[TriDegree]]] = None  # page 1 degrees by v2(coweight)
+        self._splits: Dict[Tuple[str, ...], Split] = {}  # by parts, for the turn
         self._ran_to = 1
 
     def _first_page(self, basis: Basis) -> Dict[TriDegree, PageGroup]:
@@ -667,18 +727,15 @@ class SliceSS:
         tgtG: Optional[PageGroup],
     ) -> PageGroup:
         gparts = G.parts
-        # the summands of each part, and each summand's place in its part
-        part_idx: Dict[str, List[int]] = {}
-        pos: List[int] = []
-        for i, p in enumerate(gparts):
-            idx = part_idx.setdefault(p, [])
-            pos.append(len(idx))
-            idx.append(i)
+        split = self._splits.get(gparts)
+        if split is None:
+            split = self._splits[gparts] = _split(gparts)
+        part_idx, pos, parts_present = split
 
         # incoming columns must live in a single part each; each is kept
         # by its index, with its source order and its odd entries as a mask
         # over the part
-        in_by_part: Dict[str, List[Tuple[int, int, int]]] = {p: [] for p in part_idx}
+        in_by_part: Dict[str, List[Tuple[int, int, int]]] = {p: [] for p in parts_present}
         if Min is not None:
             ptr, rows, vals = Min.ptr, Min.rows, Min.vals
             for j, o in enumerate(srcG.orders):
@@ -697,60 +754,47 @@ class SliceSS:
                         mask |= 1 << pos[i]
                 in_by_part[p].append((j, o, mask))
 
-        # outgoing blocks may not share target rows
-        parts_present = [p for p in PART_ORDER if p in part_idx]
-        if Mout is not None and len(parts_present) == 2:
-            ptr, rows = Mout.ptr, Mout.rows
-            a, b = [set().union(*[rows[ptr[j]:ptr[j + 1]] for j in part_idx[p]]) for p in parts_present]
-            if not a.isdisjoint(b):
-                raise EngineError(
-                    "outgoing differential at %s mixes the image splitting" % (G.degree,)
-                )
-
         tgt_orders = tgtG.orders if Mout is not None else []
         blocks = []
         orders: List[int] = []
         parts: List[str] = []
-        lifts: List[Element] = []
-        norm = self.pres.reduce_coefficients
+        hits = []  # per part, the target rows its outgoing columns touch
         for p in parts_present:
             idx = part_idx[p]
             sub_orders = [G.orders[i] for i in idx]
             cols_p = in_by_part[p]
             if sub_orders.count(2) == len(idx):
                 if Mout is not None:
-                    out_masks = _f2_out_cols(Mout, idx, tgt_orders)
+                    out_masks, hit = _f2_out_cols(Mout, idx, tgt_orders)
+                    hits.append(hit)
                 else:
                     out_masks = [0] * len(idx)
                 H = F2Homology(len(idx), [mask for _j, _o, mask in cols_p], out_masks)
-                for gen in H.gen_masks:
-                    acc: Element = {}
-                    while gen:
-                        low = gen & -gen
-                        el_iadd(acc, G.lift(idx[low.bit_length() - 1]))
-                        gen ^= low
-                    lifts.append(norm(acc))
             elif len(idx) == 1:
                 (i,) = idx
-                H = homology(
-                    sub_orders[0],
-                    [(c, o) for j, o, _m in cols_p for _i, c in Min.col(j)],
-                    [(c, tgt_orders[k]) for k, c in Mout.col(i)] if Mout is not None else [],
-                )
-                for (c,) in H.gens:
-                    acc = {}
-                    el_iadd(acc, G.lift(i), c)
-                    lifts.append(norm(acc))
+                out = []
+                if Mout is not None:
+                    hit = 0
+                    for k, c in Mout.col(i):
+                        hit |= 1 << k
+                        out.append((c, tgt_orders[k]))
+                    hits.append(hit)
+                H = homology(sub_orders[0], [(c, o) for j, o, _m in cols_p for _i, c in Min.col(j)], out)
             else:
                 raise EngineError(
                     "%s part at %s has orders %s: neither all order 2 nor one summand"
                     % (p, G.degree, sub_orders)
                 )
-            blocks.append((p, tuple(idx), H))
+            blocks.append((p, idx, H))
             orders.extend(H.orders)
             parts.extend([p] * len(H.orders))
+        # outgoing blocks may not share target rows
+        if len(hits) == 2 and hits[0] & hits[1]:
+            raise EngineError(
+                "outgoing differential at %s mixes the image splitting" % (G.degree,)
+            )
 
-        return PageGroup(G.degree, tuple(orders), tuple(parts), prev=G, blocks=blocks, lifts=lifts)
+        return PageGroup(G.degree, tuple(orders), tuple(parts), prev=G, blocks=blocks, pres=self.pres)
 
     # -- reading results --------------------------------------------------
 
@@ -825,10 +869,72 @@ class SliceSS:
         """One line per summand:
 
         page {r} | {s} {f} {w} | {order} | {label} | d{r} -> {value}
+
+        Page 1 is read by its codes, each rendered once per call, and each
+        d1 value straight off its column.
         """
-        for d, i, o, lift, _part in self.summands(r):
-            v = self.differential_value(r, d, i)
-            vtext = self.pres.render(v) if v else "-"
-            yield "page %d | %d %d %d | %d | %s | d%d -> %s" % (
-                r, d.s, d.f, d.w, o, self.pres.render(lift), r, vtext,
-            )
+        if r != 1:
+            for d, i, o, lift, _part in self.summands(r):
+                v = self.differential_value(r, d, i)
+                vtext = self.pres.render(v) if v else "-"
+                yield "page %d | %d %d %d | %d | %s | d%d -> %s" % (
+                    r, d.s, d.f, d.w, o, self.pres.render(lift), r, vtext,
+                )
+            return
+        mats, page, shift = self._ensure_diffs(1), self.pages[1], page_shift(1)
+        texts = CodeTexts(self.pres, self._coding)
+        for d, G in self.groups(1):
+            M = mats.get(d)
+            T = page[d + shift] if M is not None else None
+            for i, (o, k) in enumerate(zip(G.orders, G.codes)):
+                vtext = texts.column(M, i, T) if M is not None else "-"
+                yield "page 1 | %d %d %d | %d | %s | d1 -> %s" % (d.s, d.f, d.w, o, texts[k], vtext)
+
+
+class CodeTexts(dict):
+    """Page 1 monomial texts by code, each decoded and rendered on its first
+    read: a memo for one dump."""
+
+    __slots__ = ("_render", "_decode")
+
+    def __init__(self, pres: RingPresentation, coding: Coding) -> None:
+        super().__init__()
+        self._render = pres.render_monomial
+        self._decode = coding.decode
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = self._render(self._decode(k))
+        return text
+
+    def term(self, c: int, k: int) -> str:
+        """As ``RingPresentation.render_term``; the unit monomial is code 0."""
+        if not k:
+            return str(c)
+        if c == 1:
+            return self[k]
+        if c == -1:
+            return "-" + self[k]
+        return "%d*%s" % (c, self[k])
+
+    def column(self, M: ColMat, j: int, T: PageGroup) -> str:
+        """Column j of a d1 block into the page 1 group T, as
+        ``RingPresentation.render`` renders ``differential_value``: each
+        coefficient reduced modulo its summand's order, zero terms dropped,
+        and the rest in row order, which is code order and so the order of
+        ``mono_key``; "-" when no term is left."""
+        a, b = M.ptr[j], M.ptr[j + 1]
+        orders, codes = T.orders, T.codes
+        text = ""
+        for row, c in sorted(zip(M.rows[a:b], M.vals[a:b])):
+            o = orders[row]
+            if o:
+                c %= o
+            if not c:
+                continue
+            if not text:
+                text = self.term(c, codes[row])
+            elif c < 0:
+                text += " - " + self.term(-c, codes[row])
+            else:
+                text += " + " + self.term(c, codes[row])
+        return text or "-"

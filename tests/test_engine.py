@@ -916,6 +916,23 @@ def test_every_lift_is_the_eager_lift(small_runs, L_low):
         assert turned > 100, ss.obj.name
 
 
+
+def test_lifts_are_built_on_first_read():
+    """Right after a run no group has built its lifts, and reading one lift
+    builds those of its own group and of the groups it was turned from,
+    at its own degree, and no others."""
+    ss = SliceSS(get_object("L", L_LOW), L_LOW).run()
+    turned = list({id(G): G for page in ss.pages.values() for G in page.values() if G.blocks is not None}.values())
+    assert len(turned) > 100 and all(G._lifts is None for G in turned)
+    H = next(G for G in ss.pages[ss.r_max].values() if len(G) and G.blocks and G.prev.blocks)
+    chain, G = [], H
+    while G.blocks is not None:
+        chain.append(G)
+        G = G.prev
+    H.lift(0)
+    assert [G for G in turned if G._lifts is not None] == sorted(chain, key=turned.index)
+    assert len(chain) >= 2 and {G.degree for G in chain} == {H.degree}
+
 def generic_dump_lines(ss, r):
     """``dump_lines(r)`` built from each summand's lift and ``differential_value``."""
     for d, i, o, lift, _part in ss.summands(r):
