@@ -471,11 +471,13 @@ class SliceSS:
         code.  Groups with equal orders or parts share one tuple."""
         parts_of: Dict[Tuple[bool, ...], Tuple[str, ...]] = {}
         first = {}
+        coding = basis.coding
         for d, (orders, marks, codes) in basis.items():
             parts = parts_of.get(marks)
             if parts is None:
                 parts = parts_of[marks] = tuple(["image" if mk else "cokernel" for mk in marks])
-            first[d] = PageGroup(d, orders, parts, codes=codes, coding=basis.coding)
+            # positional (no prev): about 0.15 us less per group than keywords
+            first[d] = PageGroup(d, orders, parts, None, codes, coding)
         return first
 
     # -- running --------------------------------------------------------
