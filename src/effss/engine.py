@@ -476,7 +476,7 @@ class SliceSS:
             parts = parts_of.get(marks)
             if parts is None:
                 parts = parts_of[marks] = tuple(["image" if mk else "cokernel" for mk in marks])
-            # positional (no prev): about 0.15 us less per group than keywords
+            # positional, with no prev: a call with keywords costs more, once per degree
             first[d] = PageGroup(d, orders, parts, None, codes, coding)
         return first
 
