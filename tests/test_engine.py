@@ -942,13 +942,16 @@ def generic_dump_lines(ss, r):
 
 
 def test_page1_dump_is_the_generic_dump(small_runs):
-    """On all four objects; each small window holds the unit monomial, which
-    renders as 1, and ko's d1 columns hold rows out of order."""
+    """On all four objects and every page; each small window holds the unit
+    monomial, which renders as 1, ko's d1 columns hold rows out of order,
+    and later pages carry page 1 groups."""
     for ss in small_runs:
+        for r in range(1, ss.r_max + 1):
+            assert list(ss.dump_lines(r)) == list(generic_dump_lines(ss, r)), (ss.obj.name, r)
         lines = list(ss.dump_lines(1))
-        assert lines == list(generic_dump_lines(ss, 1)), ss.obj.name
         assert "page 1 | 0 0 0 | 0 | 1 | d1 -> -" in lines, ss.obj.name
         assert sum(" d1 -> -" not in line for line in lines) > 10, ss.obj.name
+        assert any(G.codes is not None for _d, G in ss.groups(ss.r_max)), ss.obj.name
 
 
 def test_page1_dump_reduces_and_signs_coefficients(toy):
@@ -967,3 +970,58 @@ def test_page1_dump_reduces_and_signs_coefficients(toy):
     assert [row[n] for n in "qzut"] == [0, 1, 2, 3]
     assert "page 1 | 4 0 2 | 2 | a | d1 -> 2*q - 3*z + t" in lines
     assert "page 1 | 4 0 2 | 2 | b | d1 -> -z + u" in lines
+
+
+# -- the turn against a fresh turn of each group -----------------------------
+
+
+def local_complexes(ss, r):
+    """(group of page r + 1, its previous group, Min, srcG, Mout, tgtG) for
+    each group the turn of page r made; carried groups are left out."""
+    mats, shift, page = ss.diffs[r], page_shift(r), ss.pages[r]
+    for d, G in ss.pages[r + 1].items():
+        if G is page.get(d):
+            continue
+        Min, Mout = mats.get(d - shift), mats.get(d)
+        srcG = page.get(d - shift) if Min is not None else None
+        tgtG = page.get(d + shift) if Mout is not None else None
+        yield G, page[d], Min, srcG, Mout, tgtG
+
+
+def test_every_turned_group_is_a_fresh_turn(small_runs, L_low):
+    """Each group a turn made equals a fresh ``_turn_group`` of its previous
+    page's group under the same blocks: orders, parts, every lift and the
+    projection of every lift.  A group holding another local complex's
+    homology fails here, while lifts rebuilt from its own stored blocks
+    would not show it."""
+    for ss in small_runs + [L_low]:
+        pres, turned = ss.pres, 0
+        for r in range(1, ss.r_max):
+            for G, prev, Min, srcG, Mout, tgtG in local_complexes(ss, r):
+                where = (ss.obj.name, r, G.degree)
+                fresh = ss._turn_group(prev, Min, srcG, Mout, tgtG)
+                assert G.prev is prev and (G.orders, G.parts) == (fresh.orders, fresh.parts), where
+                for i in range(len(G)):
+                    lift = G.lift(i)
+                    assert list(lift.items()) == list(fresh.lift(i).items()), where + (i,)
+                    assert G.project_element(pres, lift) == fresh.project_element(pres, lift), where + (i,)
+                turned += 1
+        assert turned > 100, ss.obj.name
+
+
+def test_page1_box_exits_are_the_uncertified_d1_targets(small_runs, L_low):
+    """Page 2's certified region, with page 1's box exits found as every
+    group whose d1 target is not a certified page 1 degree."""
+    for ss in small_runs + [L_low]:
+        shift, box, valid = page_shift(1), ss.box, ss.valid[1]
+        lost = set()
+        if ss.obj.schedule.get(1):
+            lost.update(d for d in ss.pages[1] if d + shift not in valid)
+        for d in ss.unknown_out[1]:
+            lost.add(d)
+            if box.contains(d + shift):
+                lost.add(d + shift)
+        lost.update(TriDegree(box.s[1], f, w)
+                    for f in range(shift.f, box.f[1] + 1) for w in range(box.w[0], box.w[1] + 1))
+        assert set(ss.valid[2]) == set(valid) - lost, ss.obj.name
+        assert set(valid) - set(ss.valid[2]), ss.obj.name
