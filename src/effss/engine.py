@@ -38,6 +38,10 @@ and a turn refuses any other part.
 A group is either a page 1 basis or such a homology group.  A turn
 re-turns only the degrees its differentials touch, their sources and
 targets; every other group is carried to the next page as the same object.
+Within one turn, degrees with equal local complexes (the group, and the
+blocks into and out of it with their end groups' orders) share one
+homology: the first is turned, and each other one is a new group, with
+its own degree and previous group, over the same orders, parts and blocks.
 A group's orders and parts are tuples, and page 1 shares one tuple between
 groups whose orders or parts are equal; the turn splits each distinct
 tuple of parts into its parts once per run.
@@ -680,20 +684,23 @@ class SliceSS:
         # column, whose sources lie outside the box.  On a pattern page the
         # first kind is unknown_out[r], which holds every firing degree
         # whose target is uncertified; on page 1 it is every group whose d1
-        # target leaves the box, when the object has a d1.  Every group of
-        # the page is certified, and the last two kinds are kept inside the
-        # box by their fields.
+        # target leaves the box, when the object has a d1.  Nothing is
+        # uncertified on page 1, so those are read off two fields: the
+        # target lies below the box's first stem or above its top
+        # filtration.  Every group of the page is certified, and the last
+        # two kinds are kept inside the box by their fields.
         box = self.box
+        top = box.f[1] - shift.f  # a target above this leaves the box
         lost: Set[TriDegree] = set()
         if r == 1 and self.obj.schedule.get(1):
-            lost.update(d for d in page if d + shift not in valid)
+            s0 = box.s[0]
+            lost.update(d for d in page if d.s == s0 or d.f > top)
         for d in unknown:
             lost.add(d)
             if box.contains(d + shift):
                 lost.add(d + shift)
         # Later pages are not made yet, so every degree of the map is
         # uncertified on this one.
-        top = box.f[1] - shift.f  # a target above this leaves the box
         since = valid.uncertified_from
         lost.update(u + shift for u in since if u.f <= top and u.s > box.s[0])
         lost.update(
@@ -706,7 +713,15 @@ class SliceSS:
         self.valid[r + 1] = Certified(box, since, r + 1)
 
         # Only the ends of a differential turn; every other group is
-        # carried as the same object, in the page's order.
+        # carried as the same object, in the page's order.  Each local
+        # complex is keyed by everything _turn_group reads but the degree,
+        # which only its refusals name: the first degree with a key is
+        # turned, and each later one shares that group's homology, which
+        # nothing changes once built.  A refusal is never stored, so it is
+        # raised at the same degree.  The memo is this turn's alone: across
+        # turns it would find next to nothing.
+        pres = self.pres
+        turned: Dict[tuple, PageGroup] = {}
         newpage = {d: G for d, G in page.items() if G.orders and d not in lost}
         for d in dict.fromkeys(e for src in mats for e in (src, src + shift)):
             G = newpage.get(d)
@@ -716,7 +731,17 @@ class SliceSS:
             Min = mats.get(d - shift)
             srcG = page.get(d - shift) if Min is not None else None
             tgtG = page.get(d + shift) if Mout is not None else None
-            newpage[d] = self._turn_group(G, Min, srcG, Mout, tgtG)
+            key = (
+                G.orders,
+                G.parts,
+                None if Min is None else (Min.ptr, Min.rows, Min.vals, srcG.orders),
+                None if Mout is None else (Mout.ptr, Mout.rows, Mout.vals, tgtG.orders),
+            )
+            H = turned.get(key)
+            if H is None:
+                newpage[d] = turned[key] = self._turn_group(G, Min, srcG, Mout, tgtG)
+            else:
+                newpage[d] = PageGroup(d, H.orders, H.parts, G, None, None, H.blocks, pres)
         self.pages[r + 1] = newpage
         self._ran_to = r + 1
 
@@ -872,19 +897,22 @@ class SliceSS:
 
         page {r} | {s} {f} {w} | {order} | {label} | d{r} -> {value}
 
-        Page 1 is read by its codes, each rendered once per call, and each
-        d1 value straight off its column.
+        Page 1 groups, also where a later page carries them, are read by
+        their codes, each rendered once per call, and each d1 value straight
+        off its column.
         """
+        texts = CodeTexts(self.pres, self._coding)
         if r != 1:
-            for d, i, o, lift, _part in self.summands(r):
-                v = self.differential_value(r, d, i)
-                vtext = self.pres.render(v) if v else "-"
-                yield "page %d | %d %d %d | %d | %s | d%d -> %s" % (
-                    r, d.s, d.f, d.w, o, self.pres.render(lift), r, vtext,
-                )
+            render = self.pres.render
+            for d, G in self.groups(r):
+                for i, o in enumerate(G.orders):
+                    label = texts[G.codes[i]] if G.codes is not None else render(G.lift(i))
+                    v = self.differential_value(r, d, i)
+                    yield "page %d | %d %d %d | %d | %s | d%d -> %s" % (
+                        r, d.s, d.f, d.w, o, label, r, render(v) if v else "-",
+                    )
             return
         mats, page, shift = self._ensure_diffs(1), self.pages[1], page_shift(1)
-        texts = CodeTexts(self.pres, self._coding)
         for d, G in self.groups(1):
             M = mats.get(d)
             T = page[d + shift] if M is not None else None

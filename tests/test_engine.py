@@ -1009,6 +1009,49 @@ def test_every_turned_group_is_a_fresh_turn(small_runs, L_low):
         assert turned > 100, ss.obj.name
 
 
+def test_a_turn_shares_homology_between_equal_local_complexes(small_runs, L_low):
+    """Each page's turned groups hold exactly one ``blocks`` object per
+    distinct local complex: the group's orders and parts, and each block
+    with its end group's orders."""
+    for ss in small_runs + [L_low]:
+        shared = 0
+        for r in range(1, ss.r_max):
+            complexes, blocks, turned = set(), set(), 0
+            for G, prev, Min, srcG, Mout, tgtG in local_complexes(ss, r):
+                complexes.add((
+                    prev.orders, prev.parts,
+                    Min and (Min.ptr, Min.rows, Min.vals, srcG.orders),
+                    Mout and (Mout.ptr, Mout.rows, Mout.vals, tgtG.orders),
+                ))
+                blocks.add(id(G.blocks))
+                turned += 1
+            assert len(blocks) == len(complexes), (ss.obj.name, r)
+            shared += turned - len(complexes)
+        assert shared > 100, ss.obj.name
+
+
+def test_blocks_differing_only_in_values_are_turned_apart():
+    """No shipped window has a d1 coefficient other than 1, so two copies
+    of one local complex, x -> y and x' -> 2 y' with x, x' free and y, y' of
+    order 4, are planted at two weights: their blocks differ only in
+    values, and so do their homology groups."""
+    A, T = TOY_A, TOY_T
+    A2, T2 = A + TriDegree(0, 0, 1), T + TriDegree(0, 0, 1)
+    gens = [("x", A, 0), ("y", T, 4), ("x2", A2, 0), ("y2", T2, 4)]
+    pres = RingPresentation("toy2", [GeneratorSpec(n, d, torsion=o) for n, d, o in gens])
+    ss = SliceSS(ObjectSpec("toy2", pres), Window(s=(0, 4), f=(0, 3), w=(2, 3)), r_max=2)
+    ss.diffs[1] = {A: ColMat((0, 1), (0,), (1,), 1), A2: ColMat((0, 1), (0,), (2,), 1)}
+    ss.unknown_out[1] = set()
+    ss.run()
+    page = ss.pages[2]
+    assert [page[d].orders for d in (T, T2, A, A2)] == [(), (2,), (0,), (0,)]
+    for G, prev, Min, srcG, Mout, tgtG in local_complexes(ss, 1):
+        fresh = ss._turn_group(prev, Min, srcG, Mout, tgtG)
+        assert G.orders == fresh.orders and G._build_lifts() == fresh._build_lifts(), G.degree
+    assert page[A].lift(0) == {pres.monomial({"x": 1}): 4}
+    assert page[A2].lift(0) == {pres.monomial({"x2": 1}): 2}
+
+
 def test_page1_box_exits_are_the_uncertified_d1_targets(small_runs, L_low):
     """Page 2's certified region, with page 1's box exits found as every
     group whose d1 target is not a certified page 1 degree."""
