@@ -82,8 +82,33 @@ def test_entry_records_tier1_and_verify_times(tmp_path):
     got = json.loads(out.read_text())
     assert got["tier1"] == {"parent": {"summary": "218 passed, 1 skipped", "seconds": 98.7},
                             "change": {"summary": "1 failed, 217 passed, 1 skipped", "seconds": 85.19}}
-    assert got["verify"] == {"charts": {"parent": 13.5, "change": 12.0, "passed": True},
-                             "eta-compare": {"parent": 18.3, "change": 11.0, "passed": False}}
+    assert got["verify"] == {
+        "charts": {"parent": {"samples": [13.5], "min": 13.5},
+                   "change": {"samples": [12.0], "min": 12.0}, "passed": True},
+        "eta-compare": {"parent": {"samples": [18.3], "min": 18.3},
+                        "change": {"samples": [11.0], "min": 11.0}, "passed": False},
+    }
     with pytest.raises(SystemExit):
         bench_entry.main(["--out", str(out), "--parent", p, "--change", c,
                           "--verify", str(tmp_path / "p.log"), str(tmp_path / "c.txt")])
+
+
+def test_entry_keeps_every_verify_round_and_the_minimum(tmp_path):
+    """Rounds of ``--verify`` keep each side's seconds in round order, take
+    their minimum, and pass a check only if every round passed it."""
+    p = write(tmp_path, "p.json", record("a", 4.0))
+    c = write(tmp_path, "c.json", record("b", 3.0))
+    rounds = (("PASS charts: ok [2.0s]\nPASS iota-orders: ok [7.5s]\n", "PASS charts: ok [1.5s]\n"),
+              ("PASS charts: ok [1.7s]\nPASS iota-orders: ok [7.1s]\n", "PASS charts: ok [1.0s]\n"),
+              ("PASS charts: ok [2.5s]\nFAIL iota-orders: no [7.9s]\n", "PASS charts: ok [1.2s]\n"))
+    argv = ["--out", str(tmp_path / "BENCH.json"), "--parent", p, "--change", c]
+    for k, (ptext, ctext) in enumerate(rounds):
+        (tmp_path / ("p%d.txt" % k)).write_text(ptext)
+        (tmp_path / ("c%d.txt" % k)).write_text(ctext)
+        argv += ["--verify", str(tmp_path / ("p%d.txt" % k)), str(tmp_path / ("c%d.txt" % k))]
+    bench_entry.main(argv)
+    got = json.loads((tmp_path / "BENCH.json").read_text())["verify"]
+    assert got["charts"] == {"parent": {"samples": [2.0, 1.7, 2.5], "min": 1.7},
+                             "change": {"samples": [1.5, 1.0, 1.2], "min": 1.0}, "passed": True}
+    # a check missing from one side's runs, or failed in one round, did not pass
+    assert got["iota-orders"] == {"parent": {"samples": [7.5, 7.1, 7.9], "min": 7.1}, "passed": False}

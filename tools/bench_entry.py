@@ -2,7 +2,7 @@
 
     python3 tools/bench_entry.py --out BENCH_7.json \
         --parent RUN.json [RUN.json ...] --change RUN.json [RUN.json ...] \
-        [--tier1 PARENT.log CHANGE.log] [--verify PARENT.txt CHANGE.txt]
+        [--tier1 PARENT.log CHANGE.log] [--verify PARENT.txt CHANGE.txt ...]
 
 Each RUN.json is a record that ``perfbench/run.py`` writes to
 ``.perfbench/<workload>-trace<k>.json``; copy it away after each run, as
@@ -22,9 +22,11 @@ For each workload the entry holds:
 
 ``--tier1`` takes the output of the tier-1 pytest run on each side and
 records its final summary (counts and wall seconds) under ``tier1``.
-``--verify`` takes the output of ``effss verify`` on each side and records
-each check's seconds, and whether it passed on both sides, under
-``verify``.
+``--verify`` takes the output of one ``effss verify`` run on each side and
+may be repeated, one round of both sides each time, since a check's
+seconds move between runs of one tree.  Under ``verify`` it records, for
+each check and side, every round's seconds and their minimum, and whether
+the check passed in every round on both sides.
 
 ``context`` gives each side's cores, Python version, commit and source
 sha256.  Records of one side must agree on all four; the script exits
@@ -143,12 +145,17 @@ def verify_checks(path):
     return out
 
 
-def verify_entry(parent_path, change_path):
-    sides = {"parent": verify_checks(parent_path), "change": verify_checks(change_path)}
+def verify_entry(rounds):
+    """Per check: each side's seconds over the rounds, with their minimum,
+    and whether the check passed in every round on both sides."""
+    runs = {side: [verify_checks(pair[k]) for pair in rounds] for k, side in enumerate(("parent", "change"))}
     entry = {}
-    for name in sorted(set(sides["parent"]) | set(sides["change"])):
-        row = {side: checks[name][1] for side, checks in sides.items() if name in checks}
-        row["passed"] = all(name in checks and checks[name][0] for checks in sides.values())
+    for name in sorted({name for checks in runs.values() for run in checks for name in run}):
+        row = {"passed": all(name in run and run[name][0] for checks in runs.values() for run in checks)}
+        for side, checks in runs.items():
+            samples = [run[name][1] for run in checks if name in run]
+            if samples:
+                row[side] = {"samples": samples, "min": min(samples)}
         entry[name] = row
     return entry
 
@@ -160,8 +167,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", nargs="+", required=True, metavar="RUN.json")
     ap.add_argument("--tier1", nargs=2, metavar=("PARENT.log", "CHANGE.log"),
                     help="tier-1 pytest output of each side")
-    ap.add_argument("--verify", nargs=2, metavar=("PARENT.txt", "CHANGE.txt"),
-                    help="effss verify output of each side")
+    ap.add_argument("--verify", nargs=2, action="append", metavar=("PARENT.txt", "CHANGE.txt"),
+                    help="effss verify output of each side, one round; repeat for more rounds")
     args = ap.parse_args(argv)
 
     with open(BENCHMARK, encoding="utf-8") as fh:
@@ -186,7 +193,7 @@ def main(argv=None) -> int:
         out["tier1"] = {side: tier1_summary(path)
                         for side, path in zip(("parent", "change"), args.tier1)}
     if args.verify:
-        out["verify"] = verify_entry(*args.verify)
+        out["verify"] = verify_entry(args.verify)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
