@@ -2,6 +2,7 @@
 and the d1 build on all four objects against derive on every monomial."""
 
 import gc
+import hashlib
 import math
 import re
 import tracemalloc
@@ -458,17 +459,26 @@ def test_d1_blocks_retain_little_per_entry():
     assert kept / entries < D1_BYTES_PER_ENTRY, (kept, entries)
 
 
+def xyz_toy(moving=("y",), cap=None):
+    """A run of the toy with x (torsion 3, or 2 under a cap) and y free of
+    degree (4, 0, 2), and z of order 2 at (3, 3, 2): d1 sends each generator
+    named in moving to z.  Generator 0 is x."""
+    pres = RingPresentation("toy", [
+        GeneratorSpec("x", TriDegree(4, 0, 2), torsion=3 if cap is None else 2, cap=cap),
+        GeneratorSpec("y", TriDegree(4, 0, 2)),
+        GeneratorSpec("z", TriDegree(3, 3, 2), torsion=2),
+    ])
+    z = {pres.monomial({"z": 1}): 1}
+    obj = ObjectSpec("toy", pres, schedule={1: {pres.gen(g): z for g in moving}})
+    return SliceSS(obj, Window(s=(0, 16), f=(0, 6), w=(0, 10)), r_max=2)
+
+
 def test_d1_orders_shrink_by_a_free_generator():
     """x is free with torsion 3 and d1(y) = z has order 2, so d1 vanishes on
     every x^a y^b z^c with a > 0: a column of S X is reduced modulo the order
     of its monomials, which S can lower."""
-    pres = RingPresentation("toy", [
-        GeneratorSpec("x", TriDegree(4, 0, 2), torsion=3),
-        GeneratorSpec("y", TriDegree(4, 0, 2)),
-        GeneratorSpec("z", TriDegree(3, 3, 2), torsion=2),
-    ])
-    obj = ObjectSpec("toy", pres, schedule={1: {pres.gen("y"): {pres.monomial({"z": 1}): 1}}})
-    ss = SliceSS(obj, Window(s=(0, 16), f=(0, 6), w=(0, 10)), r_max=2)
+    ss = xyz_toy()
+    pres = ss.pres
     mats, unknown = ss._d1_matrices()
     want, want_unknown = per_monomial_d1_matrices(ss)
     assert want and mats.keys() == want.keys() and unknown == want_unknown
@@ -483,14 +493,8 @@ def test_d1_orders_when_a_moving_generator_leaves_the_shift():
     e (S/x) d1(x) X of a column is reduced modulo the order of S/x, which is
     that of S when e > 1 and loses x's torsion when e = 1: d1(x) = z
     survives, while d1(x^3) = 3 x^2 z vanishes."""
-    pres = RingPresentation("toy", [
-        GeneratorSpec("x", TriDegree(4, 0, 2), torsion=3),
-        GeneratorSpec("y", TriDegree(4, 0, 2)),
-        GeneratorSpec("z", TriDegree(3, 3, 2), torsion=2),
-    ])
-    z = {pres.monomial({"z": 1}): 1}
-    obj = ObjectSpec("toy", pres, schedule={1: {pres.gen("x"): z, pres.gen("y"): z}})
-    ss = SliceSS(obj, Window(s=(0, 16), f=(0, 6), w=(0, 10)), r_max=2)
+    ss = xyz_toy(moving=("x", "y"))
+    pres = ss.pres
     mats, unknown = ss._d1_matrices()
     want, want_unknown = per_monomial_d1_matrices(ss)
     assert want and mats.keys() == want.keys() and unknown == want_unknown
@@ -501,6 +505,72 @@ def test_d1_orders_when_a_moving_generator_leaves_the_shift():
         G = ss.pages[1][pres.degree_of(m)]
         M = mats.get(G.degree)
         assert bool(M and list(M.col(basis_monomials(G).index(m)))) == survives, e
+
+
+def test_d1_under_a_capped_generator_0():
+    """x carries at most x^2, so x times a basis monomial need not be
+    normal, and no block is a translate of the one |x| below it."""
+    ss = xyz_toy(cap=2)
+    mats, unknown = ss._d1_matrices()
+    want, want_unknown = per_monomial_d1_matrices(ss)
+    assert want and mats.keys() == want.keys() and unknown == want_unknown
+    for d, M in want.items():
+        assert dense(mats[d]).rows == M.rows, d
+    x = ss.pres.gen("x")
+    assert any(dict(m).get(x) == 2 for d in mats for m in basis_monomials(ss.pages[1][d]))
+
+
+#: the perfbench L-default window, with its r_max of 8
+PERFBENCH_L = Window(s=(-4, 8), f=(0, 20), w=(-8, 16))
+
+#: runs whose whole d1 build is held to a digest
+D1_RUNS = {
+    "ko_C small": lambda: SliceSS(get_object("ko_C", SMALL), SMALL),
+    "ko small": lambda: SliceSS(get_object("ko", SMALL), SMALL),
+    "L small": lambda: SliceSS(get_object("L", FIBER_SMALL), FIBER_SMALL),
+    "L_C small": lambda: SliceSS(get_object("L_C", FIBER_SMALL), FIBER_SMALL),
+    "L low": lambda: SliceSS(get_object("L", L_LOW), L_LOW),
+    "L perfbench": lambda: SliceSS(get_object("L", PERFBENCH_L), PERFBENCH_L, r_max=8),
+    "ko_C default": lambda: SliceSS(get_object("ko_C")),
+    "ko default": lambda: SliceSS(get_object("ko")),
+    "L_C default": lambda: SliceSS(get_object("L_C")),
+    "torsion-3 toy": xyz_toy,
+    "torsion-3 toy, x moving": lambda: xyz_toy(moving=("x", "y")),
+}
+
+#: sha256 of each run's d1 build, recorded from the route that expands
+#: every column by its orbit: the blocks' degrees in stored order, each
+#: block's m, ptr, rows and vals, then the sorted unknown degrees
+D1_DIGESTS = {
+    "ko_C small": "6c52814dafcbdce91e56b9a4a91a7b3017b56382ab043445eb7d7f691d45579e",
+    "ko small": "49a90ed7232f95e4ab13626f8502b1f5159807dd71bf54113328855cb8624a64",
+    "L small": "757251f0a99d686ef7a81032dba8f1d654715403f891b436634fa643e020bb08",
+    "L_C small": "47d7cda20e726a20097e7a48c5a86564b7b1e2f917c718405c9dba4776978b8e",
+    "L low": "62546217e2a9cf7b7ba20150cfc09f4a774a25cb93048e9b7a1c8cc104dfe208",
+    "L perfbench": "2a24a8b2ca95ab3b93e42a97a642879f9c2a4e22087926de2980b80e2e5a0e6e",
+    "ko_C default": "c27a60916b8ca24150d94100cd962c61324a65f8bcd9b30826459e89fedb5e51",
+    "ko default": "3182e6042d1d9be9b58dd4b0dfb95b71aa3eae556c2b2574deba2a2c9fca5747",
+    "L_C default": "565e260c802a77f739fd7299e32f956a75dd7d9c02cdc5d6659c363a998d9798",
+    "torsion-3 toy": "417c20583ba51aadffbce3fdc0033dc261f497ed2fe5fe487fcf16bbb4c5ab9f",
+    "torsion-3 toy, x moving": "478ba5f51e19864e4a3f331fa42f5c726d6bfc1246ee2cffb4f7e1de8f5af453",
+}
+
+
+def d1_digest(mats, unknown):
+    h = hashlib.sha256()
+    for d, M in mats.items():
+        h.update(repr((tuple(d), M.m, M.ptr, M.rows, M.vals)).encode())
+    h.update(repr(sorted(map(tuple, unknown))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(D1_RUNS))
+def test_d1_build_is_the_recorded_one(case):
+    """The d1 build, entry order within each column included: the page 1
+    dump prints a column's terms in stored order."""
+    mats, unknown = D1_RUNS[case]()._d1_matrices()
+    assert mats
+    assert d1_digest(mats, unknown) == D1_DIGESTS[case]
 
 
 @pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("ko", "L")])
