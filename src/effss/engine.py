@@ -5,6 +5,10 @@ presentation.  The d_1 differential is given on generators and extended as a
 derivation, once per orbit of the free generators (no cap, no slot): for a
 product S of them, d1(S X) = S d1(X) + sum over g in S of e_g (S/g) d1(g) X
 exactly, once each coefficient is reduced modulo its monomial's order.
+Where generator 0 is free with d1 = 0 (rho on ``ko`` and ``L``, tau on
+``ko_C`` and ``L_C``), d1(g m) = g d1(m), so most of each d1 block is the
+block |g| below it translated, and only the columns of g-free monomials are
+expanded.
 Higher differentials, where an object has them, follow a coweight pattern: on
 page r exactly the non-image classes whose coweight has 2-adic valuation
 r - 1 support a differential, and the value is the generator of the target
@@ -53,7 +57,8 @@ its code down each search path.  The code is the int of the presentation's
 significant, so int order is basis order and multiplying by a free
 generator adds its unit without a carry.  A page 1 group keeps its
 monomials as these codes alone.  The d1 build keys its row maps, orbits and
-shifts by them, ``project_element`` finds a monomial by its code, a page 1
+shifts by them and finds a degree's multiples of generator 0 after all its
+other codes, ``project_element`` finds a monomial by its code, a page 1
 lift is decoded only when it is read, and ``dump_lines(1)`` renders each
 code once per call and reads each d1 value straight off its column.
 
@@ -528,6 +533,28 @@ class SliceSS:
         2f + s - w >= 1.  A target degree's row map is its codes, and X and
         S are decoded only when an orbit or a shift is new.  Where the
         target lies outside the box, the first nonzero column settles it.
+
+        Most columns are not expanded at all but translated along g,
+        generator 0, when g is free and d1(g) = 0.  Let d and d - |g| both
+        have their targets in the box.  Multiplying by the free g is a
+        bijection from the basis at d - |g| onto the g-divisible basis at d:
+        it keeps a monomial normal, and a normal g m has a normal m.  Its
+        field is the most significant, so it adds ``unit[g]`` to each code,
+        keeps their order, and puts the g-divisible codes after the a
+        g-free ones; likewise at the target, after b g-free codes.  Since
+        d1(g) = 0, d1(g m) = g d1(m): column a + j of the block at d is
+        column j of the block at d - |g| with each row moved up by b and
+        each coefficient reduced modulo its row's order, which is the gcd
+        of the old order and g's torsion (2 for rho, so a coefficient can
+        vanish; 0 for tau, so none changes).  Coefficients, reduced modulo
+        the old order, reduce alike modulo its divisor, and a column keeps
+        its entry order.  Where a = b = 0 and no coefficient changes, the
+        block at d is the block below it, one object.  Degrees are built
+        bottom-up along each chain d, d - |g|, ..., walked without
+        recursion, and a degree whose block below is zero, unbuilt or out
+        of the box, a degree whose target leaves the box, and every degree
+        of a presentation whose generator 0 is capped, slotted or moving
+        take the Leibniz route alone.
         """
         images = self.obj.schedule.get(1, {})
         shift = page_shift(1)
@@ -602,26 +629,101 @@ class SliceSS:
                 add(val, dgX[g], sh, e, tg)
             return val
 
+        # blocks translate along generator 0 when it is free with d1 = 0
+        step = pres.generators[0].degree if 0 in free and 0 not in moving else None
+        g_torsion, g_unit = torsion[0], unit[0]
+        sh_s, sh_f, sh_w = shift
+
+        def block(d: Tuple[int, int, int], codes: Tuple[int, ...], src: Optional[ColMat]) -> Optional[ColMat]:
+            """The block at d, or None where d1 vanishes there.  Given src,
+            the nonzero block at d - |g|, only the g-free codes, which come
+            first, take the Leibniz route, and the rest are src's columns
+            translated; src itself where nothing changes."""
+            if src is None:
+                vals = list(map(d1, codes))
+                if not any(vals):
+                    return None
+            else:
+                vals = list(map(d1, codes[: bisect_left(codes, g_unit)]))
+            s, f, w = d
+            T = page1.get((s + sh_s, f + sh_f, w + sh_w))
+            if T is None:
+                raise EngineError(
+                    "nonzero d1 value lands in an empty degree %s" % (TriDegree(s + sh_s, f + sh_f, w + sh_w),)
+                )
+            tgt_codes = T.codes
+            m = len(tgt_codes)
+            ptr, rows, coeffs = [0], [], []
+            if any(vals):
+                row = dict(zip(tgt_codes, range(m)))
+                for v in vals:
+                    rows.extend(map(row.__getitem__, v))
+                    coeffs.extend(v.values())
+                    ptr.append(len(rows))
+            else:
+                ptr *= len(vals) + 1
+            if src is None:
+                return ColMat(ptr, rows, coeffs, m)
+            # each row moves up past the b g-free target codes, and each
+            # coefficient is reduced modulo its row's order, gcd(o, torsion)
+            b = m - src.m
+            sptr, srows, svals = src.ptr, src.rows, src.vals
+            if b:
+                srows = [i + b for i in srows]
+            if g_torsion:
+                orders = T.orders
+                tvals = [c % orders[i] for i, c in zip(srows, svals)]
+                if not all(tvals):  # drop the coefficients that vanish
+                    at = 0
+                    for end in sptr[1:]:
+                        for k in range(at, end):
+                            if tvals[k]:
+                                rows.append(srows[k])
+                                coeffs.append(tvals[k])
+                        ptr.append(len(rows))
+                        at = end
+                    return ColMat(ptr, rows, coeffs, m) if rows else None
+                if not (vals or b) and tvals == list(svals):
+                    return src
+                svals = tvals
+            elif not (vals or b):  # gcd(o, 0) = o: nothing changes
+                return src
+            off = len(rows)
+            ptr.extend([p + off for p in sptr[1:]])
+            rows.extend(srows)
+            coeffs.extend(svals)
+            return ColMat(ptr, rows, coeffs, m)
+
         into_box = Window(*((lo - x, hi - x) for (lo, hi), x in zip((box.s, box.f, box.w), shift)))
+        (s0, s1), (f0, f1), (w0, w1) = into_box.s, into_box.f, into_box.w
+        built: Dict[Tuple[int, int, int], Optional[ColMat]] = {}  # each in-box block so far, None for 0
         for d, G in page1.items():
-            if not into_box.contains(d):  # one nonzero column settles d
-                if any(map(d1, G.codes)):
+            s, f, w = d
+            if not (s0 <= s <= s1 and f0 <= f <= f1 and w0 <= w <= w1):
+                if any(map(d1, G.codes)):  # one nonzero column settles d
                     unknown.add(d)
                 continue
-            vals = list(map(d1, G.codes))
-            if not any(vals):
-                continue
-            tgt = d + shift
-            if tgt not in page1:
-                raise EngineError("nonzero d1 value lands in an empty degree %s" % (tgt,))
-            tgt_codes = page1[tgt].codes
-            row = dict(zip(tgt_codes, range(len(tgt_codes))))
-            ptr, rows, coeffs = [0], [], []
-            for v in vals:
-                rows.extend(map(row.__getitem__, v))
-                coeffs.extend(v.values())
-                ptr.append(len(rows))
-            mats[d] = ColMat(ptr, rows, coeffs, len(tgt_codes))
+            if step is None:
+                M = block(d, G.codes, None)
+            elif d in built:  # built on the walk from a degree above it
+                M = built[d]
+            else:
+                # walk down d - |g|, d - 2|g|, ... to a built degree, or out
+                # of the in-box degrees, and build the chain bottom-up
+                chain = [(d, G.codes)]
+                e = (s - step.s, f - step.f, w - step.w)
+                while e not in built:
+                    s, f, w = e
+                    E = page1.get(e) if s0 <= s <= s1 and f0 <= f <= f1 and w0 <= w <= w1 else None
+                    if E is None:
+                        break
+                    chain.append((e, E.codes))
+                    e = (s - step.s, f - step.f, w - step.w)
+                M = built.get(e)
+                for e, codes in reversed(chain):
+                    M = built[e] = block(e, codes, M)
+            if M is not None:
+                mats[d] = M
         return mats, unknown
 
     def _pattern_matrices(self, r: int) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
