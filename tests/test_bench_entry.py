@@ -45,6 +45,7 @@ def test_entry_pairs_runs_and_takes_medians(tmp_path):
     assert wall["parent"]["median"] == 4.0 and wall["change"]["median"] == 2.5
     assert (wall["parent"]["q1"], wall["parent"]["q3"]) == pytest.approx((3.9, 4.1))
     assert wall["pairs"] == 3 and wall["change_wins"] == 2 and wall["bound"] == 0.25
+    assert wall["beyond_parent_iqr"]  # |2.5 - 4.0| > 4.1 - 3.9
     assert wl["per_layer"]["engine.d1_s"] == {"unit": "s", "better": "lower",
                                               "parent": 2.0, "change": 1.0}
     assert wl["jobs"]["parent"] == {"attempted": 28, "failed": 0}
@@ -112,3 +113,19 @@ def test_entry_keeps_every_verify_round_and_the_minimum(tmp_path):
                              "change": {"samples": [1.5, 1.0, 1.2], "min": 1.0}, "passed": True}
     # a check missing from one side's runs, or failed in one round, did not pass
     assert got["iota-orders"] == {"parent": {"samples": [7.5, 7.1, 7.9], "min": 7.1}, "passed": False}
+
+
+@pytest.mark.parametrize("change_walls,beyond", [((3.85, 3.9, 3.95), False), ((4.25, 4.3, 4.35), True),
+                                                 ((4.05, 4.1, 4.15), False)])
+def test_entry_compares_the_median_gap_with_the_parent_iqr(tmp_path, change_walls, beyond):
+    """The gap between the medians must exceed the parent's q3 - q1 (0.2
+    here), whichever way it goes and whether or not the runs pair up."""
+    parent = [write(tmp_path, "p%d.json" % i, record("a", w)) for i, w in enumerate((3.8, 4.0, 4.2))]
+    change = [write(tmp_path, "c%d.json" % i, record("b", w)) for i, w in enumerate(change_walls)]
+    out = tmp_path / "BENCH.json"
+    for runs in (change, change[:2]):
+        bench_entry.main(["--out", str(out), "--parent", *parent, "--change", *runs])
+        wall = json.loads(out.read_text())["workloads"]["L-default"]["end_to_end"]["wall_s"]
+        assert wall["parent"]["q3"] - wall["parent"]["q1"] == pytest.approx(0.2)
+        assert wall["beyond_parent_iqr"] is beyond, runs
+        assert ("change_wins" in wall) == (len(runs) == 3)

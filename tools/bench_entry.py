@@ -14,7 +14,9 @@ For each workload the entry holds:
 * ``end_to_end``: one sample per untraced run (that run's median), and
   per side the samples, their median and quartiles.  When both sides
   have the same number of runs, run i of the parent is paired with run i
-  of the change and the pairs the change won are counted.
+  of the change and the pairs the change won are counted.  With both
+  sides, ``beyond_parent_iqr`` says whether the medians differ by more
+  than the parent's interquartile range, q3 - q1.
 * ``per_layer``: per side, the median over its traced runs of each
   per-layer metric.
 * ``jobs``: attempted and failed jobs per side, and whether every output
@@ -90,6 +92,9 @@ def workload_entry(bench, parent, change):
             row["change_wins"] = sum(
                 1 for a, b in zip(row["parent"]["samples"], row["change"]["samples"])
                 if sign * (b - a) < 0)
+        if "parent" in row and "change" in row:
+            p, c = row["parent"], row["change"]
+            row["beyond_parent_iqr"] = abs(c["median"] - p["median"]) > p["q3"] - p["q1"]
         if "parent" in row or "change" in row:
             entry["end_to_end"][name] = row
 
