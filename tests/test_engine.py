@@ -590,8 +590,8 @@ def d1_digest(mats, unknown):
 
 @pytest.mark.parametrize("case", sorted(D1_RUNS))
 def test_d1_build_is_the_recorded_one(case):
-    """The d1 build, entry order within each column included: the page 1
-    dump prints a column's terms in stored order."""
+    """The d1 build as stored, block order and each column's entry order
+    included, which the dense comparison with the oracle does not see."""
     mats, unknown = D1_RUNS[case]()._d1_matrices()
     assert mats
     assert d1_digest(mats, unknown) == D1_DIGESTS[case]
