@@ -361,6 +361,23 @@ def test_render_negative_coefficients():
     assert ko.render({tau2: 1, v2: -1}) == "-v2 + tau2"
 
 
+def test_render_pins_unit_terms_and_negative_first_terms():
+    """``render`` on sums with the unit monomial, which ``mono_key`` sorts
+    before every other monomial, and on negative first terms: a unit term
+    prints as its coefficient, with no "*1"."""
+    ko = make_ko()
+    tau2, v2 = ko.monomial({"tau2": 1}), ko.monomial({"v2": 1})
+    rho_v2 = ko.monomial({"rho": 1, "v2": 2})
+    assert ko.render({MONE: 3}) == "3"
+    assert ko.render({MONE: -1}) == "-1"
+    assert ko.render({MONE: -3}) == "-3"
+    assert ko.render({tau2: 1, MONE: 3}) == "3 + tau2"
+    assert ko.render({tau2: -1, MONE: -1}) == "-1 - tau2"
+    assert ko.render({tau2: -3, v2: 3, MONE: -3}) == "-3 + 3*v2 - 3*tau2"
+    assert ko.render({tau2: 1, v2: -3}) == "-3*v2 + tau2"
+    assert ko.render({rho_v2: 2, tau2: -1}) == "-tau2 + 2*rho*v2^2"
+
+
 def test_json_round_trip():
     ko = make_ko()
     clone = presentation_from_dict(ko.to_dict())
