@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .assemble import AssembleError, assemble, render_orders
 from .charts import ChartError, ChartSpec, chart_data, emit_svg, render_chart_text
-from .engine import CodeTexts, EngineError, NotCertifiedError, SliceSS, Window
+from .engine import EngineError, NotCertifiedError, SliceSS, Window
 from .grading import EffssError
 from .objects import TRI_GRADED, get_object, load_data, spec_to_dict
 
@@ -101,16 +101,11 @@ def _cmd_compute(args) -> int:
     pages: List[object] = list(range(lo, hi_page + 1))
     if hi is None:
         pages.append("inf")
-    texts = CodeTexts(ss.pres, ss.coding)  # page 1 groups, also where a later page carries them
     for r in pages:
         lines.append("page %s" % r)
         for d, G in ss.groups(ss.r_max if r == "inf" else r):
-            if G.codes is not None:
-                labels = ", ".join([texts[k] for k in G.codes])
-            else:
-                labels = ", ".join(ss.pres.render(G.lift(i)) for i in range(len(G.orders)))
             lines.append("  (%d,%d,%d)  %s  %s"
-                         % (d.s, d.f, d.w, render_orders(G.orders), labels))
+                         % (d.s, d.f, d.w, render_orders(G.orders), ", ".join(ss.labels(G))))
     text = "\n".join(lines) + "\n"
     if args.out:
         path = os.path.join(_outdir(args), args.out)

@@ -58,9 +58,11 @@ significant, so int order is basis order and multiplying by a free
 generator adds its unit without a carry.  A page 1 group keeps its
 monomials as these codes alone.  The d1 build keys its row maps, orbits and
 shifts by them and finds a degree's multiples of generator 0 after all its
-other codes, ``project_element`` finds a monomial by its code, a page 1
-lift is decoded only when it is read, and ``dump_lines(1)`` renders each
-code once per call and reads each d1 value straight off its column.
+other codes, ``project_element`` finds a monomial by its code, and a
+page 1 lift is decoded only when it is read.  A run keeps one ``CodeTexts``, so
+each code is rendered once per run, and ``SliceSS.labels`` labels a page 1
+group by its codes on every page that carries it; ``dump_lines(1)`` reads
+each d1 value straight off its column.
 
 Every lift is a normal element with each coefficient reduced modulo its
 monomial's order: a page 1 lift is a basis monomial, and a later one is an
@@ -113,6 +115,7 @@ from .grading import (
     TriDegree,
     el_iadd,
     lam,
+    render_terms,
 )
 from .intlinalg import (
     ColMat,
@@ -278,8 +281,8 @@ def derive(pres: RingPresentation, m: Monomial, images: Dict[int, Element]) -> E
     """Extend the generator table to the monomial m by the Leibniz rule.
 
     The table holds normal elements, as every schedule does.  Each term is
-    a product that ``multiply_monomial`` has already made normal, so the
-    sum is normalized by its coefficients alone and the result is normal.
+    a product that ``multiply`` has already made normal, so the sum is
+    normalized by its coefficients alone and the result is normal.
     """
     acc: Element = {}
     for i, (g, e) in enumerate(m):
@@ -290,7 +293,7 @@ def derive(pres: RingPresentation, m: Monomial, images: Dict[int, Element]) -> E
             rest = m[:i] + m[i + 1 :]
         else:
             rest = m[:i] + ((g, e - 1),) + m[i + 1 :]
-        term = pres.multiply_monomial(rest, img)
+        term = pres.multiply({rest: 1}, img)
         el_iadd(acc, term, e)
     return pres.reduce_coefficients(acc)
 
@@ -467,6 +470,8 @@ class SliceSS:
             )
             self.pages: Dict[int, Dict[TriDegree, PageGroup]] = {1: self._first_page(basis)}
         self._coding: Coding = basis.coding  # page 1's, shared by its groups
+        self._texts = CodeTexts(self.pres, self._coding)
+        self._in_window: Optional[List[TriDegree]] = None  # page 1's degrees in the window, sorted
         self.valid: Dict[int, Certified] = {1: Certified(self.box, {}, 1)}
         self.diffs: Dict[int, Dict[TriDegree, ColMat]] = {}  # nonzero d_r only
         self.unknown_out: Dict[int, Set[TriDegree]] = {}
@@ -625,7 +630,7 @@ class SliceSS:
                 add(val, dX, s, 1, t)
             for g, sh, e, tg in moved:
                 if g not in dgX:
-                    dgX[g] = coded(pres.multiply_monomial(X, images[g]))
+                    dgX[g] = coded(pres.multiply({X: 1}, images[g]))
                 add(val, dgX[g], sh, e, tg)
             return val
 
@@ -977,15 +982,17 @@ class SliceSS:
     def groups(self, r: int) -> Iterator[Tuple[TriDegree, PageGroup]]:
         """Yield (degree, group) for the certified non-empty groups of page r
         in the user window, degree-sorted, which is the order of
-        ``Window.degrees``."""
+        ``Window.degrees``.  Every page holds a subset of page 1's degrees,
+        so one sorted list of page 1's degrees in the window, made on first
+        use, serves every page."""
         if r not in self.pages:
             raise EngineError("page %d not computed" % r)
+        if self._in_window is None:
+            self._in_window = sorted(filter(self.window.contains, self.pages[1]))
         page, valid = self.pages[r], self.valid[r]
-        for d in sorted(page):
-            if not self.window.contains(d):
-                continue
-            G = page[d]
-            if G.orders and d in valid:
+        for d in self._in_window:
+            G = page.get(d)
+            if G is not None and G.orders and d in valid:
                 yield d, G
 
     def summands(self, r: int) -> Iterator[Tuple[TriDegree, int, int, Element, str]]:
@@ -994,38 +1001,47 @@ class SliceSS:
             for i, o in enumerate(G.orders):
                 yield d, i, o, G.lift(i), G.parts[i]
 
+    def labels(self, G: PageGroup) -> List[str]:
+        """Each summand's label.  A page 1 group, also where a later page
+        carries it, is labelled by its codes, each rendered once per run;
+        any other group by its rendered lifts."""
+        if G.codes is not None:
+            texts = self._texts
+            return [texts[k] for k in G.codes]
+        render = self.pres.render
+        return [render(G.lift(i)) for i in range(len(G))]
+
     def dump_lines(self, r: int) -> Iterator[str]:
         """One line per summand:
 
         page {r} | {s} {f} {w} | {order} | {label} | d{r} -> {value}
 
-        Page 1 groups, also where a later page carries them, are read by
-        their codes, each rendered once per call, and each d1 value straight
-        off its column.
+        Labels come from ``labels``, and each d1 value straight off its
+        column.
         """
-        texts = CodeTexts(self.pres, self._coding)
         if r != 1:
             render = self.pres.render
             for d, G in self.groups(r):
-                for i, o in enumerate(G.orders):
-                    label = texts[G.codes[i]] if G.codes is not None else render(G.lift(i))
+                for i, (o, label) in enumerate(zip(G.orders, self.labels(G))):
                     v = self.differential_value(r, d, i)
                     yield "page %d | %d %d %d | %d | %s | d%d -> %s" % (
                         r, d.s, d.f, d.w, o, label, r, render(v) if v else "-",
                     )
             return
+        column = self._texts.column
         mats, page, shift = self._ensure_diffs(1), self.pages[1], page_shift(1)
         for d, G in self.groups(1):
             M = mats.get(d)
             T = page[d + shift] if M is not None else None
-            for i, (o, k) in enumerate(zip(G.orders, G.codes)):
-                vtext = texts.column(M, i, T) if M is not None else "-"
-                yield "page 1 | %d %d %d | %d | %s | d1 -> %s" % (d.s, d.f, d.w, o, texts[k], vtext)
+            for i, (o, label) in enumerate(zip(G.orders, self.labels(G))):
+                vtext = column(M, i, T) if M is not None else "-"
+                yield "page 1 | %d %d %d | %d | %s | d1 -> %s" % (d.s, d.f, d.w, o, label, vtext)
 
 
 class CodeTexts(dict):
     """Page 1 monomial texts by code, each decoded and rendered on its first
-    read: a memo for one dump."""
+    read.  A run keeps one, which holds the presentation's renderer and
+    page 1's decoder but not the run."""
 
     __slots__ = ("_render", "_decode")
 
@@ -1038,16 +1054,6 @@ class CodeTexts(dict):
         text = self[k] = self._render(self._decode(k))
         return text
 
-    def term(self, c: int, k: int) -> str:
-        """As ``RingPresentation.render_term``; the unit monomial is code 0."""
-        if not k:
-            return str(c)
-        if c == 1:
-            return self[k]
-        if c == -1:
-            return "-" + self[k]
-        return "%d*%s" % (c, self[k])
-
     def column(self, M: ColMat, j: int, T: PageGroup) -> str:
         """Column j of a d1 block into the page 1 group T, as
         ``RingPresentation.render`` renders ``differential_value``: each
@@ -1056,17 +1062,11 @@ class CodeTexts(dict):
         ``mono_key``; "-" when no term is left."""
         a, b = M.ptr[j], M.ptr[j + 1]
         orders, codes = T.orders, T.codes
-        text = ""
+        terms = []
         for row, c in sorted(zip(M.rows[a:b], M.vals[a:b])):
             o = orders[row]
             if o:
                 c %= o
-            if not c:
-                continue
-            if not text:
-                text = self.term(c, codes[row])
-            elif c < 0:
-                text += " - " + self.term(-c, codes[row])
-            else:
-                text += " + " + self.term(c, codes[row])
-        return text or "-"
+            if c:
+                terms.append((c, self[codes[row]]))
+        return render_terms(terms) or "-"

@@ -28,14 +28,16 @@ tau2 |-> tau^2 + rho^2 * v2) and reducing coefficients mod 2.
 localization commutes with every differential.
 
 Monomial images are keyed by their int codes (``grading.Coding``).  A
-new code's image is its prefix's image times one generator power, the
-prefix being the code with its least significant field cleared, so no
+new code's image is its prefix's image times one generator power, which
+``Coding.split`` peels off the code's least significant field, so no
 code is decoded and each new monomial costs one product.  ``compare``
-localizes each summand once, page 1 straight from its code, and reads
+localizes each summand once through its own images, page 1 straight
+from its code and a later page's lift monomial by monomial, and reads
 the localized d_r as the XOR of the target summands' images over the odd
 entries of its column; that is sound because every monomial order is 0
 or a power of 2, so reducing a coefficient mod its order keeps its
-parity.  The images live for one ``compare`` call and no longer.
+parity.  The images live for one ``compare`` call and no longer, and
+``localize`` of one element keeps none.
 """
 
 from __future__ import annotations
@@ -272,47 +274,23 @@ def eta_image_table(obj) -> Dict[int, EtaElement]:
     return table
 
 
-def _fields_by_bit(coding: Coding) -> List[Tuple[int, int, Dict[int, int]]]:
-    """For each bit of a code, the field that holds it: its lowest bit,
-    its mask once shifted down, and its generators keyed by the field's
-    value with the exponent bits cleared.
-
-    Read off ``Coding.unit`` and ``Coding.offset``: the members of a
-    field share one unit, and member g sits at offset[g] above its
-    exponent, which is 0 for a lone generator.
-    """
-    members: Dict[int, Dict[int, int]] = {}
-    for g, (u, off) in enumerate(zip(coding.unit, coding.offset)):
-        at = u.bit_length() - 1
-        members.setdefault(at, {})[off >> at] = g
-    ats = sorted(members)
-    tops = ats[1:] + [ats[-1] + coding.width + len(members[ats[-1]]).bit_length()]
-    out: List[Tuple[int, int, Dict[int, int]]] = []
-    for at, top in zip(ats, tops):
-        out.extend([(at, (1 << (top - at)) - 1, members[at])] * (top - at))
-    return out
-
-
 class _Images:
     """Eta images of monomials, keyed by their codes under one ``Coding``.
 
     ``code(k)`` reads the image of code k.  A new code's image is the
-    image of its prefix times one generator power: ``Coding.encode``
-    sums offset[g] + e * unit[g] over the powers g^e of a monomial, so
-    clearing the least significant field present, which holds one
-    power g^e, leaves the code of the rest.  No code is decoded.
-    Generator powers are kept by (g, e), and every image is built from
-    one interned copy of each eta monomial.  An instance lives for one
-    ``compare`` call, or for one ``localize`` call outside it.
+    image of the rest of the code times one generator power, both read
+    off ``Coding.split``, so no code is decoded.  Generator powers are
+    kept by (g, e), and every image is built from one interned copy of
+    each eta monomial.  An instance lives for one ``compare`` call, or
+    for one ``localize`` call.
     """
 
-    __slots__ = ("table", "encode", "low", "fields", "by_code", "powers", "terms")
+    __slots__ = ("table", "encode", "split", "by_code", "powers", "terms")
 
     def __init__(self, table: Dict[int, EtaElement], coding: Coding) -> None:
         self.table = table
         self.encode = coding.encode
-        self.low = (1 << coding.width) - 1
-        self.fields = _fields_by_bit(coding)
+        self.split = coding.split
         self.by_code: Dict[int, EtaElement] = {0: ETA_UNIT}
         self.powers: Dict[Tuple[int, int], EtaElement] = {}
         self.terms: Dict[EtaMonomial, EtaMonomial] = {}
@@ -320,16 +298,13 @@ class _Images:
     def code(self, k: int) -> EtaElement:
         img = self.by_code.get(k)
         if img is None:
-            at, mask, member = self.fields[(k & -k).bit_length() - 1]
-            v = (k >> at) & mask
-            e = v & self.low
-            g = member[v - e]
+            g, e, rest = self.split(k)
             power = self.powers.get((g, e))
             if power is None:
                 power = self.powers[g, e] = eta_el_pow(self.table[g], e)
             terms = self.terms
             img = self.by_code[k] = frozenset(
-                [terms.setdefault(z, z) for z in eta_el_mul(self.code(k - (v << at)), power)]
+                [terms.setdefault(z, z) for z in eta_el_mul(self.code(rest), power)]
             )
         return img
 
@@ -341,27 +316,19 @@ class _Images:
         return frozenset(out)
 
 
-#: object -> the images of the ``compare`` call running on it
-_RUNNING: Dict[object, _Images] = {}
-
-
 def localize(obj, e: Element) -> EtaElement:
     """Image of a tri-graded element under inverting h1.
 
     Generator-wise substitution with h1 powers dropped; coefficients
     are read mod 2 since the target is an F_2 vector space.  Each
-    monomial's image is looked up by its code (``_Images``).  Inside
-    ``compare`` on the same object the code is the run's, so page-1
-    summands and later-page lifts share one set of images, which the
-    call drops when it returns; elsewhere the call codes its own
-    monomials, one field per generator, and keeps nothing.
+    monomial's image is looked up by its code (``_Images``) under a
+    coding of the call's own, one field per generator, wide enough for
+    e's exponents; the call keeps nothing.  ``compare`` localizes
+    through images of its own and does not come here.
     """
-    images = _RUNNING.get(obj)
-    if images is None:
-        n = len(obj.pres.generators)
-        width = max([x for m in e for _g, x in m], default=0).bit_length() or 1
-        images = _Images(eta_image_table(obj), Coding([(g,) for g in range(n)], width))
-    return images.element(e)
+    n = len(obj.pres.generators)
+    width = max([x for m in e for _g, x in m], default=0).bit_length() or 1
+    return _Images(eta_image_table(obj), Coding([(g,) for g in range(n)], width)).element(e)
 
 
 def eta_schedule(name: str = "L_eta", r_max: int = 9) -> Dict[int, Dict[EtaMonomial, EtaElement]]:
@@ -398,12 +365,14 @@ def compare(ss, pages: Optional[int] = None) -> Dict:
     points at the exact class that moved.
 
     Each group's summands are localized once, when the walk first meets
-    the group as a source or a target: page-1 summands by their codes,
-    later ones through ``localize``.  A group carried to the next page
-    is the same object there and keeps its images; the rest are dropped
-    at each turn, and all of them when the call returns.  The localized
-    d_r of a summand is the XOR of the images of the target summands
-    whose column coefficient is odd.  That is localize applied to
+    the group as a source or a target, through one set of images keyed
+    by the run's codes: page-1 summands by their codes, later ones by
+    their lifts' monomials, which are page-1 basis monomials.  A group
+    carried to the next page is the same object there and keeps its
+    images; the rest are dropped at each turn, and all of them when the
+    call returns.  The localized d_r of a summand is the XOR of the
+    images of the target summands whose column coefficient is odd.  That
+    is localize applied to
     ``differential_value``, which reduces each coefficient mod its
     monomial's order, only because every such order is 0 or a power of
     2 and so keeps the coefficient's parity; an object with a generator
@@ -452,7 +421,7 @@ def compare(ss, pages: Optional[int] = None) -> Dict:
             if G.codes is not None:  # page 1
                 imgs = [images.code(k) for k in G.codes]
             else:
-                imgs = [localize(obj, G.lift(i)) for i in range(len(G))]
+                imgs = [images.element(G.lift(i)) for i in range(len(G))]
             held[G] = imgs
         return imgs
 
@@ -482,50 +451,46 @@ def compare(ss, pages: Optional[int] = None) -> Dict:
                 dr ^= dm
         return cls, dr
 
-    _RUNNING[obj] = images
-    try:
-        with collection_paused():  # the walk makes no cycles
-            for r in range(1, r_hi + 1):
-                page, shift = ss.pages[r], page_shift(r)
-                fates.clear()
-                for d, G in ss.groups(r):
-                    if not ss.differential_known(r, d):
-                        # the box certifies the classes but not their outgoing
-                        # d_r; nothing to compare against
-                        skipped += len(G)
+    with collection_paused():  # the walk makes no cycles
+        for r in range(1, r_hi + 1):
+            page, shift = ss.pages[r], page_shift(r)
+            fates.clear()
+            for d, G in ss.groups(r):
+                if not ss.differential_known(r, d):
+                    # the box certifies the classes but not their outgoing
+                    # d_r; nothing to compare against
+                    skipped += len(G)
+                    continue
+                M = ss.diffs[r].get(d)
+                if M is not None:
+                    ptr, rows, vals = M.ptr, M.rows, M.vals
+                    tgt = images_of(page[d + shift])
+                for i, lx in enumerate(images_of(G)):
+                    try:
+                        _lxr, want = page_class(r, lx)
+                    except EtaError as ex:
+                        note(r, d, i, G, "source does not localize to a page class",
+                             str(ex), render_eta_element(lx))
                         continue
-                    M = ss.diffs[r].get(d)
+                    lv: set = set()
                     if M is not None:
-                        ptr, rows, vals = M.ptr, M.rows, M.vals
-                        tgt = images_of(page[d + shift])
-                    for i, lx in enumerate(images_of(G)):
-                        try:
-                            _lxr, want = page_class(r, lx)
-                        except EtaError as ex:
-                            note(r, d, i, G, "source does not localize to a page class",
-                                 str(ex), render_eta_element(lx))
-                            continue
-                        lv: set = set()
-                        if M is not None:
-                            for k in range(ptr[i], ptr[i + 1]):
-                                if vals[k] & 1:
-                                    lv ^= tgt[rows[k]]
-                        try:
-                            lvr, _dv = page_class(r, lv)
-                        except EtaError as ex:
-                            note(r, d, i, G, "value does not localize to a page class",
-                                 str(ex), render_eta_element(lv))
-                            continue
-                        checked += 1
-                        per_page[r] = per_page.get(r, 0) + 1
-                        if lvr != want:
-                            note(r, d, i, G, "differentials disagree",
-                                 render_eta_element(lvr), render_eta_element(want))
-                if r < r_hi:
-                    nxt = ss.pages[r + 1]
-                    held = {G: imgs for G, imgs in held.items() if nxt.get(G.degree) is G}
-    finally:
-        del _RUNNING[obj]
+                        for k in range(ptr[i], ptr[i + 1]):
+                            if vals[k] & 1:
+                                lv ^= tgt[rows[k]]
+                    try:
+                        lvr, _dv = page_class(r, lv)
+                    except EtaError as ex:
+                        note(r, d, i, G, "value does not localize to a page class",
+                             str(ex), render_eta_element(lv))
+                        continue
+                    checked += 1
+                    per_page[r] = per_page.get(r, 0) + 1
+                    if lvr != want:
+                        note(r, d, i, G, "differentials disagree",
+                             render_eta_element(lvr), render_eta_element(want))
+            if r < r_hi:
+                nxt = ss.pages[r + 1]
+                held = {G: imgs for G, imgs in held.items() if nxt.get(G.degree) is G}
 
     return {
         "object": obj.name,

@@ -379,7 +379,6 @@ def build_fiber_object(
 
     meta: Dict[str, object] = {
         "base": base.name,
-        "construction": data.get("construction"),
         "layout": layout,
     }
 

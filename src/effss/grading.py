@@ -19,6 +19,14 @@ module holds the shared machinery for that picture:
   forms.  Each rule repairs exactly one cap or slot violation and is looked
   up by it; a violation that no rule repairs is refused.
 
+* ``Coding`` is the int code of monomials that page 1 keeps in place of
+  them.  It alone knows the field layout: ``decode`` walks every field,
+  and ``split``, which peels one generator power off a code, is the one
+  walk of the layout that other modules use.
+
+* ``render_terms`` is the one text format of a sum of terms: ``render``
+  and the engine's page 1 dump, which renders from codes, both call it.
+
 Coefficients are reduced modulo the additive order of the monomial they sit
 on.  The order of a monomial is the gcd of the torsions of the generators
 appearing in it (torsion 0 means a free summand).
@@ -148,6 +156,31 @@ def mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return tuple(quot)
 
 
+def render_terms(terms: Iterable[Tuple[int, str]]) -> str:
+    """(coefficient, monomial text) terms joined as ``RingPresentation.render``
+    prints an element, "" for no terms.  A later term follows " + " or " - "
+    by its sign, a coefficient of 1 or -1 prints as its sign alone, and a
+    term on the unit monomial, whose text is "1", prints as its coefficient.
+
+    >>> render_terms([(-1, "v2"), (3, "tau2"), (-2, "1")])
+    '-v2 + 3*tau2 - 2'
+    """
+    out: List[str] = []
+    for c, text in terms:
+        if out:
+            out.append(" - " if c < 0 else " + ")
+            c = abs(c)
+        if text == "1":
+            out.append(str(c))
+        elif c == 1:
+            out.append(text)
+        elif c == -1:
+            out.append("-" + text)
+        else:
+            out.append("%d*%s" % (c, text))
+    return "".join(out)
+
+
 def el_iadd(acc: Element, other: Element, scale: int = 1) -> Element:
     """Accumulate ``scale * other`` into ``acc`` in place and return it."""
     for m, c in other.items():
@@ -201,15 +234,20 @@ class Coding:
     every later one and an absent run.  For the same reason, for a product
     S of lone generators, code(S X) = code(S) + code(X), and code(S X)
     masked to S's fields (``field_mask``) is code(S).
+
+    The layout is known here alone: ``decode`` walks every field, and
+    ``split`` peels one power off a code, which is the one walk of the
+    layout outside this class.
     """
 
-    __slots__ = ("width", "unit", "offset", "_fields")
+    __slots__ = ("width", "unit", "offset", "_fields", "_by_bit")
 
     def __init__(self, runs: Sequence[Tuple[int, ...]], width: int) -> None:
         n = sum(map(len, runs))
         unit = [0] * n
         offset = [0] * n
         fields = []  # (run, field mask, field bits), least significant first
+        by_bit = []  # per bit: its field's lowest bit, mask, and members by value
         at = 0
         for run in reversed(runs):
             r = len(run)
@@ -219,11 +257,14 @@ class Coding:
                     offset[g] = (r - k) << (at + width)
             bits = width + (r.bit_length() if r > 1 else 0)
             fields.append((run, (1 << bits) - 1, bits))
+            members = {(r - k) << width if r > 1 else 0: g for k, g in enumerate(run)}
+            by_bit.extend([(at, (1 << bits) - 1, members)] * bits)
             at += bits
         self.width = width
         self.unit: Tuple[int, ...] = tuple(unit)
         self.offset: Tuple[int, ...] = tuple(offset)
         self._fields = tuple(fields)
+        self._by_bit = tuple(by_bit)
 
     def encode(self, m: Monomial) -> int:
         return sum([self.offset[g] + e * self.unit[g] for g, e in m])
@@ -242,6 +283,15 @@ class Coding:
                 out.append((run[0], v) if len(run) == 1 else (run[len(run) - (v >> width)], v & low))
         out.reverse()
         return tuple(out)
+
+    def split(self, k: int) -> Tuple[int, int, int]:
+        """(g, e, rest) for a nonzero code k: g^e is the power in k's least
+        significant field present, and rest the code of the other powers,
+        k with that field cleared."""
+        at, mask, members = self._by_bit[(k & -k).bit_length() - 1]
+        v = (k >> at) & mask
+        e = v & ((1 << self.width) - 1)
+        return members[v - e], e, k - (v << at)
 
     def field_mask(self, gens: Iterable[int]) -> int:
         """The bits of the fields of the given lone generators."""
@@ -574,13 +624,6 @@ class RingPresentation:
                 raw[m] = raw.get(m, 0) + ca * cb
         return self.reduce(raw)
 
-    def multiply_monomial(self, m: Monomial, e: Element) -> Element:
-        raw: Element = {}
-        for mb, cb in e.items():
-            mm = mono_mul(m, mb)
-            raw[mm] = raw.get(mm, 0) + cb
-        return self.reduce(raw)
-
     def is_normal(self, m: Monomial) -> bool:
         """True when m is a basis monomial: it has no cap or slot violation.
 
@@ -752,26 +795,11 @@ class RingPresentation:
             parts.append(name if e == 1 else "%s^%d" % (name, e))
         return "*".join(parts)
 
-    def render_term(self, coeff: int, m: Monomial) -> str:
-        if not m:
-            return str(coeff)
-        if coeff == 1:
-            return self.render_monomial(m)
-        if coeff == -1:
-            return "-" + self.render_monomial(m)
-        return "%d*%s" % (coeff, self.render_monomial(m))
-
     def render(self, e: Element) -> str:
         if not e:
             return "0"
         items = sorted(e.items(), key=lambda mc: self.mono_key(mc[0]))
-        text = self.render_term(items[0][1], items[0][0])
-        for m, c in items[1:]:
-            if c < 0:
-                text += " - " + self.render_term(-c, m)
-            else:
-                text += " + " + self.render_term(c, m)
-        return text
+        return render_terms([(c, self.render_monomial(m)) for m, c in items])
 
     def parse_monomial(self, text: str) -> Monomial:
         """Inverse of render_monomial for well-formed input.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .assemble import expand_ledger, load_ledger, order_pattern_check
 from .charts import ChartSpec, chart_data, render_chart_text
@@ -43,7 +43,7 @@ def _cached(key: str, build: Callable[[], object]):
     return _CACHE[key]
 
 
-def _run(name: str, window: Window, **kw) -> SliceSS:
+def _run(name: str, window: Optional[Window], **kw) -> SliceSS:
     def build():
         obj = get_object(name, window=window)
         ss = SliceSS(obj, window, **kw)
@@ -60,16 +60,6 @@ def _ko_C_run() -> SliceSS:
 
 def _ko_run() -> SliceSS:
     return _run("ko", Window((-4, 42), (0, 14), (-12, 24)))
-
-
-def _L_wide_run() -> SliceSS:
-    def build():
-        obj = get_object("L")
-        ss = SliceSS(obj, obj.default_window)
-        ss.run()
-        return ss
-
-    return _cached("L:default", build)
 
 
 def _L_chart_run() -> SliceSS:
@@ -373,7 +363,7 @@ def _expected_L_d1(pres, name: str) -> str:
 
 
 def check_L_d1_pattern() -> str:
-    ss = _L_wide_run()
+    ss = _run("L", None)
     pres = ss.pres
     rows = 0
     for g in pres.generators:
@@ -415,7 +405,7 @@ def check_L_d1_pattern() -> str:
 
 
 def check_coweight_orders() -> str:
-    ss = _L_wide_run()
+    ss = _run("L", None)
 
     # Nothing moves after page 2 away from coweight 0 mod 4: pages 2 and
     # r_max must agree summand for summand in coweights 1, 2 mod 4.
@@ -459,7 +449,7 @@ def check_coweight_orders() -> str:
 
 
 def check_eta_compare() -> str:
-    ss = _L_wide_run()
+    ss = _run("L", None)
     rep = eta_compare(ss, pages=6)
     if rep["mismatches"]:
         raise CheckFailure("first mismatch: %s" % rep["mismatches"][0])
@@ -483,7 +473,7 @@ def check_eta_compare() -> str:
 def check_hidden_ledger() -> str:
     counts = {}
     ss_ko = _ko_run()
-    ss_L = _L_wide_run()
+    ss_L = _run("L", None)
     ss_LC = _run("L_C", Window((-2, 12), (0, 14), (-8, 10)))
     for name, ss in (("ko", ss_ko), ("L", ss_L), ("L_C", ss_LC)):
         _col, rows = load_ledger(name, ss.pres)

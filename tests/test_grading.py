@@ -18,6 +18,7 @@ from effss.grading import (
     mono_div,
     mono_mul,
     presentation_from_dict,
+    render_terms,
 )
 from effss.objects import get_object
 
@@ -378,6 +379,15 @@ def test_render_pins_unit_terms_and_negative_first_terms():
     assert ko.render({rho_v2: 2, tau2: -1}) == "-tau2 + 2*rho*v2^2"
 
 
+def test_render_terms_prints_a_later_unit_term_as_its_coefficient():
+    """``render`` sorts the unit first, so a unit term in a later place is
+    pinned on the formatter itself."""
+    assert render_terms([(2, "v2"), (3, "1")]) == "2*v2 + 3"
+    assert render_terms([(1, "v2"), (-1, "1")]) == "v2 - 1"
+    assert render_terms([(-1, "v2"), (-3, "1")]) == "-v2 - 3"
+    assert render_terms([]) == ""
+
+
 def test_json_round_trip():
     ko = make_ko()
     clone = presentation_from_dict(ko.to_dict())
@@ -452,5 +462,55 @@ def test_mono_key_orders_like_the_dense_exponent_vector(page1_monomials, data):
     assert (key(a) < key(b), key(a) == key(b)) == (dense(a) < dense(b), dense(a) == dense(b))
     assert sorted(picked, key=key) == sorted(picked, key=dense)
     e = {m: data.draw(st.integers(1, 7)) for m in picked}
-    want = " + ".join(pres.render_term(e[m], m) for m in sorted(e, key=dense))
+    # every coefficient is positive: "c*m", with "c*" left out for 1, and
+    # the unit monomial printed as its coefficient
+    texts = [
+        str(e[m]) if not m else pres.render_monomial(m) if e[m] == 1 else "%d*%s" % (e[m], pres.render_monomial(m))
+        for m in sorted(e, key=dense)
+    ]
+    want = " + ".join(texts)
     assert pres.render(e) == want
+
+
+# -- the code layout ----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def default_codings():
+    """(name, page 1's coding) on each object's default window."""
+    from effss.engine import SliceSS
+
+    out = []
+    for name in ("ko_C", "ko", "L_C", "L"):
+        obj = get_object(name)
+        out.append((name, SliceSS(obj, obj.default_window).coding))
+    return out
+
+
+def test_split_peels_the_least_significant_power(default_codings):
+    """Every generator, lone or in a slot run, at exponents 1, 2 and
+    2^width - 1, under codes of the more significant fields: ``split``
+    returns that power and the code of the rest, and repeated ``split``
+    yields ``decode``'s powers in reverse order."""
+    for name, coding in default_codings:
+        unit, offset = coding.unit, coding.offset
+        top = (1 << coding.width) - 1
+        fields = {}  # a field's generators share its unit
+        for g, u in enumerate(unit):
+            fields.setdefault(u, []).append(g)
+        for g, u in enumerate(unit):
+            above = [gs for v, gs in fields.items() if v > u]
+            rests = (
+                0,
+                sum(offset[gs[0]] + unit[gs[0]] for gs in above),
+                sum(offset[gs[-1]] + top * unit[gs[-1]] for gs in above),
+            )
+            for e in (1, 2, top):
+                for rest in rests:
+                    k = rest + offset[g] + e * u
+                    assert coding.split(k) == (g, e, rest), (name, g, e, rest)
+                    powers = []
+                    while k:
+                        h, x, k = coding.split(k)
+                        powers.append((h, x))
+                    assert tuple(reversed(powers)) == coding.decode(rest + offset[g] + e * u), (name, g, e)
