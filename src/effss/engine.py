@@ -984,15 +984,20 @@ class SliceSS:
         in the user window, degree-sorted, which is the order of
         ``Window.degrees``.  Every page holds a subset of page 1's degrees,
         so one sorted list of page 1's degrees in the window, made on first
-        use, serves every page."""
+        use, serves every page.  Those degrees all lie in the box, so one
+        is certified on page r unless the run's map sends it to page r or
+        an earlier one."""
         if r not in self.pages:
             raise EngineError("page %d not computed" % r)
         if self._in_window is None:
-            self._in_window = sorted(filter(self.window.contains, self.pages[1]))
-        page, valid = self.pages[r], self.valid[r]
+            (s0, s1), (f0, f1), (w0, w1) = self.window.s, self.window.f, self.window.w
+            self._in_window = sorted(
+                [d for d in self.pages[1] if s0 <= d.s <= s1 and f0 <= d.f <= f1 and w0 <= d.w <= w1]
+            )
+        page, since = self.pages[r], self.valid[r].uncertified_from
         for d in self._in_window:
             G = page.get(d)
-            if G is not None and G.orders and d in valid:
+            if G is not None and G.orders and since.get(d, r + 1) > r:
                 yield d, G
 
     def summands(self, r: int) -> Iterator[Tuple[TriDegree, int, int, Element, str]]:
@@ -1009,7 +1014,7 @@ class SliceSS:
             texts = self._texts
             return [texts[k] for k in G.codes]
         render = self.pres.render
-        return [render(G.lift(i)) for i in range(len(G))]
+        return [render(G.lift(i)) for i in range(len(G.orders))]
 
     def dump_lines(self, r: int) -> Iterator[str]:
         """One line per summand:
