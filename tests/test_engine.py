@@ -23,8 +23,17 @@ from effss.engine import (
     derive,
     page_shift,
     validate_schedule,
+    widened_box,
 )
-from effss.grading import GeneratorSpec, RingPresentation, TriDegree, el_iadd, mono_mul
+from effss.grading import (
+    GeneratorSpec,
+    RingPresentation,
+    TriDegree,
+    el_iadd,
+    lam,
+    mono_mul,
+    presentation_from_dict,
+)
 from effss.intlinalg import ColMat, F2Homology, LinearAlgebraError
 from effss.objects import get_object
 from smith_oracle import Mat, dense, pack_columns, six_form_homology
@@ -750,6 +759,51 @@ def test_page1_on_sub_boxes_of_each_fiber_cover(fiber_objects, data):
         a, b = data.draw(st.integers(lo, hi)), data.draw(st.integers(lo, hi))
         box.append((min(a, b), max(a, b)))
     check_page1(obj, tuple(box))
+
+
+def plain_search(pres, box):
+    """pres rebuilt with generator 0 capped at 64, a cap no monomial of the
+    box reaches: the same normal forms, but a capped generator takes the
+    basis search's plain route, one search level per exponent."""
+    assert (2 * box[1][1] + box[0][1] - box[2][0]) // lam(pres.generators[0].degree) < 64
+    data = pres.to_dict()
+    data["generators"][0]["cap"] = 64
+    return presentation_from_dict(data)
+
+
+def assert_plain_search_order(obj, box):
+    kw = dict(marked=obj.image_gens, headroom=lam(page_shift(1)))
+    got = obj.pres.basis_window(*box, **kw)
+    want = plain_search(obj.pres, box).basis_window(*box, **kw)
+    assert list(got) == list(want)
+    assert list(got.items()) == list(want.items())
+    return got
+
+
+@pytest.mark.parametrize("name,window,box", [
+    ("L", PERFBENCH_L, widened_box(PERFBENCH_L, 8)),
+    ("L", FIBER_SMALL, widened_box(FIBER_SMALL, 3)),
+    ("ko", SMALL, widened_box(SMALL, 3)),
+    ("ko", SMALL, Window(s=(-2, 12), f=(1, 8), w=(-6, 8))),
+])
+def test_page1_degree_order_is_the_plain_search_order(name, window, box):
+    """On ``L`` and ``ko`` the rho towers are built by translation, and
+    each degree still comes where the plain search first reaches it, with
+    the same orders, marks and codes."""
+    got = assert_plain_search_order(get_object(name, window), (box.s, box.f, box.w))
+    assert sum(map(len, got.monomials.values())) > 500
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_page1_degree_order_on_sub_boxes(fiber_objects, ko, data):
+    obj = data.draw(st.sampled_from([fiber_objects[0], ko.obj]))
+    cover = obj.pres.cover or ko.box
+    box = []
+    for lo, hi in (cover.s, cover.f, cover.w):
+        a, b = data.draw(st.integers(lo, hi)), data.draw(st.integers(lo, hi))
+        box.append((min(a, b), max(a, b)))
+    assert_plain_search_order(obj, tuple(box))
 
 
 @pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("L", "L_C")])

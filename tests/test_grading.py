@@ -1,9 +1,11 @@
 """Core monomial algebra: degrees, rewriting, enumeration, serialization."""
 
+import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effss.engine import Window
@@ -155,6 +157,63 @@ def test_basis_window_against_brute_force():
     koc, expected = brute_force_ko_C((0, 8), (0, 5), (-6, 6))
     got = koc.basis_window((0, 8), (0, 5), (-6, 6)).monomials
     assert got == expected
+
+
+def brute_force_page1(pres, box, marked):
+    """Every normal monomial of a presentation with no slots whose degree
+    lies in the box, by degree in ``mono_key`` order, as (monomial, order,
+    mark) rows: each exponent vector under the caps, with plain sums for
+    its degree, the gcd of its generators' torsions for its order, and
+    whether a marked generator divides it.  A generator that raises the
+    filtration appears at most f1 times, and any other at most
+    (2 f1 + s1 - w0) / lam(g) times."""
+    (s0, s1), (f0, f1), (w0, w1) = box
+    gens = pres.generators
+    lam_max = 2 * f1 + s1 - w0
+    tops = []
+    for g in gens:
+        top = f1 if g.degree.f > 0 else lam_max // lam(g.degree)
+        tops.append(range(max(min(top, g.cap if g.cap is not None else top), 0) + 1))
+    found = {}
+    for exps in itertools.product(*tops):
+        s = sum(e * g.degree.s for e, g in zip(exps, gens))
+        f = sum(e * g.degree.f for e, g in zip(exps, gens))
+        w = sum(e * g.degree.w for e, g in zip(exps, gens))
+        if not (s0 <= s <= s1 and f0 <= f <= f1 and w0 <= w <= w1):
+            continue
+        m = tuple((i, e) for i, e in enumerate(exps) if e)
+        o = 0
+        for i, _e in m:
+            o = math.gcd(o, gens[i].torsion)
+        found.setdefault(TriDegree(s, f, w), []).append((m, o, any(i in marked for i, _e in m)))
+    for rows in found.values():
+        rows.sort(key=lambda row: dense_mono_key(pres, row[0]))
+    return found
+
+
+KO_BOXES = st.tuples(
+    st.tuples(st.integers(-4, 10), st.integers(0, 8)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.tuples(st.integers(-8, 6), st.integers(0, 10)),
+).map(lambda box: tuple((lo, lo + span) for lo, span in box))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(box=KO_BOXES, marked=st.frozensets(st.integers(0, 4)))
+@example(box=((0, 6), (2, 5), (-4, 4)), marked=frozenset({0}))  # f0 > 0
+@example(box=((-4, 2), (0, 6), (-8, 0)), marked=frozenset({2}))  # top stem and weight cut rho towers
+@example(box=((3, 3), (1, 4), (-6, 6)), marked=frozenset())  # one stem, f0 > 0
+def test_ko_page1_against_brute_force(box, marked):
+    """On ``ko``, whose rho towers the basis search builds by translation,
+    each degree of a sub-box holds the brute-force monomials in basis
+    order, with their orders and marks."""
+    pres = get_object("ko").pres
+    want = brute_force_page1(pres, box, marked)
+    got = pres.basis_window(*box, marked=marked)
+    assert got.monomials == {d: [m for m, _o, _k in rows] for d, rows in want.items()}
+    for d, (orders, marks, _codes) in got.items():
+        assert list(orders) == [o for _m, o, _k in want[d]], d
+        assert list(marks) == [k for _m, _o, k in want[d]], d
 
 
 def test_basis_at_frozen_examples():
