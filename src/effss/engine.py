@@ -52,7 +52,12 @@ tuple of parts into its parts once per run.
 
 Page 1 comes straight from the basis search, ``basis_window``, which
 carries each monomial's order, whether an image generator divides it, and
-its code down each search path.  The code is the int of the presentation's
+its code down each search path.  Where generator 0 is free and alone on
+the innermost search level (rho on ``ko`` and ``L``), the search emits
+only the g-free monomials and the face ones, whose degree's neighbour |g|
+below lies outside the box, and builds every other degree bottom up as
+its own monomials followed by the degree |g| below translated, so most of
+page 1 is never searched.  The code is the int of the presentation's
 ``Coding``: one field per generator or slot run, generator 0 most
 significant, so int order is basis order and multiplying by a free
 generator adds its unit without a carry.  A page 1 group keeps its
@@ -746,7 +751,8 @@ class SliceSS:
             # walks a page in its own order
             self._by_valuation = {}
             for d in self.pages[1]:
-                v = two_adic_valuation(d.coweight) if d.coweight else 0
+                cw = d.s - d.w  # the coweight, read once
+                v = two_adic_valuation(cw) if cw else 0
                 if 0 < v < self.r_max:
                     self._by_valuation.setdefault(v, []).append(d)
         page = self.pages[r]

@@ -37,12 +37,14 @@ the localized d_r as the XOR of the target summands' images over the odd
 entries of its column; that is sound because every monomial order is 0
 or a power of 2, so reducing a coefficient mod its order keeps its
 parity.  The images live for one ``compare`` call and no longer, and
-``localize`` of one element keeps none.
+``localize`` of one element keeps none; it keeps only its coding, one
+per generator count and field width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .engine import collection_paused, page_shift
@@ -322,13 +324,21 @@ def localize(obj, e: Element) -> EtaElement:
     Generator-wise substitution with h1 powers dropped; coefficients
     are read mod 2 since the target is an F_2 vector space.  Each
     monomial's image is looked up by its code (``_Images``) under a
-    coding of the call's own, one field per generator, wide enough for
-    e's exponents; the call keeps nothing.  ``compare`` localizes
+    coding of one field per generator, wide enough for e's exponents
+    (``_lone_fields``); the call keeps no image.  ``compare`` localizes
     through images of its own and does not come here.
     """
     n = len(obj.pres.generators)
     width = max([x for m in e for _g, x in m], default=0).bit_length() or 1
-    return _Images(eta_image_table(obj), Coding([(g,) for g in range(n)], width)).element(e)
+    return _Images(eta_image_table(obj), _lone_fields(n, width)).element(e)
+
+
+@lru_cache(maxsize=16)
+def _lone_fields(n: int, width: int) -> Coding:
+    """The coding of n generators with one field each, kept per (n,
+    width): building it costs nearly all of a ``localize`` call, and a
+    coding does not change once built."""
+    return Coding([(g,) for g in range(n)], width)
 
 
 def eta_schedule(name: str = "L_eta", r_max: int = 9) -> Dict[int, Dict[EtaMonomial, EtaElement]]:

@@ -427,6 +427,11 @@ class RingPresentation:
             key=len,
             reverse=True,
         )
+        # basis_window builds the powers of generator 0 as towers when it
+        # is free (no cap, no slot) and alone on the innermost level, which
+        # also means it is not the tail: rho on L and ko
+        g0 = self._generators[0] if self._levels[-1:] == [(0,)] else None
+        self._tower: bool = g0 is not None and g0.cap is None and not g0.slots
 
         # Stem pruning.  With f >= 0 on every generator, _reach[pos] bounds
         # |stem change| per unit of filtration over the levels from pos on
@@ -666,6 +671,23 @@ class RingPresentation:
         to ``headroom`` above the box either.  Codes are distinct within a
         degree and ordered as ``mono_key`` orders monomials, so each degree
         is sorted by code.
+
+        Where generator 0 (g) is free and alone on the innermost level, as
+        rho is on L and ko, g is a tower: g^e X is normal exactly when X
+        is, and lies |g| above X.  The search then stops at g's level and
+        emits only each path's g-free monomials and its face monomials,
+        those whose degree's lower neighbour, |g| below, lies outside the
+        box (past the top stem or weight, or under the bottom filtration);
+        g's exponent on a face is found in closed form.  Every other
+        degree is built bottom up, in increasing 2f + s - w: its sorted
+        g-free monomials, then g times each monomial of the degree below,
+        with the code plus unit(g), the order gcd'd with g's torsion and
+        the mark or'ed with g's.  Codes stay sorted, as g is the most
+        significant field.  Degrees come in the order in which the search
+        without towers first reaches them, which is the least (path rank,
+        g exponent, tail exponent) among their monomials: a search key for
+        what the search emits, and the key of the degree below with one g
+        more for a translate.
         """
         s0, s1 = s_range
         f0, f1 = f_range
@@ -692,10 +714,10 @@ class RingPresentation:
         tail_w = -gens[tail].degree.w if tail is not None else 0
         tail_unit = unit[tail] if tail is not None else 0
         tail_marked = tail in marked
+        tower = self._tower
         # (s, f, w) -> code, order and mark of each monomial in turn: one
         # flat list per degree, since on thin windows most degrees hold one
-        # monomial, and a list per array would outweigh it.  A plain tuple
-        # key hashes as the TriDegree made once per degree at the end.
+        # monomial, and a list per array would outweigh it.
         out: Dict[Tuple[int, int, int], list] = {}
 
         def leaf(s: int, f: int, w: int, code: int, o: int, mk: bool) -> None:
@@ -722,6 +744,92 @@ class RingPresentation:
                 else:
                     flat += (code, o, mk)
 
+        if tower:
+            gs, gf, gw = gens[0].degree
+            g_unit, g_torsion, g_marked = unit[0], torsion[0], 0 in marked
+            # The towers' first reach: the plain search meets each monomial
+            # at (rank of its path to generator 0's level, exponent of g,
+            # exponent of the tail), so a degree's place is its least such
+            # key, packed as one int in base `big`, above every exponent.
+            first: Dict[Tuple[int, int, int], int] = {}
+            big = max(lam_max, 0) + 2
+            rank = 0
+            # the weights whose neighbour |g| lower lies past the box's
+            # weight edge: above w1 when g lowers the weight, below w0 when
+            # it raises it
+            b0, b1 = (max(w0, w1 + gw + 1), w1) if gw < 0 else (w0, min(w1, w0 + gw - 1)) if gw else (1, 0)
+
+            def tails(w: int) -> Tuple[int, int]:
+                """The first and last e >= 0 with w - e * tail_w in [w0, w1]."""
+                if tail is None:
+                    return (0, 0) if w0 <= w <= w1 else (1, 0)
+                lo = -(-(w - w1) // tail_w)
+                return (lo if lo > 0 else 0), (w - w0) // tail_w
+
+            def steps(x: int, c: int, lo: int, hi: int) -> Tuple[int, int]:
+                """The first and last e >= 0 with x + e * c in [lo, hi]."""
+                if c > 0:
+                    return max(0, -((x - lo) // c)), (hi - x) // c
+                if c < 0:
+                    return max(0, -((hi - x) // -c)), (x - lo) // -c
+                return (0, lam_max) if lo <= x <= hi else (1, 0)
+
+            def emit(s: int, f: int, w: int, code: int, o: int, mk: bool, key: int, lo: int, hi: int) -> None:
+                """The monomials code * tail^e for e in lo..hi."""
+                tmk = mk or tail_marked
+                for e in range(lo, hi + 1):
+                    d = (s, f, w - e * tail_w)
+                    flat = out.get(d)
+                    if flat is None:
+                        flat = out[d] = []
+                        first[d] = key + e
+                    if e:
+                        flat += (code + e * tail_unit, o, tmk)
+                    else:
+                        flat += (code, o, mk)
+
+            def towers(s: int, f: int, w: int, code: int, o: int, mk: bool) -> None:
+                """Generator 0's level: the g-free monomials of this path,
+                and its face monomials, those g^e X whose degree's lower
+                neighbour, |g| below, lies outside the box.  The pass
+                below finds every other g^e X among the translates."""
+                nonlocal rank
+                rank += 1
+                key = rank * big * big
+                a, b = steps(s, gs, s0, s1)
+                af, bf = steps(f, gf, f0, f1)
+                if af > a:
+                    a = af
+                if bf < b:
+                    b = bf
+                if a > b:
+                    return
+                go = math.gcd(o, g_torsion)
+                gmk = mk or g_marked
+                if a:
+                    # the stem or filtration face: g^a is g's first power in the box
+                    w_a = w + a * gw
+                    emit(s + a * gs, f + a * gf, w_a, code + a * g_unit, go, gmk, key + a * big, *tails(w_a))
+                else:
+                    emit(s, f, w, code, o, mk, key, *tails(w))
+                if a == b or b0 > b1:
+                    return
+                # the weight face, one e for each tail power t: the e in
+                # a + 1..b with w + e * gw - t * tail_w in b0..b1
+                if tail is None:
+                    ts = range(1)
+                else:
+                    lo_w, hi_w = sorted(((a + 1) * gw, b * gw))
+                    ts = range(max(0, -((b1 - w - lo_w) // tail_w)), (w + hi_w - b0) // tail_w + 1)
+                for t in ts:
+                    x = w - t * tail_w
+                    e = -((b1 - x) // -gw) if gw < 0 else -((x - b0) // gw)
+                    if a < e <= b and b0 <= x + e * gw <= b1:
+                        emit(s + e * gs, f + e * gf, w + e * gw, code + e * g_unit, go, gmk, key + e * big, t, t)
+
+        bottom = towers if tower else leaf
+        stop = len(levels) - tower  # the level the search ends on
+
         def rec(
             pos: int, s: int, f: int, w: int, lam_used: int, slots: frozenset, code: int, o: int, mk: bool
         ) -> None:
@@ -733,8 +841,8 @@ class RingPresentation:
             r = reach[pos]
             if r is not None and (s - r * (f1 - f) > s1 or s + r * (f1 - f) < s0):
                 return
-            if pos == len(levels):
-                leaf(s, f, w, code, o, mk)
+            if pos == stop:
+                bottom(s, f, w, code, o, mk)
                 return
             rec(pos + 1, s, f, w, lam_used, slots, code, o, mk)
             for gi in levels[pos]:
@@ -764,19 +872,78 @@ class RingPresentation:
             rec(0, 0, 0, 0, 0, frozenset(), 0, 0, False)
         finally:
             del rec  # rec reaches itself through its closure; unbind it to free both
-        # one orders tuple and one marks tuple per distinct value
+        # one orders tuple and one marks tuple per distinct value; a
+        # one-monomial degree finds its two by its one value
         shared_orders: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         shared_marks: Dict[Tuple[bool, ...], Tuple[bool, ...]] = {}
+        one_order: Dict[int, Tuple[int, ...]] = {}
+        one_mark: Dict[bool, Tuple[bool, ...]] = {}
+
+        def arrays(flat: list) -> Tuple[Tuple[int, ...], Tuple[bool, ...], Tuple[int, ...]]:
+            """A degree's orders, marks and codes from its flat list, in code
+            order, which is basis order (codes are distinct in a degree)."""
+            if len(flat) == 3:
+                code, o, mk = flat
+                os = one_order.get(o)
+                if os is None:
+                    os = one_order[o] = shared_orders.setdefault((o,), (o,))
+                ms = one_mark.get(mk)
+                if ms is None:
+                    ms = one_mark[mk] = shared_marks.setdefault((mk,), (mk,))
+                return os, ms, (code,)
+            flat = [x for row in sorted(zip(*[iter(flat)] * 3)) for x in row]
+            os = tuple(flat[1::3])
+            ms = tuple(flat[2::3])
+            return shared_orders.setdefault(os, os), shared_marks.setdefault(ms, ms), tuple(flat[0::3])
+
         basis = Basis(coding)
-        for d in list(out):
-            flat = out.pop(d)  # freed as its degree's arrays are made
-            if len(flat) > 3:
-                # basis order is code order, and codes are distinct in a degree
-                flat = [x for row in sorted(zip(*[iter(flat)] * 3)) for x in row]
-            o = tuple(flat[1::3])
-            k = tuple(flat[2::3])
-            o = shared_orders.setdefault(o, o)
-            basis[TriDegree._make(d)] = (o, shared_marks.setdefault(k, k), tuple(flat[0::3]))
+        new = tuple.__new__
+        if not tower:
+            for d in list(out):
+                basis[new(TriDegree, d)] = arrays(out.pop(d))  # freed as its arrays are made
+            return basis
+
+        # Bottom up along g, one walk up each run of non-empty degrees: a
+        # degree holds its own g-free and face monomials, then g times each
+        # monomial of the degree below, and is first reached at the lesser
+        # of its own key and the key below with one g more.
+        made: Dict[Tuple[int, int, int], Tuple[Tuple[int, ...], Tuple[bool, ...], Tuple[int, ...]]] = {}
+        moved: Dict[Tuple[int, ...], Tuple[int, ...]] = {}  # orders below -> orders of their g multiples
+        for d in sorted(out, key=lambda d: 2 * d[1] + d[0] - d[2]):
+            below = None
+            while d not in made:
+                flat = out.pop(d, None)
+                os, ms, cs = arrays(flat) if flat else ((), (), ())
+                key = first.get(d)
+                if below is not None:
+                    if key is None or up < key:
+                        key = up
+                    bos, bms, bcs = below
+                    mos = moved.get(bos)
+                    if mos is None:
+                        mos = tuple([math.gcd(x, g_torsion) for x in bos])
+                        mos = moved[bos] = shared_orders.setdefault(mos, mos)
+                    if g_marked:
+                        bms = (True,) * len(bms)
+                        bms = shared_marks.setdefault(bms, bms)
+                    cs += tuple([x + g_unit for x in bcs])
+                    if os:
+                        os += mos
+                        ms += bms
+                        os = shared_orders.setdefault(os, os)
+                        ms = shared_marks.setdefault(ms, ms)
+                    else:
+                        os, ms = mos, bms
+                if not cs:
+                    break
+                made[d] = below = (os, ms, cs)
+                first[d] = key
+                up = key + big
+                d = (d[0] + gs, d[1] + gf, d[2] + gw)
+                if not (s0 <= d[0] <= s1 and f0 <= d[1] <= f1 and w0 <= d[2] <= w1):
+                    break
+        for d in sorted(made, key=first.__getitem__):
+            basis[new(TriDegree, d)] = made.pop(d)
         return basis
 
     # -- printing and serialization ---------------------------------------
