@@ -299,6 +299,24 @@ def test_dump_presentation_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == PRESENTATION_DIGESTS[name]
 
 
+#: sha256 of ``compute --object X --pages 1..inf`` stdout on the default
+#: window: every certified group of every page and of E_infinity, with its
+#: orders and labels, so a change to the engine must leave them alone
+COMPUTE_DIGESTS = {
+    "ko_C": "fd27b384cbbc9d824bc710bc4035a266ca07078731632b332f9ca3714a14b321",
+    "ko": "02dd7397f5404936d31e5bc85c09c633534d5fba2f5d679d0f4df8d60d5f2a9a",
+    "L": "d6df7e06b48b41ac02f487460ac46a5cd9fb2f685ff6135ef2302f50b6a5c56f",
+    "L_C": "385ea82f701bf29765693897cbaa256772a8684c29fc7c303c156299b7de6ed6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPUTE_DIGESTS))
+def test_compute_dump_bytes_are_pinned(capsys, name):
+    code, out, _ = run_cli(capsys, "compute", "--object", name, "--pages", "1..inf")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPUTE_DIGESTS[name]
+
+
 # -- console script --------------------------------------------------------
 
 

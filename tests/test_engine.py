@@ -580,39 +580,53 @@ D1_RUNS = {
     "torsion-3 toy, x moving": lambda: xyz_toy(moving=("x", "y")),
 }
 
-#: sha256 of each run's d1 build, recorded from the route that expands
-#: every column by its orbit: the blocks' degrees in stored order, each
-#: block's m, ptr, rows and vals, then the sorted unknown degrees
+#: sha256 of each run's d1 blocks, recorded from the route that walks the
+#: chains along generator 0: the blocks' degrees in stored order and each
+#: block's m, ptr, rows and vals
 D1_DIGESTS = {
-    "ko_C small": "6c52814dafcbdce91e56b9a4a91a7b3017b56382ab043445eb7d7f691d45579e",
-    "ko small": "49a90ed7232f95e4ab13626f8502b1f5159807dd71bf54113328855cb8624a64",
-    "L small": "757251f0a99d686ef7a81032dba8f1d654715403f891b436634fa643e020bb08",
-    "L_C small": "47d7cda20e726a20097e7a48c5a86564b7b1e2f917c718405c9dba4776978b8e",
-    "L low": "62546217e2a9cf7b7ba20150cfc09f4a774a25cb93048e9b7a1c8cc104dfe208",
-    "L perfbench": "2a24a8b2ca95ab3b93e42a97a642879f9c2a4e22087926de2980b80e2e5a0e6e",
-    "ko_C default": "c27a60916b8ca24150d94100cd962c61324a65f8bcd9b30826459e89fedb5e51",
-    "ko default": "3182e6042d1d9be9b58dd4b0dfb95b71aa3eae556c2b2574deba2a2c9fca5747",
-    "L_C default": "565e260c802a77f739fd7299e32f956a75dd7d9c02cdc5d6659c363a998d9798",
-    "torsion-3 toy": "417c20583ba51aadffbce3fdc0033dc261f497ed2fe5fe487fcf16bbb4c5ab9f",
-    "torsion-3 toy, x moving": "478ba5f51e19864e4a3f331fa42f5c726d6bfc1246ee2cffb4f7e1de8f5af453",
+    "ko_C small": "a85a19ec5e9a451ce0dfcbc23ca049af4d5dcaac8d801beb99a26b3635cc7679",
+    "ko small": "f55d6830cdf79c84ec18b1c9d9a940656bb3a1807fb9d911cbf4bd9eac069445",
+    "L small": "d63bf7cfc4a39e2102f5a129302846d362ee94b0d0437354e508ef688b4db67c",
+    "L_C small": "90370d4de26ff063115970f90e0fea313ecb84db96906ea22390f3241303183a",
+    "L low": "5bb19d91e8bd3635a1d185ba604c544b5a625d3c743aaac659bd921c5990377e",
+    "L perfbench": "6e7bf223e77ee91a65dc55449b5310440f70260c23d6e9da49a4ccfe03c4e7ae",
+    "ko_C default": "485eceb3f6313a96774f492c9dc12ca03a08cf0f89138b59a265d0b06f7e9baf",
+    "ko default": "bd765e59378586a51b89f1f6edc2cf594f94307dc0bbaadaa80fe7b1f619560f",
+    "L_C default": "20278c224dc051fd9402212d9f7d4e0bba3c53c42d114241bf0406767e525e5b",
+    "torsion-3 toy": "81136e97f4b98d890c8d3e481a7cda1b16925481de64829ca86b1c4aba692fe5",
+    "torsion-3 toy, x moving": "65a18e250214e50c1a719affd8a210f521c279d5bd836268db3abb6713bf708a",
 }
 
 
-def d1_digest(mats, unknown):
+def d1_digest(mats):
     h = hashlib.sha256()
     for d, M in mats.items():
         h.update(repr((tuple(d), M.m, M.ptr, M.rows, M.vals)).encode())
-    h.update(repr(sorted(map(tuple, unknown))).encode())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(D1_RUNS))
 def test_d1_build_is_the_recorded_one(case):
-    """The d1 build as stored, block order and each column's entry order
+    """The d1 blocks as stored, block order and each column's entry order
     included, which the dense comparison with the oracle does not see."""
-    mats, unknown = D1_RUNS[case]()._d1_matrices()
+    mats, _unknown = D1_RUNS[case]()._d1_matrices()
     assert mats
-    assert d1_digest(mats, unknown) == D1_DIGESTS[case]
+    assert d1_digest(mats) == D1_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(D1_RUNS) + ["L_C thin"])
+def test_d1_is_known_on_the_whole_user_window(case):
+    """Only a degree whose d1 target leaves the box can have an unknown d1,
+    and every such degree is on the box's first stem or in its top three
+    filtrations: outside the user window, since each run's filtration
+    margin is at least 3."""
+    if case == "L_C thin":
+        ss = SliceSS(get_object("L_C", LC_THIN), LC_THIN, f_margin=4)
+    else:
+        ss = D1_RUNS[case]()
+    assert ss.box.f[1] - ss.window.f[1] >= 3 and ss.box.s[0] < ss.window.s[0]
+    known = [ss.differential_known(1, d) for d in ss.window.degrees()]
+    assert known and all(known)
 
 
 @pytest.mark.parametrize("name,window", [b for b in SMALL_BOXES if b[0] in ("ko", "L")])
