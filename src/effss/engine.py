@@ -83,7 +83,12 @@ theirs.
 A window is widened internally to a box and a certified region is tracked page
 by page: a degree stays certified only while every differential that could
 reach it or leave it connects two certified degrees, and once lost it stays
-lost.  The region is stored once per run, as one map from each uncertified
+lost.  Every page loses its degrees by one rule: ``unknown_out[r]`` holds
+each degree whose d_r may fire and whose target is uncertified (on page 1,
+every group whose d1 target leaves the box, when the object has a d1, with
+no d1 computed there), and the turn loses it, its target when that is in
+the box, the target of each uncertified degree and the top stem column.
+The region is stored once per run, as one map from each uncertified
 degree of the box to the first page on which it is uncertified; a turn adds
 only the degrees it newly loses and copies nothing.  ``SliceSS.valid[r]`` is
 a view of the box, the map and the page supporting ``in``, ``len`` and
@@ -521,7 +526,12 @@ class SliceSS:
         return self.diffs[r]
 
     def _d1_matrices(self) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
-        """d1 at every page 1 degree, one Leibniz expansion per orbit.
+        """d1 at every page 1 degree whose target is in the box, one
+        Leibniz expansion per orbit, and the degrees where d1 is unknown:
+        when the object has a d1, every degree whose target leaves the box,
+        with no d1 computed there.  On page 1 every group may fire when the
+        object has a d1, so this is the rule of every pattern page: a
+        degree is unknown when it may fire and its target is uncertified.
 
         Each monomial splits as S X, where S is a product of the free
         generators (no cap, no slot) and X holds the rest.  Multiplying by a
@@ -541,8 +551,7 @@ class SliceSS:
         box, so its 2f + s - w is at most the box's top plus the shift's,
         which the width was chosen to hold, and every generator has
         2f + s - w >= 1.  A target degree's row map is its codes, and X and
-        S are decoded only when an orbit or a shift is new.  Where the
-        target lies outside the box, the first nonzero column settles it.
+        S are decoded only when an orbit or a shift is new.
 
         Most columns are not expanded at all but translated along g,
         generator 0, when g is free and d1(g) = 0.  Let d and d - |g| both
@@ -560,15 +569,14 @@ class SliceSS:
         the old order, reduce alike modulo its divisor, and a column keeps
         its entry order.  Where a = b = 0 and no coefficient changes, the
         block at d is the block below it, one object.  Degrees are built
-        bottom-up along each chain d, d - |g|, ..., walked without
-        recursion, and a degree whose block below is zero, unbuilt or out
-        of the box, a degree whose target leaves the box, and every degree
-        of a presentation whose generator 0 is capped, slotted or moving
-        take the Leibniz route alone.
+        in one pass in increasing 2f + s - w, which |g| raises, so the
+        block at d - |g| is built before d; a degree whose block below is
+        zero or out of the box, and every degree of a presentation whose
+        generator 0 is capped, slotted or moving, take the Leibniz route
+        alone.  The blocks are returned in page 1's order.
         """
         images = self.obj.schedule.get(1, {})
         shift = page_shift(1)
-        mats: Dict[TriDegree, ColMat] = {}
         unknown: Set[TriDegree] = set()
         pres = self.pres
         box = self.box
@@ -706,35 +714,19 @@ class SliceSS:
 
         into_box = Window(*((lo - x, hi - x) for (lo, hi), x in zip((box.s, box.f, box.w), shift)))
         (s0, s1), (f0, f1), (w0, w1) = into_box.s, into_box.f, into_box.w
-        built: Dict[Tuple[int, int, int], Optional[ColMat]] = {}  # each in-box block so far, None for 0
-        for d, G in page1.items():
+        inside = []  # the degrees whose target is in the box, in page 1's order
+        for d in page1:
             s, f, w = d
-            if not (s0 <= s <= s1 and f0 <= f <= f1 and w0 <= w <= w1):
-                if any(map(d1, G.codes)):  # one nonzero column settles d
-                    unknown.add(d)
-                continue
-            if step is None:
-                M = block(d, G.codes, None)
-            elif d in built:  # built on the walk from a degree above it
-                M = built[d]
-            else:
-                # walk down d - |g|, d - 2|g|, ... to a built degree, or out
-                # of the in-box degrees, and build the chain bottom-up
-                chain = [(d, G.codes)]
-                e = (s - step.s, f - step.f, w - step.w)
-                while e not in built:
-                    s, f, w = e
-                    E = page1.get(e) if s0 <= s <= s1 and f0 <= f <= f1 and w0 <= w <= w1 else None
-                    if E is None:
-                        break
-                    chain.append((e, E.codes))
-                    e = (s - step.s, f - step.f, w - step.w)
-                M = built.get(e)
-                for e, codes in reversed(chain):
-                    M = built[e] = block(e, codes, M)
-            if M is not None:
-                mats[d] = M
-        return mats, unknown
+            if s0 <= s <= s1 and f0 <= f <= f1 and w0 <= w <= w1:
+                inside.append(d)
+            elif images:  # d1 may fire here, into an uncertified degree
+                unknown.add(d)
+        built: Dict[Tuple[int, int, int], Optional[ColMat]] = {}  # each block so far, None for 0
+        for d in sorted(inside, key=lam):  # d - |g| comes before d
+            s, f, w = d
+            src = None if step is None else built.get((s - step.s, f - step.f, w - step.w))
+            built[d] = block(d, page1[d].codes, src)
+        return {d: built[d] for d in inside if built[d] is not None}, unknown
 
     def _pattern_matrices(self, r: int) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
         """The pattern's d_r blocks on page r >= 2, and the degrees where
@@ -794,20 +786,15 @@ class SliceSS:
         # Only three kinds of degree can lose certification: a degree whose
         # differential cannot be certified, with its target when that is in
         # the box, the target of an uncertified degree, and the top stem
-        # column, whose sources lie outside the box.  On a pattern page the
-        # first kind is unknown_out[r], which holds every firing degree
-        # whose target is uncertified; on page 1 it is every group whose d1
-        # target leaves the box, when the object has a d1.  Nothing is
-        # uncertified on page 1, so those are read off two fields: the
-        # target lies below the box's first stem or above its top
-        # filtration.  Every group of the page is certified, and the last
-        # two kinds are kept inside the box by their fields.
+        # column, whose sources lie outside the box.  On every page the
+        # first kind is unknown_out[r], which holds every degree whose d_r
+        # may fire (on page 1, every group, when the object has a d1) and
+        # whose target is uncertified.  Every group of the page is
+        # certified, and the last two kinds are kept inside the box by
+        # their fields.
         box = self.box
         top = box.f[1] - shift.f  # a target above this leaves the box
         lost: Set[TriDegree] = set()
-        if r == 1 and self.obj.schedule.get(1):
-            s0 = box.s[0]
-            lost.update(d for d in page if d.s == s0 or d.f > top)
         for d in unknown:
             lost.add(d)
             if box.contains(d + shift):
@@ -967,6 +954,12 @@ class SliceSS:
     def differential_known(self, r: int, d: TriDegree) -> bool:
         """False when d_r out of this degree cannot be certified in the box.
 
+        That is each degree whose d_r may fire into an uncertified degree:
+        on page 1, every degree whose d1 target leaves the box when the
+        object has a d1, whatever d1 is there, and on a pattern page each
+        firing degree whose target is uncertified or ambiguous.  Page 1's
+        lie on the box's first stem or in its top three filtrations, so
+        outside the user window whenever the filtration margin is at least 3.
         differential_value returns zero there; callers that care about
         the difference between certified-zero and not-computable must
         check this first.

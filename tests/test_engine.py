@@ -230,20 +230,21 @@ def per_monomial_d1_matrices(ss):
 
     This is the oracle for ``SliceSS._d1_matrices``, which expands each
     part X free of the free generators once and shifts the result along
-    the orbit of products S X.  It computes d1 in full at degrees whose
-    target leaves the box, where the engine stops at the first nonzero
-    column, so the ``unknown`` sets are compared too.
+    the orbit of products S X.  A degree whose target leaves the box is
+    unknown when the object has a d1, whatever d1 is there, and no d1 is
+    computed at it; the ``unknown`` sets are compared too.
     """
     images = ss.obj.schedule.get(1, {})
     shift = page_shift(1)
     mats, unknown = {}, set()
     for d, G in ss.pages[1].items():
-        vals = [derive(ss.pres, m, images) for m in basis_monomials(G)]
-        if not any(vals):
-            continue
         tgt = d + shift
         if not ss.box.contains(tgt):
-            unknown.add(d)
+            if images:
+                unknown.add(d)
+            continue
+        vals = [derive(ss.pres, m, images) for m in basis_monomials(G)]
+        if not any(vals):
             continue
         T = ss.pages[1].get(tgt)
         if T is None:
@@ -612,6 +613,18 @@ def test_d1_build_is_the_recorded_one(case):
     mats, _unknown = D1_RUNS[case]()._d1_matrices()
     assert mats
     assert d1_digest(mats) == D1_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(D1_RUNS))
+def test_d1_unknown_is_every_box_exit(case):
+    """d1 is unknown at exactly the page 1 degrees whose target leaves the
+    box, when the object has a d1, and nowhere else."""
+    ss = D1_RUNS[case]()
+    ss.differential_known(1, TriDegree(0, 0, 0))
+    want = set()
+    if ss.obj.schedule.get(1):
+        want = {d for d in ss.pages[1] if not ss.box.contains(d + page_shift(1))}
+    assert ss.unknown_out[1] == want
 
 
 @pytest.mark.parametrize("case", sorted(D1_RUNS) + ["L_C thin"])
