@@ -34,24 +34,14 @@ class CheckFailure(Exception):
     """A criterion did not hold; the message says which value moved."""
 
 
-_CACHE: Dict[str, object] = {}
-
-
-def _cached(key: str, build: Callable[[], object]):
-    if key not in _CACHE:
-        _CACHE[key] = build()
-    return _CACHE[key]
+_CACHE: Dict[str, SliceSS] = {}
 
 
 def _run(name: str, window: Optional[Window], **kw) -> SliceSS:
-    def build():
-        obj = get_object(name, window=window)
-        ss = SliceSS(obj, window, **kw)
-        ss.run()
-        return ss
-
     key = "%s:%s:%s" % (name, window, sorted(kw.items()))
-    return _cached(key, build)
+    if key not in _CACHE:
+        _CACHE[key] = SliceSS(get_object(name, window=window), window, **kw).run()
+    return _CACHE[key]
 
 
 def _ko_C_run() -> SliceSS:
