@@ -85,9 +85,9 @@ def test_entry_records_tier1_and_verify_times(tmp_path):
                             "change": {"summary": "1 failed, 217 passed, 1 skipped", "seconds": 85.19}}
     assert got["verify"] == {
         "charts": {"parent": {"samples": [13.5], "min": 13.5},
-                   "change": {"samples": [12.0], "min": 12.0}, "passed": True},
+                   "change": {"samples": [12.0], "min": 12.0}, "passed": True, "same_text": True},
         "eta-compare": {"parent": {"samples": [18.3], "min": 18.3},
-                        "change": {"samples": [11.0], "min": 11.0}, "passed": False},
+                        "change": {"samples": [11.0], "min": 11.0}, "passed": False, "same_text": False},
     }
     with pytest.raises(SystemExit):
         bench_entry.main(["--out", str(out), "--parent", p, "--change", c,
@@ -110,9 +110,33 @@ def test_entry_keeps_every_verify_round_and_the_minimum(tmp_path):
     bench_entry.main(argv)
     got = json.loads((tmp_path / "BENCH.json").read_text())["verify"]
     assert got["charts"] == {"parent": {"samples": [2.0, 1.7, 2.5], "min": 1.7},
-                             "change": {"samples": [1.5, 1.0, 1.2], "min": 1.0}, "passed": True}
+                             "change": {"samples": [1.5, 1.0, 1.2], "min": 1.0},
+                             "passed": True, "same_text": True}
     # a check missing from one side's runs, or failed in one round, did not pass
-    assert got["iota-orders"] == {"parent": {"samples": [7.5, 7.1, 7.9], "min": 7.1}, "passed": False}
+    assert got["iota-orders"] == {"parent": {"samples": [7.5, 7.1, 7.9], "min": 7.1},
+                                  "passed": False, "same_text": False}
+
+
+def test_entry_compares_verify_text_without_the_seconds(tmp_path):
+    """A check's line is the same text when only its seconds differ, in
+    every round on both sides; any other byte, in one round of one side,
+    makes it differ."""
+    p = write(tmp_path, "p.json", record("a", 4.0))
+    c = write(tmp_path, "c.json", record("b", 3.0))
+    rounds = (("PASS charts: 3 charts [2.0s]\nPASS les: 6/13 rows [1.0s]\nPASS iota: 64 [7.5s]\n",
+               "PASS charts: 3 charts [1.5s]\nPASS les: 6/13 rows [0.9s]\nPASS iota: 64 [7.1s]\n"),
+              ("PASS charts: 3 charts [1.7s]\nPASS les: 6/13 rows [1.1s]\nPASS iota: 64 [7.2s]\n",
+               "PASS charts: 3 charts [1.0s]\nPASS les: 6/14 rows [1.0s]\nFAIL iota: 64 [7.0s]\n"))
+    argv = ["--out", str(tmp_path / "BENCH.json"), "--parent", p, "--change", c]
+    for k, (ptext, ctext) in enumerate(rounds):
+        (tmp_path / ("p%d.txt" % k)).write_text(ptext)
+        (tmp_path / ("c%d.txt" % k)).write_text(ctext)
+        argv += ["--verify", str(tmp_path / ("p%d.txt" % k)), str(tmp_path / ("c%d.txt" % k))]
+    bench_entry.main(argv)
+    got = json.loads((tmp_path / "BENCH.json").read_text())["verify"]
+    assert {name: row["same_text"] for name, row in got.items()} == {
+        "charts": True, "les": False, "iota": False}
+    assert got["les"]["passed"] and not got["iota"]["passed"]
 
 
 @pytest.mark.parametrize("change_walls,beyond", [((3.85, 3.9, 3.95), False), ((4.25, 4.3, 4.35), True),

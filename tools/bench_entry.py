@@ -27,8 +27,11 @@ records its final summary (counts and wall seconds) under ``tier1``.
 ``--verify`` takes the output of one ``effss verify`` run on each side and
 may be repeated, one round of both sides each time, since a check's
 seconds move between runs of one tree.  Under ``verify`` it records, for
-each check and side, every round's seconds and their minimum, and whether
-the check passed in every round on both sides.
+each check and side, every round's seconds and their minimum, whether
+the check passed in every round on both sides, and whether its summary
+line with the seconds stripped is the same text in every round on both
+sides (``same_text``), which is how a change shows that it leaves each
+check's output alone.
 
 ``context`` gives each side's cores, Python version, commit and source
 sha256.  Records of one side must agree on all four; the script exits
@@ -121,7 +124,7 @@ def workload_entry(bench, parent, change):
 #: pytest's final line, e.g. "218 passed, 1 skipped in 85.19s (0:01:25)"
 PYTEST_SUMMARY = re.compile(r"^=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([0-9.]+)s\b")
 #: one line of ``effss verify``, e.g. "PASS charts: 3 golden charts ... [3.6s]"
-VERIFY_LINE = re.compile(r"^(PASS|FAIL) ([\w-]+): .*\[([0-9.]+)s\]$")
+VERIFY_LINE = re.compile(r"^((PASS|FAIL) ([\w-]+): .*) \[([0-9.]+)s\]$")
 
 
 def tier1_summary(path):
@@ -138,13 +141,14 @@ def tier1_summary(path):
 
 
 def verify_checks(path):
-    """{check: (passed, seconds)} from the output of ``effss verify``."""
+    """{check: (passed, seconds, line without its seconds)} from the output
+    of ``effss verify``."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             m = VERIFY_LINE.match(line.strip())
             if m:
-                out[m.group(2)] = (m.group(1) == "PASS", float(m.group(3)))
+                out[m.group(3)] = (m.group(2) == "PASS", float(m.group(4)), m.group(1))
     if not out:
         raise SystemExit("bench_entry: no verify check lines in %s" % path)
     return out
@@ -152,11 +156,14 @@ def verify_checks(path):
 
 def verify_entry(rounds):
     """Per check: each side's seconds over the rounds, with their minimum,
-    and whether the check passed in every round on both sides."""
+    whether the check passed in every round on both sides, and whether
+    its line without the seconds is one text in every round on both."""
     runs = {side: [verify_checks(pair[k]) for pair in rounds] for k, side in enumerate(("parent", "change"))}
     entry = {}
     for name in sorted({name for checks in runs.values() for run in checks for name in run}):
-        row = {"passed": all(name in run and run[name][0] for checks in runs.values() for run in checks)}
+        found = [run.get(name) for checks in runs.values() for run in checks]
+        row = {"passed": all(f and f[0] for f in found),
+               "same_text": all(found) and len({f[2] for f in found}) == 1}
         for side, checks in runs.items():
             samples = [run[name][1] for run in checks if name in run]
             if samples:
