@@ -528,10 +528,8 @@ class SliceSS:
     def _d1_matrices(self) -> Tuple[Dict[TriDegree, ColMat], Set[TriDegree]]:
         """d1 at every page 1 degree whose target is in the box, one
         Leibniz expansion per orbit, and the degrees where d1 is unknown:
-        when the object has a d1, every degree whose target leaves the box,
-        with no d1 computed there.  On page 1 every group may fire when the
-        object has a d1, so this is the rule of every pattern page: a
-        degree is unknown when it may fire and its target is uncertified.
+        every degree whose target leaves the box, when the object has a d1,
+        with no d1 computed there (the loss rule of every page).
 
         Each monomial splits as S X, where S is a product of the free
         generators (no cap, no slot) and X holds the rest.  Multiplying by a
@@ -789,9 +787,8 @@ class SliceSS:
         # column, whose sources lie outside the box.  On every page the
         # first kind is unknown_out[r], which holds every degree whose d_r
         # may fire (on page 1, every group, when the object has a d1) and
-        # whose target is uncertified.  Every group of the page is
-        # certified, and the last two kinds are kept inside the box by
-        # their fields.
+        # whose target is uncertified.  The last two kinds are kept inside
+        # the box by their fields.
         box = self.box
         top = box.f[1] - shift.f  # a target above this leaves the box
         lost: Set[TriDegree] = set()
