@@ -957,6 +957,7 @@ class SliceSS:
         firing degree whose target is uncertified or ambiguous.  Page 1's
         lie on the box's first stem or in its top three filtrations, so
         outside the user window whenever the filtration margin is at least 3.
+
         differential_value returns zero there; callers that care about
         the difference between certified-zero and not-computable must
         check this first.
