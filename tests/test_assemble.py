@@ -143,6 +143,14 @@ def test_row_validation_rejects_non_climbing_filtration(ko):
         check_extension(p, bad)
 
 
+def test_hidden_extensions_compare_by_identity(ko):
+    p = ko.pres
+    rows = [HiddenExtension(kind="h", source=p.parse("2*v2"), target=p.parse("tau2*h1^3"),
+                            degree=TriDegree(4, 0, 2), coweight=2) for _ in range(2)]
+    assert rows[0] != rows[1] and len(set(rows)) == 2
+    assert rows[0] == rows[0] and rows[0].proof == "" and rows[0].special is None
+
+
 # -- periodicity operators -------------------------------------------------
 
 

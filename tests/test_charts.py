@@ -83,6 +83,14 @@ def test_spec_rejects_bad_modulus():
         ChartSpec(name="x", modulus=0)
 
 
+def test_spec_rejects_an_empty_range():
+    with pytest.raises(ChartError, match="empty chart range"):
+        ChartSpec(name="x", stems=(4, 2))
+    with pytest.raises(ChartError, match="empty chart range"):
+        ChartSpec(name="x", f_cap=-1)
+    assert ChartSpec(name="x") == ChartSpec(name="x", page=None, stems=(0, 24))
+
+
 def test_spec_rejects_out_of_range_residue():
     with pytest.raises(ChartError):
         ChartSpec(name="x", modulus=4, residue=4)

@@ -16,8 +16,9 @@ from functools import lru_cache
 
 import pytest
 
+from effss.assemble import LedgerError
 from effss.cli import UsageError, _parse_range, _query_window, cli
-from effss.engine import NotCertifiedError, SliceSS, Window
+from effss.engine import EngineError, NotCertifiedError, SliceSS, Window
 from effss.objects import get_object, spec_from_dict, spec_to_dict
 
 
@@ -69,6 +70,24 @@ def test_malformed_flags_exit_2(capsys, monkeypatch):
         code, _out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "usage error" in err
+
+
+def test_each_error_class_maps_to_its_exit_status_and_prefix(capsys, monkeypatch):
+    # bad flags and a bad chart spec exit 2, refused work and other
+    # failures exit 1; the line on stderr is pinned exactly
+    assert run_cli(capsys, "compute", "--object", "ko_C", "--pages", "5..2") == (
+        2, "", "usage error: empty page range 5..2\n")
+    assert run_cli(capsys, "chart", "--object", "ko_C", "--modulus", "3") == (
+        2, "", "usage error: modulus must be 1 or a power of 2, got 3\n")
+    def raising(exc):
+        def get_object(*args, **kw):
+            raise exc
+        return get_object
+
+    monkeypatch.setattr("effss.cli.get_object", raising(EngineError("no engine")))
+    assert run_cli(capsys, "compute", "--object", "ko_C") == (1, "", "error: no engine\n")
+    monkeypatch.setattr("effss.cli.get_object", raising(LedgerError("no ledger")))
+    assert run_cli(capsys, "compute", "--object", "ko_C") == (1, "", "error: no ledger\n")
 
 
 # -- compute ---------------------------------------------------------------

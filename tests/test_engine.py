@@ -57,6 +57,24 @@ def ko():
     return SliceSS(get_object("ko"), SMALL).run()
 
 
+def test_windows_are_values_and_refuse_an_empty_range():
+    a, b = Window(s=(0, 4), f=(0, 3), w=(2, 3)), Window((0, 4), (0, 3), (2, 3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == "Window(s=(0, 4), f=(0, 3), w=(2, 3))"
+    with pytest.raises(EngineError, match=r"empty window range \(1, 0\)"):
+        Window(s=(1, 0), f=(0, 3), w=(2, 3))
+
+
+def test_object_specs_hash_by_identity_with_fresh_defaults():
+    pres = get_object("ko_C").pres
+    a, b = ObjectSpec("toy", pres), ObjectSpec("toy", pres)
+    assert a != b and hash(a) != hash(b) and len({a, b}) == 2
+    assert a.schedule == b.schedule == {} and a.schedule is not b.schedule
+    assert a.meta == b.meta == {} and a.meta is not b.meta
+    a.meta["k"] = 1
+    assert b.meta == {}
+
+
 def test_page_shift():
     assert page_shift(1) == TriDegree(-1, 3, 0)
     assert page_shift(3) == TriDegree(-1, 7, 0)
