@@ -33,28 +33,21 @@ Smith normal form turns the presentation into invariant factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .engine import NotCertifiedError, SliceSS
+from .engine import NotCertifiedError, SliceSS, render_orders
 from .grading import (
-    EffssError,
+    AssembleError,
     Element,
+    LedgerError,
     PresentationError,
     RingPresentation,
     TriDegree,
     el_scale,
+    record_repr,
 )
 from .intlinalg import LinearAlgebraError, smith_normal_form, two_adic_valuation
 from .objects import load_data
-
-
-class AssembleError(EffssError):
-    """A column could not be assembled inside the certified region."""
-
-
-class LedgerError(EffssError):
-    """A hidden extension row failed validation."""
 
 
 #: degree of the page 1 element detecting each kind of extension
@@ -72,7 +65,6 @@ V14_DEGREE = TriDegree(8, 0, 4)
 SPECIALS = ("highest-filtration", "half-carrier-order")
 
 
-@dataclass(frozen=True, eq=False)
 class HiddenExtension:
     """One hidden extension: kind times source equals target.
 
@@ -81,18 +73,24 @@ class HiddenExtension:
     times the class of iv2, which is the order 2 element of its cyclic
     summand.  degree is the tri-degree of the source.  tau4 and v14 say
     whether the row propagates along the two periodicities, and special
-    picks one of the documented deviant propagation rules.
+    picks one of the documented deviant propagation rules.  Rows compare
+    and hash by identity.
     """
 
-    kind: str
-    source: Element
-    target: Element
-    degree: TriDegree
-    coweight: int
-    proof: str = ""
-    tau4: bool = True
-    v14: bool = True
-    special: Optional[str] = None
+    def __init__(self, kind: str, source: Element, target: Element, degree: TriDegree,
+                 coweight: int, proof: str = "", tau4: bool = True, v14: bool = True,
+                 special: Optional[str] = None) -> None:
+        self.kind = kind
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.coweight = coweight
+        self.proof = proof
+        self.tau4 = tau4
+        self.v14 = v14
+        self.special = special
+
+    __repr__ = record_repr
 
 
 def check_extension(pres: RingPresentation, ext: HiddenExtension) -> None:
@@ -514,15 +512,7 @@ def double(ss: SliceSS, ledger: Ledger, cls: InfinityClass) -> InfinityClass:
 # ---------------------------------------------------------------------------
 
 
-def render_orders(orders: Sequence[int]) -> str:
-    """A direct sum of cyclic groups, 0 standing for Z: "Z/4 + Z"."""
-    if not orders:
-        return "0"
-    return " + ".join("Z" if o == 0 else "Z/%d" % o for o in orders)
-
-
-@dataclass(frozen=True)
-class PiGenerator:
+class PiGenerator(NamedTuple):
     """One infinity summand contributing to a homotopy group."""
 
     degree: TriDegree
@@ -532,7 +522,6 @@ class PiGenerator:
     part: str
 
 
-@dataclass
 class HomotopyGroup:
     """An assembled homotopy group in one (stem, weight) spot.
 
@@ -545,13 +534,18 @@ class HomotopyGroup:
     of the pattern or the periodicity rules extrapolate it.
     """
 
-    s: int
-    w: int
-    generators: List[PiGenerator]
-    relations: List[Tuple[int, int, Dict[int, int]]]
-    orders: List[int]
-    actions: Dict[str, List[str]]
-    provenance: str
+    def __init__(self, s: int, w: int, generators: List[PiGenerator],
+                 relations: List[Tuple[int, int, Dict[int, int]]], orders: List[int],
+                 actions: Dict[str, List[str]], provenance: str) -> None:
+        self.s = s
+        self.w = w
+        self.generators = generators
+        self.relations = relations
+        self.orders = orders
+        self.actions = actions
+        self.provenance = provenance
+
+    __repr__ = record_repr
 
     def render(self) -> str:
         return render_orders(self.orders)

@@ -21,12 +21,11 @@ freeze the sidecar text, not the pixels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .assemble import expand_ledger
 from .engine import NotCertifiedError, SliceSS
-from .grading import EffssError, Element, TriDegree
+from .grading import ChartError, EffssError, Element, TriDegree
 from .intlinalg import LinearAlgebraError
 
 __all__ = [
@@ -38,10 +37,6 @@ __all__ = [
     "parse_chart_text",
     "emit_svg",
 ]
-
-
-class ChartError(EffssError):
-    """Bad chart specification."""
 
 
 #: every layout constant in one place; the published figures imply these
@@ -61,10 +56,7 @@ CONFIG = {
 }
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    """What to draw: object, page, coweight class, ranges, decorations."""
-
+class _ChartFields(NamedTuple):
     name: str
     page: Optional[int] = None  # None reads the last computed page
     residue: int = 0
@@ -75,20 +67,27 @@ class ChartSpec:
     hidden: bool = False
     products: bool = True
 
-    def __post_init__(self):
-        m = self.modulus
+
+class ChartSpec(_ChartFields):
+    """What to draw: object, page, coweight class, ranges, decorations."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kw) -> "ChartSpec":
+        spec = super().__new__(cls, *args, **kw)
+        m = spec.modulus
         if m < 1 or (m & (m - 1)) != 0:
             raise ChartError("modulus must be 1 or a power of 2, got %d" % m)
-        if not (0 <= self.residue < m):
+        if not (0 <= spec.residue < m):
             raise ChartError(
-                "residue %d out of range for modulus %d" % (self.residue, m)
+                "residue %d out of range for modulus %d" % (spec.residue, m)
             )
-        if self.stems[0] > self.stems[1] or self.f_cap < 0:
+        if spec.stems[0] > spec.stems[1] or spec.f_cap < 0:
             raise ChartError("empty chart range")
+        return spec
 
 
-@dataclass(frozen=True)
-class ChartDatum:
+class ChartDatum(NamedTuple):
     """One glyph: a summand family at a chart position, with its lines.
 
     Line tokens: "h1", "rho", "d3", "hidden-h@4", each optionally

@@ -23,10 +23,8 @@ import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .assemble import AssembleError, assemble, render_orders
-from .charts import ChartError, ChartSpec, chart_data, emit_svg, render_chart_text
-from .engine import EngineError, NotCertifiedError, SliceSS, Window
-from .grading import EffssError
+from .engine import EngineError, NotCertifiedError, SliceSS, Window, render_orders
+from .grading import AssembleError, ChartError, EffssError
 from .objects import TRI_GRADED, get_object, load_data, spec_to_dict
 
 
@@ -118,6 +116,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_chart(args) -> int:
+    from .charts import ChartSpec, chart_data, emit_svg, render_chart_text
+
     page = None
     if args.page != "inf":
         try:
@@ -173,6 +173,8 @@ def _query_window(s: int, w: int) -> Window:
 
 
 def _cmd_query(args) -> int:
+    from .assemble import assemble
+
     try:
         load_data("hidden_" + args.object)
     except EffssError:

@@ -110,10 +110,9 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import gcd
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .grading import (
     Basis,
@@ -125,6 +124,7 @@ from .grading import (
     TriDegree,
     el_iadd,
     lam,
+    record_repr,
     render_terms,
 )
 from .intlinalg import (
@@ -172,18 +172,22 @@ def page_shift(r: int) -> TriDegree:
     return TriDegree(-1, 2 * r + 1, 0)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Closed tri-degree box, each component as (lo, hi) inclusive."""
-
+class _WindowFields(NamedTuple):
     s: Tuple[int, int]
     f: Tuple[int, int]
     w: Tuple[int, int]
 
-    def __post_init__(self):
-        for lo, hi in (self.s, self.f, self.w):
+
+class Window(_WindowFields):
+    """Closed tri-degree box, each component as (lo, hi) inclusive."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: Tuple[int, int], f: Tuple[int, int], w: Tuple[int, int]) -> "Window":
+        for lo, hi in (s, f, w):
             if lo > hi:
                 raise EngineError("empty window range (%d, %d)" % (lo, hi))
+        return super().__new__(cls, s, f, w)
 
     def contains(self, d: TriDegree) -> bool:
         return (
@@ -237,19 +241,34 @@ class Certified:
         return (d for d in self.box.degrees() if since.get(d, r + 1) > r)
 
 
-@dataclass(eq=False)  # hashed by identity, so per-object memos can key on it
 class ObjectSpec:
-    """Everything the engine needs to run one object's spectral sequence."""
+    """Everything the engine needs to run one object's spectral sequence.
 
-    name: str
-    pres: RingPresentation
-    schedule: Dict[int, Dict[int, Element]] = field(default_factory=dict)
-    has_pattern: bool = False
-    image_gens: FrozenSet[int] = frozenset()
-    stable_page: int = 2
-    default_window: Optional[Window] = None
-    default_r_max: Optional[int] = None
-    meta: Dict[str, object] = field(default_factory=dict)
+    Hashed by identity, so per-object memos can key on it."""
+
+    def __init__(
+        self,
+        name: str,
+        pres: RingPresentation,
+        schedule: Optional[Dict[int, Dict[int, Element]]] = None,
+        has_pattern: bool = False,
+        image_gens: FrozenSet[int] = frozenset(),
+        stable_page: int = 2,
+        default_window: Optional[Window] = None,
+        default_r_max: Optional[int] = None,
+        meta: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.name = name
+        self.pres = pres
+        self.schedule = {} if schedule is None else schedule
+        self.has_pattern = has_pattern
+        self.image_gens = image_gens
+        self.stable_page = stable_page
+        self.default_window = default_window
+        self.default_r_max = default_r_max
+        self.meta = {} if meta is None else meta
+
+    __repr__ = record_repr
 
     def part_of(self, m: Monomial) -> str:
         for g, _ in m:
@@ -259,6 +278,13 @@ class ObjectSpec:
 
 
 PART_ORDER = ("cokernel", "image")
+
+
+def render_orders(orders: Sequence[int]) -> str:
+    """A direct sum of cyclic groups, 0 standing for Z: "Z/4 + Z"."""
+    if not orders:
+        return "0"
+    return " + ".join("Z" if o == 0 else "Z/%d" % o for o in orders)
 
 
 def validate_schedule(pres: RingPresentation, images: Dict[int, Element], r: int) -> None:

@@ -43,9 +43,8 @@ per generator count and field width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .engine import collection_paused, page_shift
 from .grading import Coding, EffssError, Element
@@ -140,8 +139,7 @@ def parse_eta(text: str) -> EtaElement:
 # -- the four eta-local objects --------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaObject:
+class EtaObject(NamedTuple):
     """One eta-periodic spectral sequence, stored as closed forms.
 
     ``alive`` is page membership, ``differential`` the value of d_r on a

@@ -38,7 +38,6 @@ usual way of writing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .engine import ObjectSpec, Window, derive, widened_box
@@ -53,6 +52,7 @@ from .grading import (
     RingPresentation,
     TriDegree,
     mono_mul,
+    record_repr,
 )
 from .intlinalg import smith_normal_form, two_adic_valuation
 from .objects import load_data, spec_from_dict, window_from_dict
@@ -104,7 +104,6 @@ def _diag_scalar(pres: RingPresentation, image: Element, g: int) -> int:
     return c
 
 
-@dataclass
 class FiberLayout:
     """Bookkeeping between a base presentation and its materialized fiber.
 
@@ -121,14 +120,27 @@ class FiberLayout:
     make no reference cycle.
     """
 
-    base: RingPresentation
-    b_v: int
-    v_scale: int
-    priority: Tuple[int, ...]
-    back: Tuple[Tuple[Monomial, int], ...]
-    gen_of: Dict[Tuple[Monomial, int], int]
-    family_max: int
-    v_slack: int
+    def __init__(
+        self,
+        base: RingPresentation,
+        b_v: int,
+        v_scale: int,
+        priority: Tuple[int, ...],
+        back: Tuple[Tuple[Monomial, int], ...],
+        gen_of: Dict[Tuple[Monomial, int], int],
+        family_max: int,
+        v_slack: int,
+    ) -> None:
+        self.base = base
+        self.b_v = b_v
+        self.v_scale = v_scale
+        self.priority = priority
+        self.back = back
+        self.gen_of = gen_of
+        self.family_max = family_max
+        self.v_slack = v_slack
+
+    __repr__ = record_repr
 
     def debase(self, m: Monomial) -> Tuple[Monomial, int]:
         """The base monomial under fiber monomial m, and its iota count."""
@@ -313,7 +325,7 @@ def build_fiber_object(
             continue
         if i != b_tail:
             sl = letter_slot(i)
-            g = replace(g, slots=(sl,) if sl else ())
+            g = g._replace(slots=(sl,) if sl else ())
         add(g, single[i], 0)
 
     add(GeneratorSpec(name="iv0", degree=IOTA_DEGREE, torsion=0, cap=1, slots=("fam",)), (), 1)

@@ -35,7 +35,6 @@ appearing in it (torsion 0 means a free summand).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import (
     Callable,
     Collection,
@@ -56,6 +55,28 @@ class EffssError(Exception):
 
 class PresentationError(EffssError):
     """A generator list or rule list violates an invariant we rely on."""
+
+
+# The read side's errors live here too, so that the command line maps
+# them to exit statuses without loading the read side.
+
+
+class AssembleError(EffssError):
+    """A column could not be assembled inside the certified region."""
+
+
+class LedgerError(EffssError):
+    """A hidden extension row failed validation."""
+
+
+class ChartError(EffssError):
+    """Bad chart specification."""
+
+
+def record_repr(self) -> str:
+    """``Name(field=value, ...)`` of a plain record, its fields in the
+    order its ``__init__`` sets them."""
+    return "%s(%s)" % (type(self).__name__, ", ".join("%s=%r" % kv for kv in vars(self).items()))
 
 
 class TriDegree(NamedTuple):
@@ -197,8 +218,7 @@ def el_scale(e: Element, scale: int) -> Element:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """One generator of a presentation.
 
     torsion   additive order of the generator (0 for a free class); the
@@ -320,8 +340,7 @@ class Basis(dict):
         return {d: list(map(decode, codes)) for d, (_o, _k, codes) in self.items()}
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """lhs -> sum of (coeff, monomial), lhs being one cap or slot violation."""
 
     lhs: Monomial

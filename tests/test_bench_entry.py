@@ -52,6 +52,27 @@ def test_entry_pairs_runs_and_takes_medians(tmp_path):
     assert wl["jobs"]["change"]["failed"] == 1 and wl["jobs"]["digests_equal"]
 
 
+def test_entry_takes_the_median_import_time_of_untraced_repetitions(tmp_path):
+    def rep(import_s, traced=False, scale=2.0):
+        return {"digests": {"dump": "d0"}, "import_s": import_s, "scale": scale, "traced": traced}
+
+    p = record("a", 4.0)
+    p["reps"] = [rep(0.01), rep(0.03), rep(0.05), {"error": "timed out"}]
+    t = record("a", 4.0, trace=True)
+    t["reps"] = [rep(0.02), rep(9.0, traced=True)]
+    c = record("b", 3.0)
+    c["reps"] = [rep(0.01, scale=1.0)]
+    out = tmp_path / "BENCH.json"
+    bench_entry.main(["--out", str(out), "--parent", write(tmp_path, "p.json", p),
+                      write(tmp_path, "t.json", t), "--change", write(tmp_path, "c.json", c)])
+    got = json.loads(out.read_text())["workloads"]["L-default"]["import_s"]
+    # parent: 0.02, 0.04, 0.06 and 0.10 rescaled, the traced repetition left out
+    assert got == pytest.approx({"parent": 0.05, "change": 0.01})
+    bench_entry.main(["--out", str(out), "--parent", write(tmp_path, "q.json", record("a", 4.0)),
+                      "--change", write(tmp_path, "d.json", record("b", 3.0))])
+    assert json.loads(out.read_text())["workloads"]["L-default"]["import_s"] == {}
+
+
 def test_entry_refuses_mixed_contexts_and_flags_digests(tmp_path):
     out = str(tmp_path / "BENCH.json")
     p = write(tmp_path, "p.json", record("a", 4.0))

@@ -1,6 +1,6 @@
 """Eta-periodic closed forms, localization, and the comparison map."""
 
-import dataclasses
+import copy
 import hashlib
 import json
 
@@ -394,7 +394,8 @@ def test_compare_L_C_small_window():
 def test_compare_flags_a_corrupted_image_table(ko):
     bad = dict(ko.meta["etaImage"])
     bad[ko.pres.gen("th1")] = frozenset({(0, 1, 0, 0)})  # rho instead of tau
-    broken = dataclasses.replace(ko, meta={**ko.meta, "etaImage": bad})
+    broken = copy.copy(ko)
+    broken.meta = {**ko.meta, "etaImage": bad}
     rep = compare(SliceSS(broken, Window(s=(-2, 10), f=(0, 6), w=(-6, 7)), r_max=2))
     mism = rep.pop("mismatches")
     assert rep == {

@@ -1,6 +1,6 @@
 """Fiber construction: carriers, generated rules, derived d1 and splitting."""
 
-import dataclasses
+import copy
 import json
 import random
 
@@ -489,10 +489,11 @@ def test_splitting_report_catches_a_wrong_order(L):
     obj = build_fiber_object(load_data("L"), SMALL, r_max=2)
     gens = list(obj.pres.generators)
     i = obj.pres.gen("iv2")
-    gens[i] = dataclasses.replace(gens[i], torsion=4)
+    gens[i] = gens[i]._replace(torsion=4)
     pres = RingPresentation(obj.pres.name, gens)
     pres.cover = obj.pres.cover
-    broken = dataclasses.replace(obj, pres=pres)
+    broken = copy.copy(obj)
+    broken.pres = pres
     with pytest.raises(FiberError):
         splitting_report(broken, snf_budget=4)
     with pytest.raises(AttributeError):

@@ -19,6 +19,9 @@ For each workload the entry holds:
   than the parent's interquartile range, q3 - q1.
 * ``per_layer``: per side, the median over its traced runs of each
   per-layer metric.
+* ``import_s``: per side, the median over its untraced repetitions of
+  the time ``import effss, effss.cli`` took, rescaled as ``setup_s`` is,
+  which shows how much of ``setup_s`` is import.
 * ``jobs``: attempted and failed jobs per side, and whether every output
   digest of every repetition equals the parent's.
 
@@ -75,9 +78,15 @@ def digests(records):
             for rec in records for rep in rec["reps"] if "error" not in rep}
 
 
+def import_seconds(records):
+    """The rescaled import time of every untraced repetition of the records."""
+    return [rep["import_s"] * rep["scale"] for rec in records for rep in rec["reps"]
+            if "import_s" in rep and not rep["traced"]]
+
+
 def workload_entry(bench, parent, change):
     by_name = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
-    entry = {"end_to_end": {}, "per_layer": {}, "jobs": {}}
+    entry = {"end_to_end": {}, "per_layer": {}, "import_s": {}, "jobs": {}}
     plain = {side: [r for r in recs if not r["trace"]] for side, recs in
              (("parent", parent), ("change", change))}
     traced = {side: [r for r in recs if r["trace"]] for side, recs in
@@ -113,6 +122,9 @@ def workload_entry(bench, parent, change):
                 row[side] = statistics.median(row[side])
 
     for side, recs in (("parent", parent), ("change", change)):
+        samples = import_seconds(recs)
+        if samples:
+            entry["import_s"][side] = statistics.median(samples)
         if recs:
             entry["jobs"][side] = {"attempted": sum(r["result"]["attempted"] for r in recs),
                                    "failed": sum(r["result"]["failed"] for r in recs)}
